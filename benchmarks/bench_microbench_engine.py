@@ -143,9 +143,8 @@ def test_micro_engine_reduce_by_key(benchmark):
     benchmark(lambda: rdd.reduce_by_key(lambda a, b: a + b).count())
 
 
-@pytest.mark.parametrize("columnar", [False, True], ids=["scalar", "columnar"])
-def test_micro_selection_indexing(benchmark, bench_events, columnar):
-    """Per-partition R-tree selection over in-memory events, both paths."""
+def test_micro_selection_indexing(benchmark, bench_events):
+    """Per-partition R-tree selection over in-memory events."""
     from repro.columnar.cache import invalidate_partition_indexes
 
     ctx = fresh_ctx()
@@ -153,7 +152,7 @@ def test_micro_selection_indexing(benchmark, bench_events, columnar):
     rdd.count()
     spatial = Envelope(-74.0, 40.7, -73.95, 40.75)
     temporal = Duration(EPOCH_2013, EPOCH_2013 + 5 * 86_400.0)
-    selector = Selector(spatial, temporal, use_columnar=columnar)
+    selector = Selector(spatial, temporal)
 
     def run():
         # Cold each round: the cache satellite would otherwise hide the

@@ -1,17 +1,16 @@
-"""Columnar fast path: structure-of-arrays kernels for the pipeline hot loops.
+"""Columnar kernels: the implementation of the pipeline's hot loops.
 
-The scalar pipeline spends its time in per-object Python loops —
-``STBox.intersects`` per instance during selection, per-node calls during
-R-tree descent, per-instance partition-id assignment, per-cell loops
-during singular→collective allocation.  This package mirrors those loops
-as numpy kernels over a per-partition :class:`BoxTable` (six float64
-extent columns plus a row→instance indirection):
+Selection filtering, partition routing, singular→collective allocation
+and spec'd extraction each have exactly one execution path, and it runs
+on the structure-of-arrays kernels in this package — a per-partition
+:class:`BoxTable` (six float64 extent columns plus a row→instance
+indirection) and what is built over it:
 
 * :meth:`BoxTable.intersects_box` — vectorized closed-interval ST-range
-  predicate (the selection filter without an index);
+  predicate (the selection filter with ``index=False``);
 * :class:`PackedRTree` — STR bulk-load packed into per-level MBR arrays,
   queried level-at-a-time (the selection filter with an index, and the
-  irregular-structure allocation path);
+  one cell index of every collective structure);
 * batched partition-id assignment (``Partitioner.assign_batch``) feeding
   ``RDD.shuffle_by_batch``;
 * an analytic row→cell range kernel for regular structures
@@ -20,16 +19,25 @@ extent columns plus a row→instance indirection):
   :class:`CellTable` partials built with scatter-add kernels and an
   :class:`AggSpec` per extractor, merged through ``RDD.tree_reduce``.
 
-Everything is gated on numpy being importable (:func:`available`) and on
-``use_columnar=True`` flags at the API surface; the scalar paths remain
-the semantics reference and the automatic fallback.  Exact geometry tests
-(LineString/Polygon containment, trajectory cell matching) always run
-scalar — the kernels only shrink the candidate set they run on.
+No flag selects any of this.  What does *not* run on arrays is decided by
+the input, and is exact by construction:
+
+* exact geometry tests (LineString/Polygon containment, trajectory↔cell
+  matching) run per instance — the kernels only shrink the candidate set
+  they run on, and rows whose MBR *is* their shape skip them entirely;
+* an extractor that declares no ``agg_spec()``, and any partition whose
+  ``spec.build()`` returns ``None`` (interval-valued entry durations,
+  non-envelope transit cells), folds through the extractor's own
+  ``local``/``merge``/``finalize``; where such a partial meets a
+  :class:`CellTable` in the tree reduce, the table is demoted through
+  ``AggSpec.partials`` bit-exactly.
+
+``tests/reference.py`` holds the brute-force oracle (linear scans, per-
+instance loops) the parity suites compare these kernels against.
 """
 
 from __future__ import annotations
 
-from repro._deps import has_numpy
 from repro.columnar.aggregate import (
     AggSpec,
     CellTable,
@@ -46,16 +54,10 @@ from repro.columnar.cache import (
     invalidate_partition_indexes,
     partition_boxtable,
     partition_packed_tree,
-    partition_rtree,
     seed_partition_boxtable,
     selection_cache,
 )
 from repro.columnar.packed_rtree import PackedRTree, packed_tree_from_boxes
-
-
-def available() -> bool:
-    """True when the columnar kernels can run (numpy importable)."""
-    return has_numpy()
 
 
 def selection_index(partition: list, with_tree: bool, capacity: int = 32):
@@ -81,14 +83,12 @@ __all__ = [
     "PortionSpeedSpec",
     "TransitSpec",
     "WholeTrajSpeedSpec",
-    "available",
     "configure_selection_cache",
     "intersects_box",
     "invalidate_partition_indexes",
     "packed_tree_from_boxes",
     "partition_boxtable",
     "partition_packed_tree",
-    "partition_rtree",
     "seed_partition_boxtable",
     "selection_cache",
     "selection_index",

@@ -38,7 +38,8 @@ from __future__ import annotations
 from abc import ABC, abstractmethod
 from typing import Any, Sequence
 
-from repro._deps import require_numpy
+import numpy as np
+
 from repro.geometry.distance import haversine_distance
 from repro.geometry.envelope import Envelope
 from repro.instances.event import Event
@@ -60,16 +61,11 @@ __all__ = [
 ]
 
 
-def _np():
-    return require_numpy("columnar extraction kernels")
-
-
 # -- scatter kernels -----------------------------------------------------------
 
 
 def cell_counts(entries: Sequence, n_cells: int):
     """``len(entry.value)`` per cell as an int64 column."""
-    np = _np()
     return np.fromiter((len(e.value) for e in entries), np.int64, count=n_cells)
 
 
@@ -79,19 +75,16 @@ def scatter_sum(cell_ids, weights, n_cells: int):
     ``np.bincount`` accumulates sequentially in input order, so emitting
     pairs cell-major makes this bit-identical to the scalar per-cell fold.
     """
-    np = _np()
     return np.bincount(cell_ids, weights=weights, minlength=n_cells)
 
 
 def scatter_count(cell_ids, n_cells: int):
     """Occurrences per cell (int64)."""
-    np = _np()
     return np.bincount(cell_ids, minlength=n_cells).astype(np.int64, copy=False)
 
 
 def scatter_min(cell_ids, values, n_cells: int):
     """Per-cell minimum; empty cells hold ``+inf``."""
-    np = _np()
     out = np.full(n_cells, np.inf)
     np.minimum.at(out, cell_ids, values)
     return out
@@ -99,7 +92,6 @@ def scatter_min(cell_ids, values, n_cells: int):
 
 def scatter_max(cell_ids, values, n_cells: int):
     """Per-cell maximum; empty cells hold ``-inf``."""
-    np = _np()
     out = np.full(n_cells, -np.inf)
     np.maximum.at(out, cell_ids, values)
     return out
@@ -164,7 +156,6 @@ class CellTable:
             raise TypeError("can only merge cell tables of the same instance type")
         if self.n_cells != other.n_cells:
             raise ValueError("cannot merge cell tables with different cell counts")
-        np = _np()
         columns: dict = {}
         ops = dict(self.ops)
         for name, a in self.columns.items():
@@ -314,7 +305,6 @@ class WholeTrajSpeedSpec(AggSpec):
             raise TypeError(self.type_error)
 
     def build(self, instance) -> CellTable:
-        np = _np()
         entries = instance.entries
         n = len(entries)
         pair_cells, groups = _pair_layout(entries, self._check)
@@ -369,7 +359,6 @@ class PortionSpeedSpec(AggSpec):
             raise TypeError(self.type_error)
 
     def build(self, instance) -> CellTable | None:
-        np = _np()
         entries = instance.entries
         n = len(entries)
         starts = np.fromiter((e.temporal.start for e in entries), float, count=n)
@@ -449,7 +438,6 @@ class TransitSpec(AggSpec):
         self.type_error = type_error
 
     def build(self, instance) -> CellTable | None:
-        np = _np()
         entries = instance.entries
         n = len(entries)
         for e in entries:
@@ -528,7 +516,6 @@ class FieldMeanSpec(AggSpec):
     """
 
     def build(self, instance) -> CellTable:
-        np = _np()
         entries = instance.entries
         n = len(entries)
         counts = cell_counts(entries, n)

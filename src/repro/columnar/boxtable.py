@@ -9,16 +9,16 @@ instead of a Python loop over ``STBox`` objects.
 ``box_exact`` additionally marks the rows whose MBR *is* their shape
 (single-entry instances with Point or Envelope geometry): for those rows a
 box-intersection hit is already the exact selection predicate, so the
-scalar refinement pass can skip them entirely — the fallback contract of
-the columnar path is "exact tests still run scalar, but only on the
-vectorized candidate set, and only for rows that need them".
+per-instance refinement pass skips them entirely: exact geometry tests run
+only on the vectorized candidate set, and only for rows that need them.
 """
 
 from __future__ import annotations
 
 from typing import Sequence
 
-from repro._deps import require_numpy
+import numpy as np
+
 from repro.geometry.envelope import Envelope
 from repro.geometry.point import Point
 from repro.index.boxes import STBox
@@ -64,7 +64,6 @@ class BoxTable:
     @classmethod
     def from_instances(cls, instances: Sequence[Instance]) -> "BoxTable":
         """Extract the six extent columns in one pass over the partition."""
-        np = require_numpy("repro.columnar.BoxTable")
         n = len(instances)
         xmin = np.empty(n, dtype=np.float64)
         ymin = np.empty(n, dtype=np.float64)
@@ -89,7 +88,7 @@ class BoxTable:
 
         Mirrors ``STBox.intersects`` (closed on every side), so a query
         value exactly on a row's boundary matches — the same semantics the
-        scalar selection filter and the metadata pruner share.
+        metadata pruner uses.
         """
         if box.ndim != 3:
             raise ValueError("BoxTable queries need a 3-d (x, y, t) box")
@@ -105,12 +104,10 @@ class BoxTable:
 
     def candidate_rows(self, box: STBox):
         """Sorted row indices whose boxes intersect the query box."""
-        np = require_numpy("repro.columnar.BoxTable")
         return np.nonzero(self.intersects_box(box))[0]
 
     def coords(self):
         """(mins, maxs) as two (n, 3) arrays in (x, y, t) order."""
-        np = require_numpy("repro.columnar.BoxTable")
         mins = np.stack((self.xmin, self.ymin, self.tmin), axis=1)
         maxs = np.stack((self.xmax, self.ymax, self.tmax), axis=1)
         return mins, maxs

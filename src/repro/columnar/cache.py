@@ -35,10 +35,9 @@ def _value_nbytes(value: Any) -> int:
     """Byte charge for one cached index value.
 
     Every index the cache holds — :class:`~repro.columnar.boxtable.BoxTable`,
-    :class:`~repro.columnar.packed_rtree.PackedRTree`, the scalar
-    :class:`~repro.index.rtree.RTree` — reports its own footprint through
-    an ``nbytes`` attribute; anything else is charged a small flat cost so
-    the accounting never under-reports to zero.
+    :class:`~repro.columnar.packed_rtree.PackedRTree` — reports its own
+    footprint through an ``nbytes`` attribute; anything else is charged a
+    small flat cost so the accounting never under-reports to zero.
     """
     size = getattr(value, "nbytes", None)
     try:
@@ -179,7 +178,7 @@ class PartitionIndexCache:
             return len(self._entries)
 
 
-#: Process-wide singleton shared by scalar and columnar selection paths.
+#: Process-wide singleton behind every per-partition selection index.
 _SELECTION_CACHE = PartitionIndexCache()
 
 
@@ -203,16 +202,6 @@ def configure_selection_cache(
     """
     _SELECTION_CACHE.configure(capacity=capacity, max_bytes=max_bytes)
     return _SELECTION_CACHE
-
-
-def partition_rtree(partition: list, capacity: int = 32):
-    """The partition's scalar 3-d R-tree, cached: ``(tree, was_cached)``."""
-    from repro.index.rtree import RTree
-
-    def build(p: list):
-        return RTree.build(((inst.st_box(), inst) for inst in p), capacity=capacity)
-
-    return _SELECTION_CACHE.get_or_build(partition, ("rtree", capacity), build)
 
 
 def partition_boxtable(partition: list):

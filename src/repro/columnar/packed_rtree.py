@@ -20,12 +20,13 @@ from __future__ import annotations
 import math
 from typing import Sequence
 
-from repro._deps import require_numpy
+import numpy as np
+
 from repro.index.boxes import STBox
 from repro.index.rtree import RTreeStats
 
 
-def _str_order(np, centers, capacity: int):
+def _str_order(centers, capacity: int):
     """STR packing: (row order, leaf group start offsets) for ``centers``.
 
     Mirrors the slab recursion of ``RTree._str_tile``: sort by the current
@@ -60,7 +61,7 @@ def _str_order(np, centers, capacity: int):
     return order, starts
 
 
-def _concat_ranges(np, starts, ends):
+def _concat_ranges(starts, ends):
     """Concatenate ``arange(s, e)`` for each (s, e) pair, vectorized."""
     counts = ends - starts
     total = int(counts.sum())
@@ -92,14 +93,12 @@ class PackedRTree:
     """
 
     def __init__(self, mins, maxs, capacity: int = 16):
-        np = require_numpy("repro.columnar.PackedRTree")
         if capacity < 2:
             raise ValueError("node capacity must be at least 2")
         mins = np.asarray(mins, dtype=np.float64)
         maxs = np.asarray(maxs, dtype=np.float64)
         if mins.shape != maxs.shape or mins.ndim != 2:
             raise ValueError("mins/maxs must be matching (n, d) arrays")
-        self._np = np
         self._size, self._ndim = mins.shape
         self._capacity = capacity
         self.stats = RTreeStats()
@@ -109,7 +108,7 @@ class PackedRTree:
             self._emaxs = maxs
             self._levels: list[_Level] = []
             return
-        order, starts = _str_order(np, (mins + maxs) / 2.0, capacity)
+        order, starts = _str_order((mins + maxs) / 2.0, capacity)
         self._order = order
         # Entry arrays reordered into packed (leaf-contiguous) position.
         self._emins = mins[order]
@@ -127,9 +126,7 @@ class PackedRTree:
         ]
         while len(levels[-1].mins) > 1:
             level = levels[-1]
-            order, starts = _str_order(
-                np, (level.mins + level.maxs) / 2.0, capacity
-            )
+            order, starts = _str_order((level.mins + level.maxs) / 2.0, capacity)
             # Permute this level so each parent's children are contiguous;
             # the per-node child ranges travel with the permutation.
             levels[-1] = _Level(
@@ -189,7 +186,6 @@ class PackedRTree:
             raise ValueError(
                 f"query box has {box.ndim} dimensions, index has {self._ndim}"
             )
-        np = self._np
         return self.query_coords(
             np.asarray(box.mins, dtype=np.float64),
             np.asarray(box.maxs, dtype=np.float64),
@@ -197,7 +193,6 @@ class PackedRTree:
 
     def query_coords(self, qmin, qmax):
         """:meth:`query_rows` on raw ``(d,)`` coordinate arrays (no STBox)."""
-        np = self._np
         self.stats.queries += 1
         if self._size == 0:
             return np.empty(0, dtype=np.int64)
@@ -209,14 +204,14 @@ class PackedRTree:
                 (level.mins[sel] <= qmax) & (level.maxs[sel] >= qmin), axis=1
             )
             nodes = sel[hit]
-            sel = _concat_ranges(np, level.starts[nodes], level.ends[nodes])
+            sel = _concat_ranges(level.starts[nodes], level.ends[nodes])
         leaves = self._levels[0]
         self.stats.node_tests += len(sel)
         hit = np.all(
             (leaves.mins[sel] <= qmax) & (leaves.maxs[sel] >= qmin), axis=1
         )
         nodes = sel[hit]
-        pos = _concat_ranges(np, leaves.starts[nodes], leaves.ends[nodes])
+        pos = _concat_ranges(leaves.starts[nodes], leaves.ends[nodes])
         self.stats.entry_tests += len(pos)
         emask = np.all(
             (self._emins[pos] <= qmax) & (self._emaxs[pos] >= qmin), axis=1
@@ -230,22 +225,6 @@ class PackedRTree:
         """``query_rows`` for many boxes (one row-index array per box)."""
         return [self.query_rows(box) for box in boxes]
 
-    # -- pickling: the numpy module handle must not travel -------------------------
-
-    def __getstate__(self) -> dict:
-        return {
-            slot: getattr(self, slot)
-            for slot in (
-                "_size", "_ndim", "_capacity", "stats",
-                "_order", "_emins", "_emaxs", "_levels",
-            )
-        }
-
-    def __setstate__(self, state: dict) -> None:
-        for key, value in state.items():
-            setattr(self, key, value)
-        self._np = require_numpy("repro.columnar.PackedRTree")
-
     def __repr__(self) -> str:
         return (
             f"PackedRTree(size={self._size}, ndim={self._ndim}, "
@@ -255,7 +234,6 @@ class PackedRTree:
 
 def packed_tree_from_boxes(boxes: Sequence[STBox], capacity: int = 16) -> PackedRTree:
     """Build a PackedRTree from a sequence of same-dimension ``STBox``es."""
-    np = require_numpy("repro.columnar.PackedRTree")
     if not boxes:
         return PackedRTree(
             np.empty((0, 1), dtype=np.float64),

@@ -5,6 +5,8 @@ from __future__ import annotations
 from threading import Lock
 from typing import Any, Callable, Sequence
 
+import numpy as np
+
 from repro.engine.rdd import RDD
 from repro.geometry.base import Geometry
 from repro.obs.tracer import phase as _phase_span
@@ -145,70 +147,19 @@ def allocate(
     structure: Structure,
     method: str = "auto",
     stats: AllocationStats | None = None,
-    use_columnar: bool = True,
 ) -> list[list[Instance]]:
     """Assign each instance to every structure cell it intersects.
 
     Returns ``cells`` with ``cells[i]`` the list of instances allocated to
     cell ``i``.  The candidate enumeration strategy is Section 4.2's
-    knob; exact refinement runs only when required (see
-    :func:`_needs_exact`).
-
-    With ``use_columnar`` (and numpy importable) candidate enumeration is
-    batched through the :mod:`repro.columnar` kernels — identical cells,
-    identical :class:`AllocationStats`, one vectorized pass instead of a
-    per-instance ``candidate_cells`` call.
+    knob: extent extraction is one Python pass; candidates then come from
+    the grid range kernel (regular), the packed R-tree over cells (rtree),
+    or a vectorized full scan (naive).  Exact refinement runs per
+    instance, only when required (see :func:`_needs_exact`).
     """
-    if use_columnar and instances:
-        from repro._deps import has_numpy
-
-        if has_numpy():
-            return _allocate_columnar(instances, structure, method, stats)
     cells: list[list[Instance]] = [[] for _ in range(structure.n_cells)]
-    total_candidates = 0
-    total_exact = 0
-    total_alloc = 0
-    for inst in instances:
-        spatial = inst.spatial_extent
-        temporal = inst.temporal_extent
-        candidates = structure.candidate_cells(spatial, temporal, method)
-        if method == "naive":
-            total_candidates += structure.n_cells
-        else:
-            total_candidates += len(candidates)
-        if _needs_exact(inst, structure):
-            for cell in candidates:
-                total_exact += 1
-                geom, dur = _cell_bounds(structure, cell)
-                if _matches_cell(inst, geom, dur):
-                    cells[cell].append(inst)
-                    total_alloc += 1
-        else:
-            for cell in candidates:
-                cells[cell].append(inst)
-            total_alloc += len(candidates)
-    if stats is not None:
-        stats.add(len(instances), total_candidates, total_exact, total_alloc)
-    return cells
-
-
-def _allocate_columnar(
-    instances: Sequence[Instance],
-    structure: Structure,
-    method: str,
-    stats: AllocationStats | None,
-) -> list[list[Instance]]:
-    """Batched candidate enumeration behind :func:`allocate`.
-
-    Extent extraction is one Python pass; candidates then come from the
-    grid range kernel (regular), the packed R-tree (rtree), or a
-    vectorized full scan (naive).  The per-instance allocation loop —
-    appends and, where :func:`_needs_exact` demands it, scalar geometry
-    refinement — is unchanged, so cell contents and stats match the
-    scalar path row for row.
-    """
-    import numpy as np
-
+    if not instances:
+        return cells
     n = len(instances)
     x0 = np.empty(n, dtype=np.float64)
     y0 = np.empty(n, dtype=np.float64)
@@ -222,7 +173,6 @@ def _allocate_columnar(
     resolved = method
     if resolved == "auto":
         resolved = "regular" if structure.is_regular else "rtree"
-    cells: list[list[Instance]] = [[] for _ in range(structure.n_cells)]
     total_candidates = 0
     total_exact = 0
     total_alloc = 0
@@ -230,7 +180,7 @@ def _allocate_columnar(
     if resolved == "regular":
         if not structure.is_regular:
             raise ValueError("regular method requires a regular structure")
-        qmins, qmaxs = structure._batch_grid_arrays(np, x0, y0, t0, x1, y1, t1)
+        qmins, qmaxs = structure._batch_grid_arrays(x0, y0, t0, x1, y1, t1)
         firsts, lasts = structure._grid.candidate_ranges_batch(qmins, qmaxs)
         shape = structure._grid.shape
         # Candidate totals come straight off the range arrays (the
@@ -313,13 +263,13 @@ def _allocate_columnar(
         return cells
     if resolved == "rtree":
         tree = structure.packed_rtree()
-        qmins, qmaxs = structure._batch_query_arrays(np, x0, y0, t0, x1, y1, t1)
+        qmins, qmaxs = structure._batch_query_arrays(x0, y0, t0, x1, y1, t1)
 
         def candidates_of(i: int) -> list[int]:
             return tree.query_coords(qmins[i], qmaxs[i]).tolist()
     elif resolved == "naive":
         cmins, cmaxs = structure._cell_box_arrays()
-        qmins, qmaxs = structure._batch_query_arrays(np, x0, y0, t0, x1, y1, t1)
+        qmins, qmaxs = structure._batch_query_arrays(x0, y0, t0, x1, y1, t1)
 
         def candidates_of(i: int) -> list[int]:
             mask = np.all((cmins <= qmaxs[i]) & (cmaxs >= qmins[i]), axis=1)
@@ -363,21 +313,23 @@ def _cell_bounds(structure: Structure, cell: int):
 class ToCollectiveConverter:
     """Base of the six singular→collective converters.
 
-    ``convert`` follows the paper's execution plan exactly: the structure
-    (and its R-tree, when irregular) is broadcast once; each partition then
+    Constructed from a structure of the subclass's ``structure_type`` or
+    from the plain cell sequence to build one from.  ``convert`` follows
+    the paper's execution plan exactly: the structure (and its packed
+    R-tree, when irregular) is broadcast once; each partition then
     allocates its local instances and applies ``agg`` per cell — no data
     shuffle, per-partition output is one partial collective instance.
     """
 
-    def __init__(
-        self,
-        structure: Structure,
-        method: str = "auto",
-        use_columnar: bool = True,
-    ):
-        self.structure = structure
+    #: Structure kind the constructor coerces a plain cell sequence into
+    #: (each of the six public converters names its own).
+    structure_type: type[Structure] = Structure
+
+    def __init__(self, cells_or_structure, method: str = "auto"):
+        if not isinstance(cells_or_structure, self.structure_type):
+            cells_or_structure = self.structure_type(list(cells_or_structure))
+        self.structure = cells_or_structure
         self.method = method
-        self.use_columnar = use_columnar
         self.stats = AllocationStats()
 
     def convert(
@@ -408,18 +360,12 @@ class ToCollectiveConverter:
             rdd = rdd.filter(_is_primary)
             if pre_map is not None:
                 rdd = rdd.map(pre_map)
-            from repro._deps import has_numpy
-
-            use_columnar = self.use_columnar and has_numpy()
             if self.method == "rtree" or (
                 self.method == "auto" and not self.structure.is_regular
             ):
                 # Build the cell index once on the "driver" and broadcast it,
                 # rather than rebuilding per executor (Section 4.2).
-                if use_columnar:
-                    self.structure.packed_rtree()
-                else:
-                    self.structure.rtree()
+                self.structure.packed_rtree()
             broadcast = rdd.ctx.broadcast(
                 self.structure, record_count=self.structure.n_cells
             )
@@ -428,9 +374,7 @@ class ToCollectiveConverter:
 
             def fill(partition: list) -> list:
                 structure = broadcast.value
-                cell_arrays = allocate(
-                    partition, structure, method, stats, use_columnar
-                )
+                cell_arrays = allocate(partition, structure, method, stats)
                 if agg is not None:
                     values = [agg(arr) for arr in cell_arrays]
                 else:

@@ -1,14 +1,15 @@
 """The six singular→collective converters.
 
-Each is a thin, explicitly-named wrapper over
+Each is a thin, explicitly-named subclass of
 :class:`~repro.core.converters.base.ToCollectiveConverter`, matching the
-paper's API surface (``Event2SmConverter(polygonArr)`` etc.) and giving
-each conversion a natural constructor for its structure kind.
+paper's API surface (``Event2SmConverter(polygonArr)`` etc.): it names its
+structure kind, and the shared constructor ``(cells_or_structure,
+method="auto")`` accepts either a ready structure of that kind or the
+plain cell sequence to build one from (slots, geometries, or
+``(geometry, duration)`` pairs).
 """
 
 from __future__ import annotations
-
-from typing import Sequence
 
 from repro.core.converters.base import ToCollectiveConverter
 from repro.core.structures import (
@@ -16,103 +17,39 @@ from repro.core.structures import (
     SpatialMapStructure,
     TimeSeriesStructure,
 )
-from repro.geometry.base import Geometry
-from repro.temporal.duration import Duration
 
 
 class Event2TsConverter(ToCollectiveConverter):
     """Events → time series (e.g. hourly flow extraction)."""
 
-    def __init__(
-        self,
-        slots: Sequence[Duration] | TimeSeriesStructure,
-        method: str = "auto",
-        use_columnar: bool = True,
-    ):
-        structure = (
-            slots
-            if isinstance(slots, TimeSeriesStructure)
-            else TimeSeriesStructure(list(slots))
-        )
-        super().__init__(structure, method, use_columnar)
+    structure_type = TimeSeriesStructure
 
 
 class Event2SmConverter(ToCollectiveConverter):
     """Events → spatial map (e.g. POI counts per postal area)."""
 
-    def __init__(
-        self,
-        geometries: Sequence[Geometry] | SpatialMapStructure,
-        method: str = "auto",
-        use_columnar: bool = True,
-    ):
-        structure = (
-            geometries
-            if isinstance(geometries, SpatialMapStructure)
-            else SpatialMapStructure(list(geometries))
-        )
-        super().__init__(structure, method, use_columnar)
+    structure_type = SpatialMapStructure
 
 
 class Event2RasterConverter(ToCollectiveConverter):
     """Events → raster (e.g. air quality over road segments per day)."""
 
-    def __init__(
-        self,
-        cells: Sequence[tuple[Geometry, Duration]] | RasterStructure,
-        method: str = "auto",
-        use_columnar: bool = True,
-    ):
-        structure = (
-            cells if isinstance(cells, RasterStructure) else RasterStructure(list(cells))
-        )
-        super().__init__(structure, method, use_columnar)
+    structure_type = RasterStructure
 
 
 class Traj2TsConverter(ToCollectiveConverter):
     """Trajectories → time series."""
 
-    def __init__(
-        self,
-        slots: Sequence[Duration] | TimeSeriesStructure,
-        method: str = "auto",
-        use_columnar: bool = True,
-    ):
-        structure = (
-            slots
-            if isinstance(slots, TimeSeriesStructure)
-            else TimeSeriesStructure(list(slots))
-        )
-        super().__init__(structure, method, use_columnar)
+    structure_type = TimeSeriesStructure
 
 
 class Traj2SmConverter(ToCollectiveConverter):
     """Trajectories → spatial map (e.g. grid speed extraction)."""
 
-    def __init__(
-        self,
-        geometries: Sequence[Geometry] | SpatialMapStructure,
-        method: str = "auto",
-        use_columnar: bool = True,
-    ):
-        structure = (
-            geometries
-            if isinstance(geometries, SpatialMapStructure)
-            else SpatialMapStructure(list(geometries))
-        )
-        super().__init__(structure, method, use_columnar)
+    structure_type = SpatialMapStructure
 
 
 class Traj2RasterConverter(ToCollectiveConverter):
     """Trajectories → raster (the running example of Section 3.4)."""
 
-    def __init__(
-        self,
-        cells: Sequence[tuple[Geometry, Duration]] | RasterStructure,
-        method: str = "auto",
-        use_columnar: bool = True,
-    ):
-        structure = (
-            cells if isinstance(cells, RasterStructure) else RasterStructure(list(cells))
-        )
-        super().__init__(structure, method, use_columnar)
+    structure_type = RasterStructure

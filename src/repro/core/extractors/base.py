@@ -5,7 +5,6 @@ from __future__ import annotations
 from abc import ABC, abstractmethod
 from typing import Any, Callable
 
-from repro._deps import has_numpy
 from repro.engine.rdd import RDD
 from repro.geometry.base import Geometry
 from repro.instances.collective import CollectiveInstance
@@ -41,6 +40,35 @@ class CustomExtractor:
         return result
 
 
+def _partition_partial(instances: list, spec: Any | None, local, merge):
+    """One partition's premerged, tagged partial (``None`` when empty).
+
+    ``("table", (skeleton, CellTable))`` when ``spec`` vectorizes every
+    partial instance of the partition exactly — the skeleton (the
+    partition's first instance) carries the cell structure needed to
+    rebuild, or demote to, a collective instance.  Otherwise — no spec, or
+    an input ``spec.build`` declines (interval durations, non-envelope
+    cells) — the whole partition folds left through ``local``/``merge``
+    into ``("scalar", partial_instance)``.
+    """
+    if not instances:
+        return None
+    if spec is not None:
+        table = None
+        for inst in instances:
+            built = spec.build(inst)
+            if built is None:
+                break
+            table = built if table is None else table.merge(built)
+        else:
+            return ("table", (instances[0], table))
+    acc = None
+    for inst in instances:
+        partial = inst.map_value_plus(local)
+        acc = partial if acc is None else acc.merge_with(partial, merge)
+    return ("scalar", acc)
+
+
 class CellAggExtractor(ABC):
     """Template for collective-instance extractors.
 
@@ -57,26 +85,26 @@ class CellAggExtractor(ABC):
     the extracted features; the only cross-partition traffic is the tree
     reduce over per-partition partials, never the raw data.
 
-    Two execution paths share one reduce topology (per-partition
-    sequential fold, then the balanced pairwise tree of
-    :meth:`~repro.engine.rdd.RDD.tree_reduce`), so their results are
-    bit-identical:
+    There is one reduce — a per-partition sequential fold, then the
+    balanced pairwise tree of :meth:`~repro.engine.rdd.RDD.tree_reduce` —
+    and the *input* picks each partition's partial representation:
 
-    * the scalar path runs ``local``/``merge`` per cell in Python;
-    * when ``use_columnar`` is on, numpy is importable and the subclass
-      declares an :meth:`agg_spec`, partitions instead build
-      :class:`~repro.columnar.aggregate.CellTable` partials with
-      vectorized kernels.  A partition whose input the spec cannot
-      vectorize exactly falls back to a scalar partial; mixed partials
-      merge by demoting the columnar side through
-      :meth:`~repro.columnar.aggregate.AggSpec.partials`.
+    * a subclass that declares an :meth:`agg_spec` gets
+      :class:`~repro.columnar.aggregate.CellTable` partials built with
+      vectorized kernels;
+    * a subclass without one, and any partition whose input the spec
+      cannot vectorize exactly (``spec.build`` returns ``None``), folds
+      ``local``/``merge`` per cell in Python instead.  Where the two kinds
+      meet in the tree, the table side is demoted through
+      :meth:`~repro.columnar.aggregate.AggSpec.partials`, which is
+      bit-exact — features never depend on which representation a
+      partition used.
 
     ``reduce_depth`` is the tree-stage knob of ``tree_reduce`` — it moves
     merge rounds between workers and the driver without changing the
     pairing, so features never depend on it.
     """
 
-    use_columnar: bool = True
     reduce_depth: int = 2
 
     @abstractmethod
@@ -95,14 +123,14 @@ class CellAggExtractor(ABC):
         """Columnar compilation of this extractor's local/merge/finalize.
 
         Subclasses return an :class:`~repro.columnar.aggregate.AggSpec`
-        to enable the vectorized path; ``None`` (the default) keeps the
-        extractor scalar-only.
+        to get vectorized partials; ``None`` (the default) means every
+        partition folds through ``local``/``merge``.
         """
         return None
 
     def extract(self, rdd: RDD) -> CollectiveInstance:
         """Run this extraction on the RDD (see class docstring)."""
-        spec = self.agg_spec() if self.use_columnar and has_numpy() else None
+        spec = self.agg_spec()
         # ``tree_reduce`` is an action, so the phase span brackets real
         # work (plus any still-lazy upstream lineage) without extra
         # forcing.
@@ -112,10 +140,12 @@ class CellAggExtractor(ABC):
                 tracer.counters.get("stage_oob_bytes", 0) if tracer is not None else 0
             )
             stats: dict = {}
-            if spec is None:
-                result = self._reduce_scalar(rdd, stats)
+            kind, payload = self._reduce(rdd, spec, stats)
+            if kind == "table":
+                skeleton, table = payload
+                result = skeleton.with_cell_values(spec.finalize(table))
             else:
-                result = self._reduce_columnar(rdd, spec, stats)
+                result = payload.map_value(self.finalize)
             if tracer is not None:
                 oob = tracer.counters.get("stage_oob_bytes", 0) - oob_before
                 partials = stats.get("partials", 0)
@@ -127,7 +157,7 @@ class CellAggExtractor(ABC):
                 tracer.counter("extract_reduce_oob_bytes", oob)
                 if span is not None:
                     span.args.update(
-                        columnar=spec is not None,
+                        columnar=kind == "table",
                         cells_aggregated=cells,
                         partials_merged=partials,
                         tree_depth=rounds,
@@ -135,62 +165,29 @@ class CellAggExtractor(ABC):
                     )
             return result
 
-    def _reduce_scalar(self, rdd: RDD, stats: dict) -> CollectiveInstance:
-        """The per-cell Python path: premerge per partition, then tree."""
-        local = self.local
-        merge = self.merge
+    def _reduce(self, rdd: RDD, spec: Any | None, stats: dict) -> tuple:
+        """Premerge per partition, then tree-reduce the tagged partials.
 
-        def premerge(instances: list) -> list:
-            acc = None
-            for inst in instances:
-                partial = inst.map_value_plus(local)
-                acc = partial if acc is None else acc.merge_with(partial, merge)
-            return [] if acc is None else [acc]
-
-        merged = rdd.map_partitions(premerge).tree_reduce(
-            lambda a, b: a.merge_with(b, merge),
-            depth=self.reduce_depth,
-            stats=stats,
-        )
-        return merged.map_value(self.finalize)
-
-    def _reduce_columnar(self, rdd: RDD, spec: Any, stats: dict) -> CollectiveInstance:
-        """The vectorized path: CellTable partials with scalar fallback.
-
-        Partials travel tagged — ``("table", (skeleton, CellTable))`` or
-        ``("scalar", partial_instance)`` — where the skeleton carries the
-        cell structure needed to rebuild (or demote to) a collective
-        instance.  On backends that serialize tasks the skeleton is
-        stripped of its cell arrays first; elsewhere it is the
-        partition's first instance by reference, which costs nothing.
+        Returns the root ``(kind, payload)`` of :func:`_partition_partial`'s
+        tagging: ``"table"`` only when every partition vectorized.  On
+        backends that serialize tasks a table's skeleton is stripped of
+        its cell arrays first; elsewhere it is the partition's first
+        instance by reference, which costs nothing.
         """
         local = self.local
         merge = self.merge
         strip = rdd.ctx.backend.requires_serializable_tasks
 
         def premerge(instances: list) -> list:
-            table = None
-            for inst in instances:
-                built = spec.build(inst)
-                if built is None:
-                    # This partition cannot vectorize exactly: fall back
-                    # to one scalar partial for the whole partition.
-                    acc = None
-                    for fallback in instances:
-                        partial = fallback.map_value_plus(local)
-                        acc = (
-                            partial
-                            if acc is None
-                            else acc.merge_with(partial, merge)
-                        )
-                    return [("scalar", acc)]
-                table = built if table is None else table.merge(built)
-            if table is None:
+            tagged = _partition_partial(instances, spec, local, merge)
+            if tagged is None:
                 return []
-            skeleton = instances[0]
-            if strip:
+            kind, payload = tagged
+            if kind == "table" and strip:
+                skeleton, table = payload
                 skeleton = skeleton.with_cell_values([None] * skeleton.n_cells)
-            return [("table", (skeleton, table))]
+                return [(kind, (skeleton, table))]
+            return [tagged]
 
         def pair_merge(a: tuple, b: tuple) -> tuple:
             kind_a, pa = a
@@ -200,21 +197,15 @@ class CellAggExtractor(ABC):
                 return ("table", (skeleton, ta.merge(tb)))
             if kind_a == "table":
                 skeleton, ta = pa
-                demoted = skeleton.with_cell_values(spec.partials(ta))
-                return ("scalar", demoted.merge_with(pb, merge))
-            if kind_b == "table":
+                pa = skeleton.with_cell_values(spec.partials(ta))
+            elif kind_b == "table":
                 skeleton, tb = pb
-                demoted = skeleton.with_cell_values(spec.partials(tb))
-                return ("scalar", pa.merge_with(demoted, merge))
+                pb = skeleton.with_cell_values(spec.partials(tb))
             return ("scalar", pa.merge_with(pb, merge))
 
-        kind, payload = rdd.map_partitions(premerge).tree_reduce(
+        return rdd.map_partitions(premerge).tree_reduce(
             pair_merge, depth=self.reduce_depth, stats=stats
         )
-        if kind == "table":
-            skeleton, table = payload
-            return skeleton.with_cell_values(spec.finalize(table))
-        return payload.map_value(self.finalize)
 
     def extract_values(self, rdd: RDD) -> list:
         """Convenience: just the per-cell features, in cell order."""
@@ -226,8 +217,8 @@ class CellAggExtractor(ABC):
         """Per-partition *unfinalized* partials, in partition order.
 
         The streaming half of :meth:`extract`: each partition premerges
-        into one partial collective instance exactly as the batch path
-        does — the columnar fast path included, demoted to the scalar
+        into one partial collective instance exactly as :meth:`extract`
+        does — a ``CellTable`` partial is demoted to the ``local``/``merge``
         partial domain through ``spec.partials`` (bit-exact by the
         mixed-partial contract) — but instead of tree-reducing to one
         value, the partials come back as a list the caller can bank.
@@ -240,27 +231,19 @@ class CellAggExtractor(ABC):
         Empty partitions contribute no partial (matching ``tree_reduce``,
         which drops them).
         """
-        spec = self.agg_spec() if self.use_columnar and has_numpy() else None
+        spec = self.agg_spec()
         local = self.local
         merge = self.merge
 
         def premerge(instances: list) -> list:
-            if spec is not None:
-                table = None
-                vectorized = True
-                for inst in instances:
-                    built = spec.build(inst)
-                    if built is None:
-                        vectorized = False
-                        break
-                    table = built if table is None else table.merge(built)
-                if vectorized and table is not None:
-                    return [instances[0].with_cell_values(spec.partials(table))]
-            acc = None
-            for inst in instances:
-                partial = inst.map_value_plus(local)
-                acc = partial if acc is None else acc.merge_with(partial, merge)
-            return [] if acc is None else [acc]
+            tagged = _partition_partial(instances, spec, local, merge)
+            if tagged is None:
+                return []
+            kind, payload = tagged
+            if kind == "table":
+                skeleton, table = payload
+                payload = skeleton.with_cell_values(spec.partials(table))
+            return [payload]
 
         return [p[0] for p in rdd.map_partitions(premerge)._collect_partitions() if p]
 

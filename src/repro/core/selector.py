@@ -6,10 +6,10 @@ range, and repartitions the survivors with an ST-aware partitioner:
 1. **load** — from an on-disk :class:`~repro.stio.StDataset` (with
    metadata pruning when available, Section 4.1), an existing RDD, or a
    plain list;
-2. **filter** — each partition builds a 3-d R-tree over its entries
-   on-the-fly and queries it with the ST range, then refines with the
-   exact per-instance predicate (``index=False`` falls back to a pure
-   linear scan);
+2. **filter** — each partition builds a packed 3-d R-tree over its
+   extent columns on-the-fly and queries it with the ST range, then
+   refines the candidates with the exact per-instance predicate
+   (``index=False`` scans the extent columns instead);
 3. **partition** — the survivors are re-shuffled by the configured
    partitioner.  Filtering *before* partitioning is the paper's explicit
    design choice: the full executor pool participates in selection, and
@@ -21,7 +21,6 @@ from __future__ import annotations
 from pathlib import Path
 from typing import TYPE_CHECKING, Sequence
 
-from repro._deps import has_numpy as _columnar_available
 from repro.engine.accumulators import Accumulator, counter
 from repro.engine.context import EngineContext
 from repro.engine.rdd import RDD
@@ -55,14 +54,8 @@ class Selector:
         selected data is ST-partitioned with it.
     index:
         Use per-partition R-tree filtering (on by default; ``False``
-        degrades to a linear scan — the toggle in the paper's Selector
-        constructor).
-    use_columnar:
-        Run the filter through the vectorized :mod:`repro.columnar`
-        kernels (BoxTable scan, or packed R-tree when ``index``).  Exact
-        geometry tests still run scalar, but only on the vectorized
-        candidate set.  Automatically falls back to the scalar path when
-        numpy is unavailable.
+        degrades to a vectorized scan of the partition's extent columns —
+        the toggle in the paper's Selector constructor).
     backend:
         Run the selection on a dedicated execution backend
         (``"sequential"`` | ``"thread"`` | ``"process"``).  Selection is
@@ -89,7 +82,6 @@ class Selector:
         index: bool = True,
         duplicate: bool = False,
         backend: str | None = None,
-        use_columnar: bool = True,
         on_corrupt: str = "raise",
     ):
         if spatial is None and temporal is None:
@@ -103,7 +95,6 @@ class Selector:
         self.index = index
         self.duplicate = duplicate
         self.backend = backend
-        self.use_columnar = use_columnar
         self.on_corrupt = on_corrupt
         #: I/O statistics of the last ``select`` from disk (Figure 5 data).
         self.last_load_stats: LoadStats | None = None
@@ -157,7 +148,6 @@ class Selector:
         probes = self.rtree_probes
         cache_hits = self.index_cache_hits
         cache_misses = self.index_cache_misses
-        columnar = self.use_columnar and _columnar_available()
 
         def exact(inst: Instance) -> bool:
             s = spatial if spatial is not None else inst.spatial_extent
@@ -171,51 +161,32 @@ class Selector:
             # reached by import so it stays out of the closure's captures
             # (worker-local on the process backend; invalidated by the
             # driver on repartition).
-            if columnar:
-                from repro.columnar import selection_index
+            from repro.columnar import selection_index
 
-                table, tree, was_cached = selection_index(
-                    partition, with_tree=use_index, capacity=32
-                )
-                (cache_hits if was_cached else cache_misses).add(1)
-                if use_index:
-                    # Cached trees accumulate stats across queries, so the
-                    # probe counter gets this query's delta, not the total.
-                    before = tree.stats.node_tests + tree.stats.entry_tests
-                    rows = tree.query_rows(box)
-                    probes.add(tree.stats.node_tests + tree.stats.entry_tests - before)
-                else:
-                    rows = table.candidate_rows(box)
-                # Scalar refinement only on the vectorized candidate set —
-                # and skipped entirely where the MBR *is* the shape.
-                box_exact = table.box_exact
-                instances = table.rows
-                out = []
-                for r in rows.tolist():
-                    inst = instances[r]
-                    if box_exact[r] or exact(inst):
-                        out.append(inst)
-                return out
+            table, tree, was_cached = selection_index(
+                partition, with_tree=use_index, capacity=32
+            )
+            (cache_hits if was_cached else cache_misses).add(1)
             if use_index:
-                # Per-partition 3-d R-tree built on the fly (Section 3.1),
-                # cached on partition identity: prune by instance MBR, then
-                # apply the exact predicate.
-                from repro.columnar.cache import partition_rtree
-
-                tree, was_cached = partition_rtree(partition, capacity=32)
-                (cache_hits if was_cached else cache_misses).add(1)
+                # Cached trees accumulate stats across queries, so the
+                # probe counter gets this query's delta, not the total.
                 before = tree.stats.node_tests + tree.stats.entry_tests
-                candidates = tree.query(box)
+                rows = tree.query_rows(box)
                 probes.add(tree.stats.node_tests + tree.stats.entry_tests - before)
-                # Tree traversal order depends on tree shape; restore the
-                # partition's own order so selection output is identical
-                # across index on/off and scalar/columnar paths (downstream
-                # sampling — e.g. partitioner fitting — is order-sensitive).
-                positions = {id(inst): i for i, inst in enumerate(partition)}
-                candidates.sort(key=lambda inst: positions[id(inst)])
             else:
-                candidates = partition
-            return [inst for inst in candidates if exact(inst)]
+                rows = table.candidate_rows(box)
+            # Rows come back in partition order (downstream sampling —
+            # e.g. partitioner fitting — is order-sensitive).  The exact
+            # predicate runs only on the vectorized candidate set, and is
+            # skipped entirely where the MBR *is* the shape.
+            box_exact = table.box_exact
+            instances = table.rows
+            out = []
+            for r in rows.tolist():
+                inst = instances[r]
+                if box_exact[r] or exact(inst):
+                    out.append(inst)
+            return out
 
         return rdd.map_partitions(filter_partition)
 
@@ -250,9 +221,7 @@ class Selector:
             selected = self._filter(loaded)
             if self.partitioner is not None:
                 selected = self.partitioner.partition(
-                    selected,
-                    duplicate=self.duplicate,
-                    use_columnar=self.use_columnar,
+                    selected, duplicate=self.duplicate
                 )
             elif (
                 self.num_partitions is not None

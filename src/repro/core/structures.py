@@ -6,8 +6,8 @@ allocates instances into: a list of time slots, spatial cells, or
 
 * how to enumerate candidate cells for an instance's ST MBR — via the
   regular-grid arithmetic shortcut when the structure is regular, or via
-  an R-tree over its cells otherwise (both from Section 4.2), with a
-  naive full-scan mode retained as the benchmark baseline;
+  a packed R-tree over its cells otherwise (both from Section 4.2), with
+  a naive full-scan mode retained as the benchmark baseline;
 * how to materialize an empty collective instance for an executor to fill.
 
 Structures are immutable and cheap to broadcast, matching the paper's
@@ -20,11 +20,13 @@ from __future__ import annotations
 from abc import ABC, abstractmethod
 from typing import Callable, Sequence
 
+import numpy as np
+
+from repro.columnar.packed_rtree import PackedRTree
 from repro.geometry.base import Geometry
 from repro.geometry.envelope import Envelope
 from repro.index.boxes import STBox
 from repro.index.grid import GridIndex
-from repro.index.rtree import RTree
 from repro.instances.raster import Raster
 from repro.instances.spatialmap import SpatialMap
 from repro.instances.timeseries import TimeSeries
@@ -36,11 +38,10 @@ class Structure(ABC):
     """Common candidate-cell interface for the three collective shapes."""
 
     def __init__(self) -> None:
-        self._rtree: RTree | None = None
-        # Columnar mirrors, built lazily: cell min/max coordinate arrays
-        # and a packed R-tree over them (both picklable, so a structure
-        # broadcast after prebuilding ships them to every executor).
-        self._packed = None
+        # Built lazily: cell min/max coordinate arrays and a packed R-tree
+        # over them (both picklable, so a structure broadcast after
+        # prebuilding ships them to every executor).
+        self._packed: PackedRTree | None = None
         self._cell_arrays = None
 
     @property
@@ -71,20 +72,9 @@ class Structure(ABC):
 
     # -- candidate enumeration ---------------------------------------------------
 
-    def rtree(self) -> RTree[int]:
-        """Lazily built R-tree over the structure cells (Section 4.2)."""
-        if self._rtree is None:
-            self._rtree = RTree.build(
-                ((self.cell_box(i), i) for i in range(self.n_cells))
-            )
-        return self._rtree
-
     def _cell_box_arrays(self):
         """Lazily built ``(mins, maxs)`` arrays of every cell box, id order."""
         if self._cell_arrays is None:
-            from repro._deps import require_numpy
-
-            np = require_numpy("Structure._cell_box_arrays")
             boxes = [self.cell_box(i) for i in range(self.n_cells)]
             self._cell_arrays = (
                 np.array([b.mins for b in boxes], dtype=np.float64),
@@ -92,20 +82,17 @@ class Structure(ABC):
             )
         return self._cell_arrays
 
-    def packed_rtree(self):
-        """Lazily built packed (columnar) R-tree over the structure cells.
+    def packed_rtree(self) -> PackedRTree:
+        """Lazily built packed R-tree over the structure cells (Section 4.2).
 
-        The columnar counterpart of :meth:`rtree`: same cells, same
-        candidate sets, but queried with array kernels and returning cell
-        ids directly (rows coincide with cell ids by construction).
+        Queried with array kernels and returning cell ids directly (rows
+        coincide with cell ids by construction).
         """
         if self._packed is None:
-            from repro.columnar.packed_rtree import PackedRTree
-
             self._packed = PackedRTree(*self._cell_box_arrays())
         return self._packed
 
-    def _batch_query_arrays(self, np, x0, y0, t0, x1, y1, t1):
+    def _batch_query_arrays(self, x0, y0, t0, x1, y1, t1):
         """Per-instance query boxes as (mins, maxs) arrays, cell-box order.
 
         The vectorized counterpart of :meth:`query_box` over extent columns
@@ -114,7 +101,7 @@ class Structure(ABC):
         """
         raise NotImplementedError
 
-    def _batch_grid_arrays(self, np, x0, y0, t0, x1, y1, t1):
+    def _batch_grid_arrays(self, x0, y0, t0, x1, y1, t1):
         """Like :meth:`_batch_query_arrays` but in ``_grid`` dimension order
         (the regular structures swap x/y; see their ``regular()`` docs)."""
         raise NotImplementedError
@@ -130,7 +117,7 @@ class Structure(ABC):
         ``method``:
 
         * ``"naive"`` — scan every cell (the Cartesian baseline of Fig. 6);
-        * ``"rtree"`` — query the broadcast R-tree over cells;
+        * ``"rtree"`` — query the broadcast packed R-tree over cells;
         * ``"regular"`` — the arithmetic shortcut (regular structures only);
         * ``"auto"`` — regular shortcut when available, else R-tree.
         """
@@ -142,7 +129,7 @@ class Structure(ABC):
                 i for i in range(self.n_cells) if self.cell_box(i).intersects(box)
             ]
         if method == "rtree":
-            return self.rtree().query(box)
+            return self.packed_rtree().query_rows(box).tolist()
         if method == "regular":
             if not self.is_regular:
                 raise ValueError("regular method requires a regular structure")
@@ -201,10 +188,10 @@ class TimeSeriesStructure(Structure):
     def _regular_candidates(self, box: STBox) -> list[int]:
         return self._grid.candidate_cells(box)
 
-    def _batch_query_arrays(self, np, x0, y0, t0, x1, y1, t1):
+    def _batch_query_arrays(self, x0, y0, t0, x1, y1, t1):
         return t0.reshape(-1, 1), t1.reshape(-1, 1)
 
-    def _batch_grid_arrays(self, np, x0, y0, t0, x1, y1, t1):
+    def _batch_grid_arrays(self, x0, y0, t0, x1, y1, t1):
         return t0.reshape(-1, 1), t1.reshape(-1, 1)
 
     def empty_instance(self, value_factory: Callable[[], list] = list) -> TimeSeries:
@@ -257,10 +244,10 @@ class SpatialMapStructure(Structure):
         swapped = STBox((box.mins[1], box.mins[0]), (box.maxs[1], box.maxs[0]))
         return self._grid.candidate_cells(swapped)
 
-    def _batch_query_arrays(self, np, x0, y0, t0, x1, y1, t1):
+    def _batch_query_arrays(self, x0, y0, t0, x1, y1, t1):
         return np.stack((x0, y0), axis=1), np.stack((x1, y1), axis=1)
 
-    def _batch_grid_arrays(self, np, x0, y0, t0, x1, y1, t1):
+    def _batch_grid_arrays(self, x0, y0, t0, x1, y1, t1):
         # Same (y, x) swap as _regular_candidates.
         return np.stack((y0, x0), axis=1), np.stack((y1, x1), axis=1)
 
@@ -375,10 +362,10 @@ class RasterStructure(Structure):
         )
         return self._grid.candidate_cells(swapped)
 
-    def _batch_query_arrays(self, np, x0, y0, t0, x1, y1, t1):
+    def _batch_query_arrays(self, x0, y0, t0, x1, y1, t1):
         return np.stack((x0, y0, t0), axis=1), np.stack((x1, y1, t1), axis=1)
 
-    def _batch_grid_arrays(self, np, x0, y0, t0, x1, y1, t1):
+    def _batch_grid_arrays(self, x0, y0, t0, x1, y1, t1):
         # Same (y, x, t) swap as _regular_candidates.
         return np.stack((y0, x0, t0), axis=1), np.stack((y1, x1, t1), axis=1)
 

@@ -5,12 +5,7 @@ from __future__ import annotations
 import hashlib
 from typing import Any
 
-try:  # NumPy is optional engine-wide; scalar keys still need normalizing.
-    import numpy as _numpy
-
-    _NUMPY_SCALAR: tuple = (_numpy.generic,)
-except ImportError:  # pragma: no cover - exercised in numpy-free installs
-    _NUMPY_SCALAR = ()
+import numpy as np
 
 
 def stable_hash(key: Any) -> int:
@@ -29,16 +24,14 @@ def stable_hash(key: Any) -> int:
     and ``np.int64(5)`` should bucket like ``5`` regardless.  Tuple keys
     are normalized element-wise for the same reason.
     """
-    if _NUMPY_SCALAR and isinstance(key, _NUMPY_SCALAR):
+    if isinstance(key, np.generic):
         key = key.item()
     if isinstance(key, bool):
         return int(key)
     if isinstance(key, int):
         return key & 0x7FFFFFFFFFFFFFFF
-    if _NUMPY_SCALAR and isinstance(key, tuple):
-        key = tuple(
-            k.item() if isinstance(k, _NUMPY_SCALAR) else k for k in key
-        )
+    if isinstance(key, tuple):
+        key = tuple(k.item() if isinstance(k, np.generic) else k for k in key)
     digest = hashlib.blake2b(repr(key).encode("utf-8"), digest_size=8).digest()
     return int.from_bytes(digest, "big") & 0x7FFFFFFFFFFFFFFF
 

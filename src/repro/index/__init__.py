@@ -2,10 +2,11 @@
 
 Three index families back the system, mirroring the paper:
 
-* :class:`RTree` — STR-bulk-loaded R-tree over N-dimensional boxes.  Used
-  per-partition during selection (3-d over x, y, t), and broadcast over
-  *structure cells* during optimized conversion (1-d for time series, 2-d
-  for spatial maps, 3-d for rasters; Section 4.2).
+* :class:`RTree` — STR-bulk-loaded, payload-carrying R-tree over
+  N-dimensional boxes with k-NN search; the road-segment index of map
+  matching.  (Selection's per-partition indexes and conversion's
+  structure-cell index are the array-packed
+  :class:`repro.columnar.PackedRTree`.)
 * :class:`QuadTree` — recursive spatial subdivision, backing the quad-tree
   partitioner of Section 3.1.
 * :class:`GridIndex` — regular-grid index implementing the analytic

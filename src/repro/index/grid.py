@@ -18,6 +18,8 @@ import math
 from itertools import product
 from typing import Sequence
 
+import numpy as np
+
 from repro.index.boxes import STBox
 
 
@@ -138,9 +140,6 @@ class GridIndex:
         enumerating ``product(range(f, l+1)...)`` yields the identical cell
         list to :meth:`candidate_cells`.
         """
-        from repro._deps import require_numpy
-
-        np = require_numpy("GridIndex.candidate_ranges_batch")
         mins = np.asarray(mins, dtype=np.float64)
         maxs = np.asarray(maxs, dtype=np.float64)
         ndim = self.extent.ndim

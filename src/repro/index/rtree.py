@@ -1,13 +1,13 @@
 """STR-bulk-loaded R-tree over N-dimensional boxes.
 
-The paper uses R-trees in three places and this one implementation serves
-all of them:
-
-* per-partition 3-d indexes built on the fly during selection (§3.1);
-* 1/2/3-d indexes over *structure cells* broadcast to every executor for
-  the optimized singular→collective conversion (§4.2);
-* road-segment indexes accelerating candidate search in HMM map matching
-  (§3.2.2).
+The paper uses R-trees in three places.  Two of them — the per-partition
+3-d selection indexes (§3.1) and the index over *structure cells*
+broadcast for singular→collective conversion (§4.2) — only ever ask "which
+rows intersect this box" and run on the array-packed
+:class:`~repro.columnar.packed_rtree.PackedRTree`.  This node-object tree
+carries arbitrary payloads and answers k-nearest-neighbour queries, which
+is what the third place needs: the road-segment index accelerating
+candidate search in HMM map matching (§3.2.2).
 
 Bulk loading uses the Sort-Tile-Recursive packing of Leutenegger et al.
 (the same STR the paper's partitioner is named after): items are sorted by
@@ -88,9 +88,6 @@ class RTree(Generic[T]):
         self._size = size
         self._capacity = capacity
         self.stats = RTreeStats()
-        # Lazily-built packed array mirror for query_batch: (PackedRTree,
-        # payload list) aligned with all_entries() order, or None.
-        self._packed_mirror: tuple[Any, list[T]] | None = None
 
     # -- construction -----------------------------------------------------------
 
@@ -253,41 +250,6 @@ class RTree(Generic[T]):
             else:
                 stack.extend(node.children)
         self.stats.candidates += len(results)
-        return results
-
-    def query_batch(self, boxes: Sequence[STBox]) -> list[list[T]]:
-        """``query`` for many boxes at once, vectorized when numpy is up.
-
-        With numpy available the tree lazily builds (and caches) a packed
-        array mirror of its leaf entries and answers every box with
-        level-at-a-time array intersections; probe counts are folded back
-        into ``self.stats`` (``candidates`` matches the scalar path
-        exactly; node/entry test counts reflect the packed tree's shape).
-        Without numpy this is a plain loop over :meth:`query`.
-        """
-        from repro._deps import has_numpy
-
-        if self._root is None or not has_numpy():
-            return [self.query(box) for box in boxes]
-        packed = self._packed_mirror
-        if packed is None:
-            from repro.columnar.packed_rtree import packed_tree_from_boxes
-
-            entries = self.all_entries()
-            packed = (
-                packed_tree_from_boxes([b for b, _ in entries], self._capacity),
-                [payload for _, payload in entries],
-            )
-            self._packed_mirror = packed
-        tree, payloads = packed
-        before = (tree.stats.node_tests, tree.stats.entry_tests)
-        results = [
-            [payloads[row] for row in tree.query_rows(box)] for box in boxes
-        ]
-        self.stats.queries += len(boxes)
-        self.stats.node_tests += tree.stats.node_tests - before[0]
-        self.stats.entry_tests += tree.stats.entry_tests - before[1]
-        self.stats.candidates += sum(len(r) for r in results)
         return results
 
     def nearest(self, center: Sequence[float], k: int = 1) -> list[tuple[float, T]]:

@@ -11,9 +11,7 @@ rhythmic synthetic traffic).
 
 from __future__ import annotations
 
-from repro._deps import require_numpy
-
-np = require_numpy("repro.ml.forecast")
+import numpy as np
 
 
 class RidgeForecaster:

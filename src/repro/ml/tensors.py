@@ -11,9 +11,7 @@ from __future__ import annotations
 
 from typing import Callable
 
-from repro._deps import require_numpy
-
-np = require_numpy("repro.ml.tensors")
+import numpy as np
 
 from repro.instances.raster import Raster
 from repro.instances.spatialmap import SpatialMap

@@ -17,28 +17,15 @@ if TYPE_CHECKING:  # pragma: no cover
 UNBOUNDED = 1.0e18
 
 
-def _fan_out(instance: Instance, assign, assign_all) -> list[tuple[int, Instance]]:
-    """(partition id, copy) pairs for one instance in duplicate mode.
-
-    One primary copy for ``assign(instance)``, one tagged replica per
-    additional overlapping partition.  Module-level so the process backend
-    can ship the routing stage with stdlib pickle.
-    """
-    primary = assign(instance)
-    return [
-        (pid, instance if pid == primary else instance.replica())
-        for pid in assign_all(instance)
-    ]
-
-
 def _fan_out_batch(
     partition: list, assign_batch, assign_all
 ) -> list[tuple[int, Instance]]:
     """Batched duplicate-mode routing for one partition.
 
-    Primaries come from one ``assign_batch`` call; the per-instance
-    ``assign_all`` fan-out stays scalar (boundary overlap enumeration),
-    producing exactly the pairs ``_fan_out`` would instance by instance.
+    One primary copy per instance (in its ``assign_batch`` partition) and
+    one tagged replica per additional partition ``assign_all`` reports.
+    Module-level so the process backend can ship the routing stage with
+    stdlib pickle.
     """
     routed: list[tuple[int, Instance]] = []
     for inst, primary in zip(partition, assign_batch(partition)):
@@ -148,23 +135,23 @@ class STPartitioner(ABC):
         sample_fraction: float = 0.1,
         duplicate: bool = False,
         seed: int = 17,
-        use_columnar: bool = True,
     ) -> "RDD[Instance]":
         """Fit on a sample of ``rdd`` and shuffle it into balanced partitions.
 
         The sampling-then-assigning flow follows Section 3.1: boundaries are
         computed from a fraction of the data ("takes much shorter time and
         only induces minor degradation in load balance"), then every record
-        is routed in parallel.  With ``use_columnar`` (and numpy available)
-        routing uses :meth:`assign_batch` — one vectorized call per
-        partition instead of one ``assign`` call per instance.
+        is routed in parallel through :meth:`assign_batch` — one vectorized
+        call per partition.  An empty ``rdd`` has nothing to fit on or
+        route and is returned as is (unfitted).
         """
-        from repro._deps import has_numpy
         from repro.columnar.cache import invalidate_partition_indexes
 
         sample = [x for p in rdd.sample(sample_fraction, seed)._collect_partitions() for x in p]
         if not sample:
             sample = rdd.take(1000)
+        if not sample:
+            return rdd
         self.fit(sample)
         if getattr(rdd.ctx, "strict", False):
             from repro.engine.sanitizer import validate_partitioner
@@ -173,11 +160,8 @@ class STPartitioner(ABC):
         # The shuffle replaces every partition list; cached per-partition
         # selection indexes keyed on the old lists are released eagerly.
         invalidate_partition_indexes()
-        columnar = use_columnar and has_numpy()
         if not duplicate:
-            if columnar:
-                return rdd.shuffle_by_batch(self.num_partitions, self.assign_batch)
-            return rdd.shuffle_by(self.num_partitions, self.assign)
+            return rdd.shuffle_by_batch(self.num_partitions, self.assign_batch)
         # Duplicate mode (Algorithm 1's ``duplicate`` flag): the copy that
         # lands in ``assign(inst)``'s partition stays the primary; copies
         # routed to other overlapping partitions are tagged replicas
@@ -186,15 +170,11 @@ class STPartitioner(ABC):
         # intervals of Duration/Envelope intersection mean an instance
         # sitting exactly on a cell boundary always fans out — without the
         # tag it would be double-counted downstream.
+        assign_batch = self.assign_batch
         assign_all = self.assign_all
-        if columnar:
-            assign_batch = self.assign_batch
-            routed = rdd.map_partitions(
-                lambda part: _fan_out_batch(part, assign_batch, assign_all)
-            )
-        else:
-            assign = self.assign
-            routed = rdd.flat_map(lambda inst: _fan_out(inst, assign, assign_all))
+        routed = rdd.map_partitions(
+            lambda part: _fan_out_batch(part, assign_batch, assign_all)
+        )
         return routed.shuffle_by(self.num_partitions, _routed_pid).map(_routed_instance)
 
     def partition_with_info(
@@ -203,9 +183,8 @@ class STPartitioner(ABC):
         sample_fraction: float = 0.1,
         duplicate: bool = False,
         seed: int = 17,
-        use_columnar: bool = True,
     ) -> tuple["RDD[Instance]", list[STBox]]:
         """Like :meth:`partition` but also return the partition boundaries —
         the ``stPartitionWithInfo`` of Section 4.1's code example."""
-        partitioned = self.partition(rdd, sample_fraction, duplicate, seed, use_columnar)
+        partitioned = self.partition(rdd, sample_fraction, duplicate, seed)
         return partitioned, self.boundaries()

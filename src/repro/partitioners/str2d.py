@@ -4,7 +4,8 @@ from __future__ import annotations
 
 from typing import Sequence
 
-from repro._deps import has_numpy
+import numpy as np
+
 from repro.index.boxes import STBox
 from repro.instances.base import Instance
 from repro.partitioners.base import STPartitioner, UNBOUNDED
@@ -52,10 +53,6 @@ class STRPartitioner(STPartitioner):
     def assign_batch(self, instances: Sequence[Instance]) -> list[int]:
         """Vectorized :meth:`assign` (see STPartitioner for the contract)."""
         self._require_fitted()
-        if not has_numpy() or not instances:
-            return super().assign_batch(instances)
-        import numpy as np
-
         xs = np.empty(len(instances), dtype=np.float64)
         ys = np.empty(len(instances), dtype=np.float64)
         for i, inst in enumerate(instances):

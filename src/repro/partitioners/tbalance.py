@@ -7,7 +7,6 @@ from typing import Sequence
 from repro.index.boxes import STBox
 from repro.instances.base import Instance
 from repro.partitioners.base import STPartitioner, UNBOUNDED
-from repro._deps import has_numpy
 from repro.partitioners.tiling import (
     bucket_interval,
     bucket_of,
@@ -55,8 +54,6 @@ class TBalancePartitioner(STPartitioner):
     def assign_batch(self, instances: Sequence[Instance]) -> list[int]:
         """Vectorized :meth:`assign` (see STPartitioner for the contract)."""
         self._require_fitted()
-        if not has_numpy() or not instances:
-            return super().assign_batch(instances)
         centers = [
             (b[2] + b[5]) / 2.0 for b in (inst.st_bounds() for inst in instances)
         ]

@@ -5,6 +5,8 @@ from __future__ import annotations
 from bisect import bisect_right
 from typing import Sequence
 
+import numpy as np
+
 from repro.geometry.envelope import Envelope
 from repro.partitioners.base import UNBOUNDED
 
@@ -40,9 +42,6 @@ def bucket_of_batch(cuts: Sequence[float], values):
     ``bisect_right(cuts, v)`` per element, so batch and scalar assignment
     agree on every input, cut-sitting values included.
     """
-    from repro._deps import require_numpy
-
-    np = require_numpy("bucket_of_batch")
     values = np.asarray(values, dtype=np.float64)
     if not cuts:
         return np.zeros(len(values), dtype=np.int64)
@@ -125,9 +124,6 @@ class Str2D:
         searchsorted, but the slab count is ~sqrt(num_partitions), so the
         Python loop is over slabs, never points.
         """
-        from repro._deps import require_numpy
-
-        np = require_numpy("Str2D.cells_of_batch")
         xs = np.asarray(xs, dtype=np.float64)
         ys = np.asarray(ys, dtype=np.float64)
         slabs = bucket_of_batch(self.x_cuts, xs)

@@ -13,7 +13,8 @@ from __future__ import annotations
 
 from typing import Sequence
 
-from repro._deps import has_numpy
+import numpy as np
+
 from repro.index.boxes import STBox
 from repro.instances.base import Instance
 from repro.partitioners.base import STPartitioner
@@ -89,14 +90,10 @@ class TSTRPartitioner(STPartitioner):
 
         Representative (x, y, t) centers are extracted in one Python pass,
         then each instance's temporal slice and spatial cell come from
-        searchsorted kernels — the same arithmetic as the scalar path, so
+        searchsorted kernels — the same arithmetic as :meth:`assign`, so
         the two agree on every input including cut-sitting centers.
         """
         self._require_fitted()
-        if not has_numpy() or not instances:
-            return super().assign_batch(instances)
-        import numpy as np
-
         ts = np.empty(len(instances), dtype=np.float64)
         xs = np.empty(len(instances), dtype=np.float64)
         ys = np.empty(len(instances), dtype=np.float64)

@@ -87,7 +87,6 @@ class ServeConfig:
     default_tenant: TenantPolicy = field(default_factory=TenantPolicy)
     tenants: dict[str, TenantPolicy] = field(default_factory=dict)
     index: bool = True
-    use_columnar: bool = True
     allow_shutdown: bool = True
     #: "raise" answers queries over an undecodable block with an error;
     #: "quarantine" skips the block (partial answers, counted in stats).
@@ -501,7 +500,6 @@ class QueryServer:
             pending.spatial,
             pending.temporal,
             index=self.config.index,
-            use_columnar=self.config.use_columnar,
         )
         # copy=False keeps the resident lists' identity, so the
         # per-partition selection-index cache hits on repeat visits.

@@ -35,7 +35,8 @@ import struct
 from pathlib import Path
 from typing import Sequence
 
-from repro._deps import require_numpy
+import numpy as np
+
 from repro.index.boxes import STBox
 from repro.stio.formats import decode_record, encode_record
 
@@ -65,7 +66,6 @@ def _row_extent(record) -> tuple[float, float, float, float, float, float, bool]
 
 def encode_v2_block(records: Sequence, codec: str) -> bytes:
     """Serialize one partition into the v2 on-disk layout."""
-    np = require_numpy("stio v2 block format")
     n = len(records)
     xmin = np.zeros(n, dtype=np.float64)
     ymin = np.zeros(n, dtype=np.float64)
@@ -142,7 +142,6 @@ class V2Block:
     )
 
     def __init__(self, path: str | Path, mmap: bool = True):
-        np = require_numpy("stio v2 block format")
         self.path = Path(path)
         with open(self.path, "rb") as f:
             raw_header = f.read(HEADER_SIZE)
@@ -220,7 +219,6 @@ class V2Block:
 
     def candidate_rows(self, box: STBox):
         """Sorted row indices whose extents intersect ``box``."""
-        np = require_numpy("stio v2 block format")
         return np.nonzero(self.intersects_box(box))[0]
 
     def boxtable(self, records: list):

@@ -95,7 +95,6 @@ def _incremental_selector(pipeline: "Pipeline", temporal=None):
         temporal=temporal if temporal is not None else sel.temporal,
         index=sel.index,
         backend=sel.backend,
-        use_columnar=sel.use_columnar,
         on_corrupt=sel.on_corrupt,
     )
 

@@ -1,12 +1,14 @@
-"""Scalar-vs-columnar extraction parity and the worker-side tree reduce.
+"""Extraction parity against the fold oracle, and the worker-side tree reduce.
 
-The columnar extraction contract mirrors the selection/conversion one:
-*bit-for-bit agreement* with the scalar ``local``/``merge``/``finalize``
-path.  Both paths share a single deterministic reduce topology
-(per-partition left fold, then balanced adjacent pairing), so the
-comparisons below use plain ``==`` — no tolerances — over randomized
-inputs, empty cells, single partitions, duplicate-mode boundary replicas,
-partial scalar fallbacks (demotion), and all three execution backends.
+The extraction contract mirrors the selection/conversion one: an
+extractor's ``AggSpec`` kernels agree *bit for bit* with the same
+extractor folding its own ``local``/``merge``/``finalize``
+(``reference.folding`` withholds the spec).  Both representations ride one
+deterministic reduce topology (per-partition left fold, then balanced
+adjacent pairing), so the comparisons below use plain ``==`` — no
+tolerances — over randomized inputs, empty cells, single partitions,
+duplicate-mode boundary replicas, partitions the spec declines
+(demotion), and all three execution backends.
 """
 
 from __future__ import annotations
@@ -40,6 +42,7 @@ from repro.obs.tracer import Tracer, installed
 from repro.partitioners import TSTRPartitioner
 from repro.temporal import Duration
 
+from . import reference
 from .conftest import make_events, make_trajectories
 
 ALL_BACKENDS = ["sequential", "thread", "process"]
@@ -62,11 +65,9 @@ def _structures():
 
 
 def _both_paths(ctx, converted, extractor):
-    """(scalar features, columnar features) off the same converted RDD."""
+    """(oracle-fold features, extractor features) off the same converted RDD."""
     materialized = ctx.from_partitions(converted._collect_partitions())
-    extractor.use_columnar = False
-    scalar = extractor.extract(materialized).cell_values()
-    extractor.use_columnar = True
+    scalar = reference.folding(extractor).extract(materialized).cell_values()
     columnar = extractor.extract(materialized).cell_values()
     return scalar, columnar
 
@@ -94,7 +95,7 @@ def _trajectory_cases():
 
 
 class TestExtractionParity:
-    """Property-based scalar/columnar agreement per extractor family."""
+    """Property-based kernel/fold agreement per extractor family."""
 
     @given(
         n=st.integers(0, 80),
@@ -158,7 +159,7 @@ class TestExtractionParity:
 
     @pytest.mark.parametrize("backend", ALL_BACKENDS)
     def test_duplicate_mode_boundary_replicas(self, backend):
-        """select(duplicate=True) → convert → extract, both paths."""
+        """select(duplicate=True) → convert → extract, against the fold."""
         events = make_events(300)
         events.append(Event.of_point(6.0, 6.0, 60_000.0, data=9001))
         sm, _, _ = _structures()
@@ -203,6 +204,15 @@ class TestScalarFallbackAndDemotion:
     """Partitions the spec cannot vectorize demote exactly, not approximately."""
 
     @staticmethod
+    def _extraction_span_kind(converted_partitions, extractor) -> bool:
+        """``columnar`` arg of the Extraction span over these partitions."""
+        tracer = Tracer()
+        ctx = EngineContext(default_parallelism=2, backend="sequential", tracer=tracer)
+        extractor.extract(ctx.from_partitions(converted_partitions))
+        span = next(s for s in tracer.spans if s.name == "Extraction")
+        return span.args["columnar"]
+
+    @staticmethod
     def _interval_trajectory(offset: float):
         # Interval-valued entry durations: PortionSpeedSpec.build returns
         # None for these, forcing the partition onto the scalar path.
@@ -220,6 +230,19 @@ class TestScalarFallbackAndDemotion:
         converted = Traj2TsConverter(ts).convert(ctx.parallelize(trajectories, parts))
         scalar, columnar = _both_paths(ctx, converted, TsSpeedExtractor())
         assert columnar == scalar
+        # Every partition fell back, so the span must not claim columnar;
+        # the same extractor over vectorizable input must.
+        partitions = converted._collect_partitions()
+        assert self._extraction_span_kind(partitions, TsSpeedExtractor()) is False
+        vectorizable = Traj2TsConverter(ts).convert(
+            ctx.parallelize(make_trajectories(8, seed=3), parts)
+        )
+        assert (
+            self._extraction_span_kind(
+                vectorizable._collect_partitions(), TsSpeedExtractor()
+            )
+            is True
+        )
 
     def test_mixed_partitions_demote(self):
         # Partition 0 vectorizes, partition 1 cannot: the tree merge must
@@ -314,22 +337,18 @@ class TestObsCounters:
     def test_extraction_span_carries_reduce_counters(self):
         events = make_events(200)
         sm, _, _ = _structures()
-        for use_columnar in (True, False):
-            tracer = Tracer()
-            ctx = EngineContext(
-                default_parallelism=4, backend="sequential", tracer=tracer
-            )
-            converted = Event2SmConverter(sm).convert(ctx.parallelize(events, 4))
-            extractor = SmFlowExtractor()
-            extractor.use_columnar = use_columnar
-            extractor.extract(ctx.from_partitions(converted._collect_partitions()))
-            counters = tracer.counters
-            assert counters["extract_partials_merged"] == 4
-            assert counters["extract_cells_aggregated"] == 4 * sm.n_cells
-            assert counters["extract_tree_depth"] == 2  # 4 -> 2 -> 1
-            span = next(s for s in tracer.spans if s.name == "Extraction")
-            assert span.args["columnar"] is use_columnar
-            assert span.args["partials_merged"] == 4
+        tracer = Tracer()
+        ctx = EngineContext(
+            default_parallelism=4, backend="sequential", tracer=tracer
+        )
+        converted = Event2SmConverter(sm).convert(ctx.parallelize(events, 4))
+        SmFlowExtractor().extract(ctx.from_partitions(converted._collect_partitions()))
+        counters = tracer.counters
+        assert counters["extract_partials_merged"] == 4
+        assert counters["extract_cells_aggregated"] == 4 * sm.n_cells
+        assert counters["extract_tree_depth"] == 2  # 4 -> 2 -> 1
+        span = next(s for s in tracer.spans if s.name == "Extraction")
+        assert span.args["partials_merged"] == 4
 
     def test_process_backend_reports_oob_bytes(self):
         # ``stage_oob_bytes`` is metered against the *installed* tracer
@@ -352,7 +371,6 @@ class TestObsCounters:
 
 class TestCellTable:
     def test_merge_validates_shape_and_kind(self):
-        pytest.importorskip("numpy")
         import numpy as np
 
         a = CellTable(2, {"c": np.zeros(2)}, {"c": "sum"}, "TimeSeries")
@@ -364,7 +382,6 @@ class TestCellTable:
             CellTable(2, {"c": np.zeros(2)}, {"c": "median"}, "TimeSeries")
 
     def test_merge_ops_and_disjoint_columns(self):
-        pytest.importorskip("numpy")
         import numpy as np
 
         a = CellTable(
@@ -389,7 +406,6 @@ class TestCellTable:
         assert merged.nbytes == 3 * 2 * 8
 
     def test_scatter_sum_is_sequential_in_input_order(self):
-        pytest.importorskip("numpy")
         import numpy as np
 
         ids = np.array([0, 1, 0, 0, 1])
@@ -400,7 +416,6 @@ class TestCellTable:
         assert out[2] == 0.0
 
     def test_count_spec_round_trip(self):
-        pytest.importorskip("numpy")
         from repro.core.structures import TimeSeriesStructure
 
         ts = TimeSeriesStructure.regular(Duration(0.0, 100.0), 4)

@@ -1,13 +1,13 @@
-"""Property-based parity: columnar kernels vs the scalar reference paths.
+"""Property-based parity: the columnar kernels vs the brute-force oracle.
 
-The columnar subsystem's contract is *bit-for-bit agreement* with the
-scalar implementations it accelerates: identical selected instance sets,
-identical allocation cells, identical ``AllocationStats`` /
-``RTreeStats.candidates`` counts — on randomized boxes, on queries that
-sit exactly on cell boundaries (closed-interval semantics), and under
-``duplicate=True`` replica fan-out.  These tests exercise each kernel
-against its scalar twin, then the full selection pipeline on all three
-execution backends.
+The kernels are the pipeline's only execution path; their contract is
+*bit-for-bit agreement* with the obvious per-instance loops in
+``tests/reference.py``: identical selected instances in identical order,
+identical partition ids, identical allocation cells and
+``AllocationStats`` — on randomized boxes, on queries that sit exactly on
+cell boundaries (closed-interval semantics), and under ``duplicate=True``
+replica fan-out.  These tests exercise each kernel against the oracle,
+then the full selection pipeline on all three execution backends.
 """
 
 from __future__ import annotations
@@ -26,7 +26,7 @@ from repro.core.structures import (
     SpatialMapStructure,
     TimeSeriesStructure,
 )
-from repro.columnar import BoxTable, PackedRTree, packed_tree_from_boxes
+from repro.columnar import BoxTable, packed_tree_from_boxes
 from repro.columnar.cache import PartitionIndexCache, selection_cache
 from repro.engine import EngineContext
 from repro.geometry import Envelope
@@ -42,6 +42,7 @@ from repro.partitioners import (
 )
 from repro.temporal import Duration
 
+from . import reference
 from .conftest import make_events, make_trajectories
 
 ALL_BACKENDS = ["sequential", "thread", "process"]
@@ -133,16 +134,6 @@ class TestPackedRTreeParity:
                 expected = sorted(i for i, b in enumerate(boxes) if b.intersects(box))
                 assert rows.tolist() == expected
 
-    def test_rtree_query_batch_folds_stats(self):
-        events = make_events(50)
-        tree = RTree.build((e.st_box(), e) for e in events)
-        box = STBox((0, 0, 0), (5, 5, 50_000))
-        batch = tree.query_batch([box, box])
-        singles = tree.query(box)
-        assert _identities(batch[0]) == _identities(batch[1]) == _identities(singles)
-        assert tree.stats.queries == 3
-        assert tree.stats.candidates == 2 * len(batch[0]) + len(singles)
-
     def test_packed_tree_pickles(self):
         import pickle
 
@@ -219,41 +210,46 @@ class TestAllocateParity:
     @pytest.mark.parametrize("method", ["auto", "rtree", "naive"])
     def test_cells_and_stats_match(self, structure, method):
         instances = make_events(60) + make_trajectories(10)
-        scalar_stats = AllocationStats()
-        columnar_stats = AllocationStats()
-        scalar = allocate(instances, structure, method, scalar_stats, use_columnar=False)
-        columnar = allocate(instances, structure, method, columnar_stats, use_columnar=True)
-        assert _cell_data(columnar) == _cell_data(scalar)
-        assert columnar_stats.snapshot() == scalar_stats.snapshot()
+        expected_stats = AllocationStats()
+        stats = AllocationStats()
+        expected = reference.allocate(instances, structure, method, expected_stats)
+        cells = allocate(instances, structure, method, stats)
+        assert _cell_data(cells) == _cell_data(expected)
+        assert stats.snapshot() == expected_stats.snapshot()
 
     def test_regular_method_on_regular_structure(self):
         structure = TimeSeriesStructure.regular(Duration(0, 86_400), 24)
         instances = make_events(40)
         s1, s2 = AllocationStats(), AllocationStats()
-        scalar = allocate(instances, structure, "regular", s1, use_columnar=False)
-        columnar = allocate(instances, structure, "regular", s2, use_columnar=True)
-        assert _cell_data(columnar) == _cell_data(scalar)
+        expected = reference.allocate(instances, structure, "regular", s1)
+        cells = allocate(instances, structure, "regular", s2)
+        assert _cell_data(cells) == _cell_data(expected)
         assert s1.snapshot() == s2.snapshot()
 
     def test_regular_method_rejected_on_irregular(self):
         structure = SpatialMapStructure(Envelope(0, 0, 10, 10).split(3, 2))
         with pytest.raises(ValueError, match="regular method"):
-            allocate(make_events(5), structure, "regular", use_columnar=True)
+            allocate(make_events(5), structure, "regular")
 
     def test_unknown_method_rejected(self):
         structure = TimeSeriesStructure.regular(Duration(0, 86_400), 4)
         with pytest.raises(ValueError, match="unknown allocation method"):
-            allocate(make_events(5), structure, "bogus", use_columnar=True)
+            allocate(make_events(5), structure, "bogus")
 
     def test_boundary_sitting_events(self):
-        # Events exactly on cell edges must land in both neighbors on both
-        # paths (closed-interval grids).
+        # Events exactly on cell edges must land in both neighbors
+        # (closed-interval grids).
         structure = SpatialMapStructure.regular(Envelope(0, 0, 10, 10), 4, 4)
         events = [Event.of_point(2.5, 5.0, 100.0, data=0), Event.of_point(0.0, 0.0, 0.0, data=1)]
-        scalar = allocate(events, structure, "auto", use_columnar=False)
-        columnar = allocate(events, structure, "auto", use_columnar=True)
-        assert _cell_data(columnar) == _cell_data(scalar)
-        assert sum(len(c) for c in columnar) == 5  # edge event in 4 cells, corner in 1
+        cells = allocate(events, structure, "auto")
+        assert _cell_data(cells) == _cell_data(reference.allocate(events, structure, "auto"))
+        assert sum(len(c) for c in cells) == 5  # edge event in 4 cells, corner in 1
+
+    def test_empty_partition_allocates_nothing(self):
+        structure = SpatialMapStructure.regular(Envelope(0, 0, 10, 10), 4, 4)
+        stats = AllocationStats()
+        assert allocate([], structure, "auto", stats) == [[] for _ in range(16)]
+        assert stats.snapshot() == AllocationStats().snapshot()
 
 
 class TestAssignBatchParity:
@@ -262,27 +258,27 @@ class TestAssignBatchParity:
     def test_tstr(self, events, gt, gs):
         p = TSTRPartitioner(gt, gs)
         p.fit(events)
-        assert p.assign_batch(events) == [p.assign(e) for e in events]
+        assert p.assign_batch(events) == reference.assign(p, events)
 
     @given(event_sets(min_size=10), st.integers(2, 9))
     @settings(max_examples=30, deadline=None)
     def test_str(self, events, n):
         p = STRPartitioner(n)
         p.fit(events)
-        assert p.assign_batch(events) == [p.assign(e) for e in events]
+        assert p.assign_batch(events) == reference.assign(p, events)
 
     @given(event_sets(min_size=10), st.integers(2, 6))
     @settings(max_examples=30, deadline=None)
     def test_tbalance(self, events, n):
         p = TBalancePartitioner(n)
         p.fit(events)
-        assert p.assign_batch(events) == [p.assign(e) for e in events]
+        assert p.assign_batch(events) == reference.assign(p, events)
 
     def test_hash(self):
         events = make_events(50)
         p = HashPartitioner(7)
         p.fit(events)
-        assert p.assign_batch(events) == [p.assign(e) for e in events]
+        assert p.assign_batch(events) == reference.assign(p, events)
 
     def test_cut_sitting_centers(self):
         # Fit, then craft events whose centers sit exactly on fitted cuts;
@@ -297,7 +293,7 @@ class TestAssignBatchParity:
         for tiling in p._tilings:
             for cut in tiling.x_cuts:
                 extras.append(Event.of_point(cut, 5.0, 40_000.0, data=len(extras)))
-        assert p.assign_batch(extras) == [p.assign(e) for e in extras]
+        assert p.assign_batch(extras) == reference.assign(p, extras)
 
 
 class TestPartitionIndexCache:
@@ -333,49 +329,69 @@ class TestPartitionIndexCache:
 
 
 class TestSelectionParityAcrossBackends:
+    SPATIAL = Envelope(2.0, 2.0, 6.0, 6.0)
+    TEMPORAL = Duration(10_000.0, 60_000.0)
+
     def _dataset(self):
         events = make_events(300)
-        # Boundary-sitting extras: exactly on the query-box faces below.
+        # Boundary-sitting extras: exactly on the query-box faces above.
         events.append(Event.of_point(6.0, 6.0, 60_000.0, data=9001))
         events.append(Event.of_point(2.0, 2.0, 10_000.0, data=9002))
         return events
 
-    def _select(self, backend: str, use_columnar: bool, index: bool, duplicate: bool):
+    def _select(self, backend: str, index: bool, partitioner=None, duplicate=False):
+        """Selected partitions as lists of ``(identity, is_primary)``."""
         ctx = EngineContext(default_parallelism=4, backend=backend)
         try:
-            partitioner = TSTRPartitioner(2, 4) if duplicate else None
             sel = Selector(
-                spatial=Envelope(2.0, 2.0, 6.0, 6.0),
-                temporal=Duration(10_000.0, 60_000.0),
+                spatial=self.SPATIAL,
+                temporal=self.TEMPORAL,
                 partitioner=partitioner,
                 index=index,
                 duplicate=duplicate,
-                use_columnar=use_columnar,
             )
-            result = sel.select(ctx, ctx.parallelize(self._dataset(), 4)).collect()
-            return Counter(
-                (inst.identity(), getattr(inst, "dup_primary", True))
-                for inst in result
-            )
+            rdd = sel.select(ctx, ctx.parallelize(self._dataset(), 4))
+            return [
+                [(inst.identity(), getattr(inst, "dup_primary", True)) for inst in part]
+                for part in rdd._collect_partitions()
+            ]
         finally:
             ctx.backend.stop()
 
-    @pytest.mark.parametrize("backend", ALL_BACKENDS)
-    @pytest.mark.parametrize("index", [True, False])
-    def test_plain_selection_parity(self, backend, index):
-        scalar = self._select(backend, use_columnar=False, index=index, duplicate=False)
-        columnar = self._select(backend, use_columnar=True, index=index, duplicate=False)
-        assert columnar == scalar
-        assert sum(scalar.values()) > 0
+    def _expected(self):
+        return reference.select(self._dataset(), self.SPATIAL, self.TEMPORAL)
 
     @pytest.mark.parametrize("backend", ALL_BACKENDS)
-    def test_duplicate_mode_parity(self, backend):
-        scalar = self._select(backend, use_columnar=False, index=True, duplicate=True)
-        columnar = self._select(backend, use_columnar=True, index=True, duplicate=True)
-        assert columnar == scalar
-        # Replica fan-out must actually occur for the comparison to bite:
-        # primaries of every identity, replicas preserved identically.
-        assert sum(scalar.values()) > 0
+    @pytest.mark.parametrize("index", [True, False])
+    def test_plain_selection_matches_linear_scan_in_order(self, backend, index):
+        selected = [pair for part in self._select(backend, index) for pair in part]
+        expected = [(inst.identity(), True) for inst in self._expected()]
+        assert selected == expected
+        assert len(expected) > 0
+
+    @pytest.mark.parametrize("backend", ALL_BACKENDS)
+    def test_partition_ids_match_per_instance_assign(self, backend):
+        partitioner = TSTRPartitioner(2, 4)
+        parts = self._select(backend, index=True, partitioner=partitioner)
+        expected = self._expected()
+        by_pid: dict[int, list] = {}
+        for pid, inst in zip(reference.assign(partitioner, expected), expected):
+            by_pid.setdefault(pid, []).append((inst.identity(), True))
+        assert len(parts) == partitioner.num_partitions
+        assert {pid: part for pid, part in enumerate(parts) if part} == by_pid
+
+    @pytest.mark.parametrize("backend", ALL_BACKENDS)
+    def test_duplicate_mode_matches_per_instance_fan_out(self, backend):
+        partitioner = TSTRPartitioner(2, 4)
+        parts = self._select(
+            backend, index=True, partitioner=partitioner, duplicate=True
+        )
+        by_pid: dict[int, list] = {}
+        for pid, inst, primary in reference.fan_out(partitioner, self._expected()):
+            by_pid.setdefault(pid, []).append((inst.identity(), primary))
+        assert {pid: part for pid, part in enumerate(parts) if part} == by_pid
+        # Replica fan-out must actually occur for the comparison to bite.
+        assert any(not primary for part in parts for _, primary in part)
 
     def test_probe_counter_reports_work(self):
         ctx = EngineContext(default_parallelism=2)
@@ -390,19 +406,14 @@ class TestConversionParityAcrossBackends:
         from repro.core.converters import Event2TsConverter
 
         structure = TimeSeriesStructure.regular(Duration(0, 86_400), 24)
-        results = {}
-        for use_columnar in (False, True):
-            ctx = EngineContext(default_parallelism=4, backend=backend)
-            try:
-                conv = Event2TsConverter(
-                    structure, use_columnar=use_columnar
-                )
-                rdd = ctx.parallelize(make_events(200), 4)
-                merged = conv.convert_merged(rdd, combine=lambda a, b: a + b)
-                results[use_columnar] = [
-                    sorted(inst.identity() for inst in cell)
-                    for cell in merged.cell_values()
-                ]
-            finally:
-                ctx.backend.stop()
-        assert results[True] == results[False]
+        events = make_events(200)
+        ctx = EngineContext(default_parallelism=4, backend=backend)
+        try:
+            conv = Event2TsConverter(structure)
+            merged = conv.convert_merged(
+                ctx.parallelize(events, 4), combine=lambda a, b: a + b
+            )
+            cells = [[inst.identity() for inst in cell] for cell in merged.cell_values()]
+        finally:
+            ctx.backend.stop()
+        assert cells == _cell_data(reference.allocate(events, structure))

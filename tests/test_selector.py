@@ -2,7 +2,9 @@
 
 import pytest
 
-from repro.core import Selector
+from repro.core import Pipeline, Selector, TimeSeriesStructure
+from repro.core.converters import Event2TsConverter
+from repro.core.extractors import TsFlowExtractor
 from repro.engine import EngineContext
 from repro.geometry import Envelope
 from repro.partitioners import TSTRPartitioner
@@ -18,6 +20,8 @@ def ctx():
 
 SPATIAL = Envelope(2, 2, 7, 7)
 TEMPORAL = Duration(10_000, 50_000)
+#: A spatial range no generated event falls in (events live in [0, 10]^2).
+NOWHERE = Envelope(500, 500, 501, 501)
 
 
 def expected_ids(instances):
@@ -102,6 +106,27 @@ class TestPartitioningStage:
         events = make_events(200, seed=29)
         out = Selector(SPATIAL, TEMPORAL, num_partitions=7).select(ctx, events)
         assert out.num_partitions == 7
+
+    @pytest.mark.parametrize("on_disk", [False, True], ids=["list", "disk"])
+    def test_empty_selection_with_partitioner(self, ctx, tmp_path, on_disk):
+        # Nothing survives the filter: there is no sample to fit on, so the
+        # partitioner must pass the empty RDD through instead of raising.
+        source = make_events(200, seed=31)
+        if on_disk:
+            save_dataset(tmp_path / "d", source, "event", ctx=ctx)
+            source = tmp_path / "d"
+        selector = Selector(NOWHERE, TEMPORAL, partitioner=TSTRPartitioner(2, 2))
+        assert selector.select(ctx, source).collect() == []
+
+    def test_empty_selection_pipeline_yields_zero_features(self, ctx):
+        structure = TimeSeriesStructure.regular(TEMPORAL, 4)
+        pipeline = Pipeline(
+            selector=Selector(NOWHERE, TEMPORAL, partitioner=TSTRPartitioner(2, 2)),
+            converter=Event2TsConverter(structure),
+            extractor=TsFlowExtractor(),
+        )
+        result = pipeline.run(ctx, make_events(200, seed=32))
+        assert result.cell_values() == [0, 0, 0, 0]
 
 
 class TestMetadataPruning:

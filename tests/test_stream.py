@@ -32,6 +32,7 @@ from repro.stream import (
     WindowedSpeedExtractor,
 )
 from repro.temporal import Duration
+from tests import reference
 from tests.conftest import make_events, make_trajectories
 
 ALL_BACKENDS = ["sequential", "thread", "process"]
@@ -362,22 +363,18 @@ class TestIncrementalParity:
         batch_result = flow_pipeline().run(make_ctx(), tmp_path / "feed")
         assert run.result.cell_values() == batch_result.cell_values()
 
-    def test_columnar_and_scalar_agree(self, tmp_path):
-        ctx = make_ctx()
+    @pytest.mark.parametrize("backend", ALL_BACKENDS)
+    def test_agrees_with_fold_oracle(self, tmp_path, backend):
+        ctx = make_ctx(backend)
         ds = StDataset(tmp_path / "feed")
         for batch in event_batches(3):
             ds.ingest(batch, instance_type="event")
-
-        def pipe(columnar):
-            p = flow_pipeline(days=3)
-            p.extractor.use_columnar = columnar
-            return p
-
-        results = []
-        for columnar in (True, False):
-            state = None
-            run = pipe(columnar).run_incremental(ctx, tmp_path / "feed")
-            results.append(run.result.cell_values())
+        oracle = flow_pipeline(days=3)
+        oracle.extractor = reference.folding(oracle.extractor)
+        results = [
+            p.run_incremental(ctx, tmp_path / "feed").result.cell_values()
+            for p in (flow_pipeline(days=3), oracle)
+        ]
         assert results[0] == results[1]
 
     def test_pruned_batch_contributes_nothing_but_advances(self, tmp_path):

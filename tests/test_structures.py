@@ -134,9 +134,9 @@ class TestRasterStructure:
             assert inst.entries[i].spatial == geom
             assert inst.entries[i].temporal == dur
 
-    def test_rtree_built_once(self):
+    def test_cell_index_built_once(self):
         s = RasterStructure.regular(Envelope(0, 0, 1, 1), Duration(0, 1), 2, 2, 2)
-        assert s.rtree() is s.rtree()
+        assert s.packed_rtree() is s.packed_rtree()
 
 
 query_coord = st.floats(min_value=-2, max_value=12, allow_nan=False)
