@@ -163,6 +163,60 @@ def test_micro_selection_indexing(benchmark, bench_events):
     benchmark(run)
 
 
+def test_micro_traj_raster_allocate(benchmark):
+    """Exact trajectory→raster allocation: 300 trips into 8×8×24 cells.
+
+    Fails when the cells or the counters differ from one scalar
+    ``_matches_cell`` call per (trip, candidate cell) pair.
+    """
+    from repro.core.converters.base import (
+        AllocationStats,
+        _cell_bounds,
+        _matches_cell,
+        allocate,
+    )
+    from repro.core.structures import RasterStructure
+    from repro.instances import Trajectory
+
+    rng = random.Random(11)
+    structure = RasterStructure.regular(
+        Envelope(0.0, 0.0, 8.0, 8.0), Duration(0.0, 86_400.0), 8, 8, 24
+    )
+    trips = []
+    for i in range(300):
+        x, y, t = rng.uniform(0, 8), rng.uniform(0, 8), rng.uniform(0, 80_000)
+        points = []
+        for _ in range(rng.randint(12, 30)):
+            points.append((x, y, t))
+            x = min(max(x + rng.uniform(-0.4, 0.4), 0.0), 8.0)
+            y = min(max(y + rng.uniform(-0.4, 0.4), 0.0), 8.0)
+            t += rng.uniform(20.0, 200.0)
+        trips.append(Trajectory.of_points(points, data=i))
+
+    stats = AllocationStats()
+
+    def run():
+        stats.reset()
+        return allocate(trips, structure, "auto", stats)
+
+    cells = benchmark(run)
+
+    expected = [[] for _ in range(structure.n_cells)]
+    pairs = 0
+    for trip in trips:
+        for cell in structure.candidate_cells(trip.spatial_extent, trip.temporal_extent):
+            pairs += 1
+            if _matches_cell(trip, *_cell_bounds(structure, cell)):
+                expected[cell].append(trip)
+    assert cells == expected
+    assert stats.snapshot() == {
+        "instances": len(trips),
+        "candidate_tests": pairs,
+        "exact_tests": pairs,
+        "allocations": sum(len(c) for c in expected),
+    }
+
+
 def test_micro_report(benchmark, boxes, queries):
     """Pruning factor summary: counted intersection tests per query."""
 

@@ -15,6 +15,9 @@ indirection) and what is built over it:
   ``RDD.shuffle_by_batch``;
 * an analytic row→cell range kernel for regular structures
   (``Grid.candidate_ranges_batch``);
+* :class:`PointsTable` — a partition's trajectories as ragged point
+  columns, with the exact trajectory↔cell refinement kernel of
+  allocation and the any-point-in-range test of selection;
 * extraction aggregation (:mod:`repro.columnar.aggregate`) — per-partition
   :class:`CellTable` partials built with scatter-add kernels and an
   :class:`AggSpec` per extractor, merged through ``RDD.tree_reduce``.
@@ -22,9 +25,10 @@ indirection) and what is built over it:
 No flag selects any of this.  What does *not* run on arrays is decided by
 the input, and is exact by construction:
 
-* exact geometry tests (LineString/Polygon containment, trajectory↔cell
-  matching) run per instance — the kernels only shrink the candidate set
-  they run on, and rows whose MBR *is* their shape skip them entirely;
+* exact tests on shapes the kernels do not cover (cells that are not
+  envelopes; LineString/Polygon and multi-entry instances) run one scalar
+  call per candidate — the kernels only shrink the candidate set they run
+  on, and rows whose MBR *is* their shape skip them entirely;
 * an extractor that declares no ``agg_spec()``, and any partition whose
   ``spec.build()`` returns ``None`` (interval-valued entry durations,
   non-envelope transit cells), folds through the extractor's own
@@ -58,6 +62,7 @@ from repro.columnar.cache import (
     selection_cache,
 )
 from repro.columnar.packed_rtree import PackedRTree, packed_tree_from_boxes
+from repro.columnar.pointstable import PointsTable
 
 
 def selection_index(partition: list, with_tree: bool, capacity: int = 32):
@@ -80,6 +85,7 @@ __all__ = [
     "FieldMeanSpec",
     "PackedRTree",
     "PartitionIndexCache",
+    "PointsTable",
     "PortionSpeedSpec",
     "TransitSpec",
     "WholeTrajSpeedSpec",

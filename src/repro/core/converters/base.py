@@ -7,6 +7,7 @@ from typing import Any, Callable, Sequence
 
 import numpy as np
 
+from repro.columnar.pointstable import PointsTable
 from repro.engine.rdd import RDD
 from repro.geometry.base import Geometry
 from repro.obs.tracer import phase as _phase_span
@@ -142,6 +143,54 @@ def _needs_exact(instance: Instance, structure: Structure) -> bool:
     return True
 
 
+def _candidate_pairs(structure: Structure, method: str, extents):
+    """Every ``(instance row, candidate cell)`` pairing, row-major.
+
+    Returns ``(rows, cells, candidate_tests)``.  The pairs are Section
+    4.2's knob: the grid range kernel expanded in C-order (regular), the
+    packed R-tree over cells (rtree), or a vectorized full scan (naive —
+    charged every cell per instance, whatever it finds).
+    """
+    n = extents.shape[1]
+    if method == "auto":
+        method = "regular" if structure.is_regular else "rtree"
+    if method == "regular":
+        if not structure.is_regular:
+            raise ValueError("regular method requires a regular structure")
+        qmins, qmaxs = structure._batch_grid_arrays(*extents)
+        firsts, lasts = structure._grid.candidate_ranges_batch(qmins, qmaxs)
+        # The candidate count of a range query is the product of its
+        # per-dimension widths; an empty dimension zeroes it.
+        widths = np.clip(lasts - firsts + 1, 0, None)
+        counts = widths.prod(axis=1)
+        rows = np.repeat(np.arange(n), counts)
+        # q: position of each pair inside its row's range product.
+        q = np.arange(len(rows)) - np.repeat(np.cumsum(counts) - counts, counts)
+        cells = np.zeros(len(rows), dtype=np.int64)
+        stride = 1
+        for d in reversed(range(len(structure._grid.shape))):
+            width = widths[rows, d]
+            cells += (firsts[rows, d] + q % width) * stride
+            q //= width
+            stride *= structure._grid.shape[d]
+        return rows, cells, len(rows)
+    qmins, qmaxs = structure._batch_query_arrays(*extents)
+    if method == "rtree":
+        tree = structure.packed_rtree()
+        found = [tree.query_coords(qmins[i], qmaxs[i]) for i in range(n)]
+    elif method == "naive":
+        cmins, cmaxs = structure._cell_box_arrays()
+        found = [
+            np.nonzero(np.all((cmins <= qmaxs[i]) & (cmaxs >= qmins[i]), axis=1))[0]
+            for i in range(n)
+        ]
+    else:
+        raise ValueError(f"unknown allocation method {method!r}")
+    rows = np.repeat(np.arange(n), [len(f) for f in found])
+    cells = np.concatenate(found)
+    return rows, cells, (n * structure.n_cells if method == "naive" else len(cells))
+
+
 def allocate(
     instances: Sequence[Instance],
     structure: Structure,
@@ -151,150 +200,55 @@ def allocate(
     """Assign each instance to every structure cell it intersects.
 
     Returns ``cells`` with ``cells[i]`` the list of instances allocated to
-    cell ``i``.  The candidate enumeration strategy is Section 4.2's
-    knob: extent extraction is one Python pass; candidates then come from
-    the grid range kernel (regular), the packed R-tree over cells (rtree),
-    or a vectorized full scan (naive).  Exact refinement runs per
-    instance, only when required (see :func:`_needs_exact`).
+    cell ``i``, in partition order.  One sequence whatever the ``method``:
+
+    1. extents — one pass over the partition, which also lays its
+       trajectories out as point columns (:class:`PointsTable`);
+    2. candidate ``(row, cell)`` pairs by ``method``
+       (:func:`_candidate_pairs`);
+    3. a keep verdict per pair: nothing to test where
+       :func:`_needs_exact` is false; the exact-refinement kernel
+       (:meth:`PointsTable.intersects_boxes`) for trajectories against box
+       cells; scalar :func:`_matches_cell` per pair only for what the
+       input forces — cells that are not envelopes, and non-trajectory
+       instances that need exactness;
+    4. a stable group-by-cell of the kept pairs.
     """
-    cells: list[list[Instance]] = [[] for _ in range(structure.n_cells)]
+    n_cells = structure.n_cells
+    cells: list[list[Instance]] = [[] for _ in range(n_cells)]
     if not instances:
         return cells
     n = len(instances)
-    x0 = np.empty(n, dtype=np.float64)
-    y0 = np.empty(n, dtype=np.float64)
-    t0 = np.empty(n, dtype=np.float64)
-    x1 = np.empty(n, dtype=np.float64)
-    y1 = np.empty(n, dtype=np.float64)
-    t1 = np.empty(n, dtype=np.float64)
-    for i, inst in enumerate(instances):
-        x0[i], y0[i], t0[i], x1[i], y1[i], t1[i] = inst.st_bounds()
+    table = PointsTable.from_instances(instances)
+    rows, found, candidate_tests = _candidate_pairs(structure, method, table.extents)
 
-    resolved = method
-    if resolved == "auto":
-        resolved = "regular" if structure.is_regular else "rtree"
-    total_candidates = 0
-    total_exact = 0
-    total_alloc = 0
-
-    if resolved == "regular":
-        if not structure.is_regular:
-            raise ValueError("regular method requires a regular structure")
-        qmins, qmaxs = structure._batch_grid_arrays(x0, y0, t0, x1, y1, t1)
-        firsts, lasts = structure._grid.candidate_ranges_batch(qmins, qmaxs)
-        shape = structure._grid.shape
-        # Candidate totals come straight off the range arrays (the
-        # candidate count of a range query is the product of its per-dim
-        # widths; an empty dim zeroes it) — the loops below never build a
-        # candidate list for the no-exact-pass fast case.
-        total_candidates = int(
-            np.clip(lasts - firsts + 1, 0, None).prod(axis=1).sum()
+    needs = np.fromiter(
+        (_needs_exact(inst, structure) for inst in instances), dtype=bool, count=n
+    )
+    exact = needs[rows]
+    keep = ~exact
+    if exact.any():
+        boxes, is_box = structure._cell_st_boxes()
+        arrays = exact & table.is_trajectory[rows] & is_box[found]
+        k = np.flatnonzero(arrays)
+        keep[k] = table.intersects_boxes(
+            rows[k],
+            boxes[:, found[k]],
+            spatial=not isinstance(structure, TimeSeriesStructure),
         )
-        firsts = firsts.tolist()
-        lasts = lasts.tolist()
-        if len(shape) == 1:
-            for i, inst in enumerate(instances):
-                f0 = firsts[i][0]
-                l0 = lasts[i][0]
-                if f0 > l0:
-                    continue
-                if _needs_exact(inst, structure):
-                    for cell in range(f0, l0 + 1):
-                        total_exact += 1
-                        geom, dur = _cell_bounds(structure, cell)
-                        if _matches_cell(inst, geom, dur):
-                            cells[cell].append(inst)
-                            total_alloc += 1
-                elif f0 == l0:
-                    cells[f0].append(inst)
-                    total_alloc += 1
-                else:
-                    for cell in range(f0, l0 + 1):
-                        cells[cell].append(inst)
-                    total_alloc += l0 - f0 + 1
-        elif len(shape) == 2:
-            n1 = shape[1]
-            for i, inst in enumerate(instances):
-                (f0, f1), (l0, l1) = firsts[i], lasts[i]
-                if f0 > l0 or f1 > l1:
-                    continue
-                if _needs_exact(inst, structure):
-                    for a in range(f0, l0 + 1):
-                        base = a * n1
-                        for cell in range(base + f1, base + l1 + 1):
-                            total_exact += 1
-                            geom, dur = _cell_bounds(structure, cell)
-                            if _matches_cell(inst, geom, dur):
-                                cells[cell].append(inst)
-                                total_alloc += 1
-                else:
-                    for a in range(f0, l0 + 1):
-                        base = a * n1
-                        for cell in range(base + f1, base + l1 + 1):
-                            cells[cell].append(inst)
-                    total_alloc += (l0 - f0 + 1) * (l1 - f1 + 1)
-        else:
-            n1, n2 = shape[1], shape[2]
-            for i, inst in enumerate(instances):
-                (f0, f1, f2), (l0, l1, l2) = firsts[i], lasts[i]
-                if f0 > l0 or f1 > l1 or f2 > l2:
-                    continue
-                if _needs_exact(inst, structure):
-                    for a in range(f0, l0 + 1):
-                        for b in range(f1, l1 + 1):
-                            base = (a * n1 + b) * n2
-                            for cell in range(base + f2, base + l2 + 1):
-                                total_exact += 1
-                                geom, dur = _cell_bounds(structure, cell)
-                                if _matches_cell(inst, geom, dur):
-                                    cells[cell].append(inst)
-                                    total_alloc += 1
-                else:
-                    for a in range(f0, l0 + 1):
-                        for b in range(f1, l1 + 1):
-                            base = (a * n1 + b) * n2
-                            for cell in range(base + f2, base + l2 + 1):
-                                cells[cell].append(inst)
-                    total_alloc += (
-                        (l0 - f0 + 1) * (l1 - f1 + 1) * (l2 - f2 + 1)
-                    )
-        if stats is not None:
-            stats.add(n, total_candidates, total_exact, total_alloc)
-        return cells
-    if resolved == "rtree":
-        tree = structure.packed_rtree()
-        qmins, qmaxs = structure._batch_query_arrays(x0, y0, t0, x1, y1, t1)
+        for p in np.flatnonzero(exact & ~arrays).tolist():
+            geom, dur = _cell_bounds(structure, found[p])
+            keep[p] = _matches_cell(instances[rows[p]], geom, dur)
+        rows, found = rows[keep], found[keep]
 
-        def candidates_of(i: int) -> list[int]:
-            return tree.query_coords(qmins[i], qmaxs[i]).tolist()
-    elif resolved == "naive":
-        cmins, cmaxs = structure._cell_box_arrays()
-        qmins, qmaxs = structure._batch_query_arrays(x0, y0, t0, x1, y1, t1)
-
-        def candidates_of(i: int) -> list[int]:
-            mask = np.all((cmins <= qmaxs[i]) & (cmaxs >= qmins[i]), axis=1)
-            return np.nonzero(mask)[0].tolist()
-    else:
-        raise ValueError(f"unknown allocation method {method!r}")
-
-    naive = resolved == "naive"
-    n_cells = structure.n_cells
-    for i, inst in enumerate(instances):
-        candidates = candidates_of(i)
-        total_candidates += n_cells if naive else len(candidates)
-        if _needs_exact(inst, structure):
-            for cell in candidates:
-                total_exact += 1
-                geom, dur = _cell_bounds(structure, cell)
-                if _matches_cell(inst, geom, dur):
-                    cells[cell].append(inst)
-                    total_alloc += 1
-        else:
-            for cell in candidates:
-                cells[cell].append(inst)
-            total_alloc += len(candidates)
+    order = np.argsort(found, kind="stable")
+    members = [instances[r] for r in rows[order].tolist()]
+    sizes = np.bincount(found, minlength=n_cells)
+    starts = np.cumsum(sizes) - sizes
+    for cell in np.flatnonzero(sizes).tolist():
+        cells[cell] = members[starts[cell] : starts[cell] + sizes[cell]]
     if stats is not None:
-        stats.add(n, total_candidates, total_exact, total_alloc)
+        stats.add(n, candidate_tests, int(exact.sum()), len(rows))
     return cells
 
 
@@ -360,11 +314,13 @@ class ToCollectiveConverter:
             rdd = rdd.filter(_is_primary)
             if pre_map is not None:
                 rdd = rdd.map(pre_map)
+            # Build the cell columns (and index) once on the "driver" and
+            # broadcast them, rather than rebuilding per executor (Section
+            # 4.2) — a broadcast value must not change under its tasks.
+            self.structure._cell_box_arrays()
             if self.method == "rtree" or (
                 self.method == "auto" and not self.structure.is_regular
             ):
-                # Build the cell index once on the "driver" and broadcast it,
-                # rather than rebuilding per executor (Section 4.2).
                 self.structure.packed_rtree()
             broadcast = rdd.ctx.broadcast(
                 self.structure, record_count=self.structure.n_cells
@@ -379,8 +335,7 @@ class ToCollectiveConverter:
                     values = [agg(arr) for arr in cell_arrays]
                 else:
                     values = cell_arrays
-                instance = structure.empty_instance().with_cell_values(values)
-                return [instance]
+                return [structure.instance_of(values)]
 
             converted = rdd.map_partitions(fill)
             if span is not None:

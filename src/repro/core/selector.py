@@ -8,7 +8,8 @@ range, and repartitions the survivors with an ST-aware partitioner:
    plain list;
 2. **filter** — each partition builds a packed 3-d R-tree over its
    extent columns on-the-fly and queries it with the ST range, then
-   refines the candidates with the exact per-instance predicate
+   refines the candidates with the exact predicate — on point columns
+   for trajectories, per instance for other inexact shapes
    (``index=False`` scans the extent columns instead);
 3. **partition** — the survivors are re-shuffled by the configured
    partitioner.  Filtering *before* partitioning is the paper's explicit
@@ -18,9 +19,13 @@ range, and repartitions the survivors with an ST-aware partitioner:
 
 from __future__ import annotations
 
+import math
 from pathlib import Path
 from typing import TYPE_CHECKING, Sequence
 
+import numpy as np
+
+from repro.columnar.pointstable import PointsTable
 from repro.engine.accumulators import Accumulator, counter
 from repro.engine.context import EngineContext
 from repro.engine.rdd import RDD
@@ -149,6 +154,18 @@ class Selector:
         cache_hits = self.index_cache_hits
         cache_misses = self.index_cache_misses
 
+        # The range as (x0, y0, t0, x1, y1, t1); an unconstrained dimension
+        # is unbounded for the exact test (every instance lies in its own
+        # extent, which is what ``exact`` substitutes below).
+        inf = math.inf
+        x0, y0, x1, y1 = (
+            (spatial.min_x, spatial.min_y, spatial.max_x, spatial.max_y)
+            if spatial is not None
+            else (-inf, -inf, inf, inf)
+        )
+        t0, t1 = (temporal.start, temporal.end) if temporal is not None else (-inf, inf)
+        query_bounds = (x0, y0, t0, x1, y1, t1)
+
         def exact(inst: Instance) -> bool:
             s = spatial if spatial is not None else inst.spatial_extent
             t = temporal if temporal is not None else inst.temporal_extent
@@ -177,16 +194,20 @@ class Selector:
                 rows = table.candidate_rows(box)
             # Rows come back in partition order (downstream sampling —
             # e.g. partitioner fitting — is order-sensitive).  The exact
-            # predicate runs only on the vectorized candidate set, and is
-            # skipped entirely where the MBR *is* the shape.
-            box_exact = table.box_exact
+            # predicate runs only on the vectorized candidate set: it is
+            # skipped entirely where the MBR *is* the shape, it is one
+            # point-in-range pass over the point columns of the candidate
+            # trajectories, and it is per instance for whatever is left.
             instances = table.rows
-            out = []
-            for r in rows.tolist():
-                inst = instances[r]
-                if box_exact[r] or exact(inst):
-                    out.append(inst)
-            return out
+            keep = table.box_exact[rows]
+            inexact = np.flatnonzero(~keep)
+            if len(inexact):
+                candidates = [instances[r] for r in rows[inexact].tolist()]
+                points = PointsTable.from_instances(candidates)
+                keep[inexact] = points.rows_with_point_in(*query_bounds)
+                for k in np.flatnonzero(~points.is_trajectory).tolist():
+                    keep[inexact[k]] = exact(candidates[k])
+            return [instances[r] for r in rows[keep].tolist()]
 
         return rdd.map_partitions(filter_partition)
 

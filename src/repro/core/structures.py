@@ -37,12 +37,17 @@ from repro.temporal.windows import tumbling_windows
 class Structure(ABC):
     """Common candidate-cell interface for the three collective shapes."""
 
+    #: Which of the (x, y, t) axes the cell boxes span, in ``cell_box`` order.
+    _axes: tuple[int, ...] = ()
+
     def __init__(self) -> None:
-        # Built lazily: cell min/max coordinate arrays and a packed R-tree
-        # over them (both picklable, so a structure broadcast after
-        # prebuilding ships them to every executor).
+        # Built lazily: the cells' ST box columns, their projection onto
+        # this structure's dimensions and a packed R-tree over that (all
+        # picklable, so a structure broadcast after prebuilding ships them
+        # to every executor).
         self._packed: PackedRTree | None = None
         self._cell_arrays = None
+        self._st_boxes = None
 
     @property
     @abstractmethod
@@ -66,19 +71,58 @@ class Structure(ABC):
     def empty_instance(self, value_factory: Callable[[], list] = list):
         """An empty collective instance over this structure's cells."""
 
+    def instance_of(self, values: Sequence):
+        """A collective instance over this structure's cells with
+        ``values[i]`` in cell ``i`` — every cell entry is built once."""
+        if len(values) != self.n_cells:
+            raise ValueError("value count must match cell count")
+        # ``empty_instance`` calls its factory once per cell, in cell order.
+        return self.empty_instance(iter(values).__next__)
+
     @abstractmethod
     def _regular_candidates(self, box: STBox) -> list[int]:
         """Grid-arithmetic candidates; only valid when ``is_regular``."""
 
+    @abstractmethod
+    def _cell_parts(self) -> tuple[list[Geometry] | None, list[Duration] | None]:
+        """Per-cell ``(geometries, durations)``; ``None`` for the dimension
+        this structure ignores."""
+
     # -- candidate enumeration ---------------------------------------------------
+
+    def _cell_st_boxes(self):
+        """Lazily built ``(boxes, is_box)`` columns over the cells, id order.
+
+        ``boxes`` is the ``(6, n_cells)`` array ``(x0, y0, t0, x1, y1, t1)``
+        of every cell's MBR, ±inf on a dimension the structure ignores;
+        ``is_box[i]`` says cell ``i`` *is* that box (it has no geometry or
+        an :class:`Envelope`), so the array kernels can decide it exactly.
+        """
+        if self._st_boxes is None:
+            geoms, durs = self._cell_parts()
+            boxes = np.empty((6, self.n_cells), dtype=np.float64)
+            boxes[:3] = -np.inf
+            boxes[3:] = np.inf
+            is_box = np.ones(self.n_cells, dtype=bool)
+            if geoms is not None:
+                envs = [g.envelope for g in geoms]
+                boxes[[0, 1, 3, 4]] = np.array(
+                    [(e.min_x, e.min_y, e.max_x, e.max_y) for e in envs]
+                ).T
+                is_box = np.array([isinstance(g, Envelope) for g in geoms])
+            if durs is not None:
+                boxes[[2, 5]] = np.array([(d.start, d.end) for d in durs]).T
+            self._st_boxes = (boxes, is_box)
+        return self._st_boxes
 
     def _cell_box_arrays(self):
         """Lazily built ``(mins, maxs)`` arrays of every cell box, id order."""
         if self._cell_arrays is None:
-            boxes = [self.cell_box(i) for i in range(self.n_cells)]
+            boxes, _ = self._cell_st_boxes()
+            axes = list(self._axes)
             self._cell_arrays = (
-                np.array([b.mins for b in boxes], dtype=np.float64),
-                np.array([b.maxs for b in boxes], dtype=np.float64),
+                np.ascontiguousarray(boxes[axes].T),
+                np.ascontiguousarray(boxes[[a + 3 for a in axes]].T),
             )
         return self._cell_arrays
 
@@ -140,6 +184,8 @@ class Structure(ABC):
 class TimeSeriesStructure(Structure):
     """A sequence of time slots (1-d)."""
 
+    _axes = (2,)
+
     def __init__(self, slots: Sequence[Duration], _grid: GridIndex | None = None):
         super().__init__()
         if not slots:
@@ -185,6 +231,9 @@ class TimeSeriesStructure(Structure):
         """Project an instance MBR onto this structure's dimensions."""
         return STBox.from_duration(temporal)
 
+    def _cell_parts(self):
+        return None, self.slots
+
     def _regular_candidates(self, box: STBox) -> list[int]:
         return self._grid.candidate_cells(box)
 
@@ -201,6 +250,8 @@ class TimeSeriesStructure(Structure):
 
 class SpatialMapStructure(Structure):
     """A set of spatial cells (2-d)."""
+
+    _axes = (0, 1)
 
     def __init__(self, geometries: Sequence[Geometry], _grid: GridIndex | None = None):
         super().__init__()
@@ -239,6 +290,9 @@ class SpatialMapStructure(Structure):
         """Project an instance MBR onto this structure's dimensions."""
         return STBox.from_envelope(spatial)
 
+    def _cell_parts(self):
+        return self.geometries, None
+
     def _regular_candidates(self, box: STBox) -> list[int]:
         # Swap (x, y) -> (y, x) to match the grid's dimension order.
         swapped = STBox((box.mins[1], box.mins[0]), (box.maxs[1], box.maxs[0]))
@@ -264,6 +318,8 @@ class SpatialMapStructure(Structure):
 
 class RasterStructure(Structure):
     """A set of (geometry, duration) cells (3-d)."""
+
+    _axes = (0, 1, 2)
 
     def __init__(
         self,
@@ -354,6 +410,9 @@ class RasterStructure(Structure):
     def query_box(self, spatial: Envelope, temporal: Duration) -> STBox:
         """Project an instance MBR onto this structure's dimensions."""
         return STBox.from_st(spatial, temporal)
+
+    def _cell_parts(self):
+        return [g for g, _ in self.cells], [d for _, d in self.cells]
 
     def _regular_candidates(self, box: STBox) -> list[int]:
         swapped = STBox(

@@ -34,6 +34,10 @@ def _fan_out_batch(
     return routed
 
 
+def _same_partition(partition: list) -> list:
+    return partition
+
+
 def _routed_pid(pair: tuple[int, Instance]) -> int:
     return pair[0]
 
@@ -144,14 +148,24 @@ class STPartitioner(ABC):
         is routed in parallel through :meth:`assign_batch` — one vectorized
         call per partition.  An empty ``rdd`` has nothing to fit on or
         route and is returned as is (unfitted).
+
+        The input is evaluated once: where tasks share the driver's memory,
+        the sample and the shuffle both read one privately persisted child
+        of ``rdd`` (``rdd`` itself comes back as it went in, persisted or
+        not).  A persist cache does not cross the process backend's pickle
+        boundary, so there the lineage runs for the sample and again for
+        the shuffle, as on any unpersisted RDD.
         """
         from repro.columnar.cache import invalidate_partition_indexes
 
+        source = rdd
+        if not rdd.is_cached and not rdd.ctx.backend.requires_serializable_tasks:
+            rdd = rdd.map_partitions(_same_partition).persist()
         sample = [x for p in rdd.sample(sample_fraction, seed)._collect_partitions() for x in p]
         if not sample:
             sample = rdd.take(1000)
         if not sample:
-            return rdd
+            return source
         self.fit(sample)
         if getattr(rdd.ctx, "strict", False):
             from repro.engine.sanitizer import validate_partitioner

@@ -127,6 +127,61 @@ class TestPartitionExecution:
         assert dup.count() >= plain.count()
 
 
+class TestPartitionEvaluatesInputOnce:
+    """``partition()`` fits on a sample and then shuffles: one evaluation of
+    the input lineage must serve both (it used to load+filter twice)."""
+
+    @staticmethod
+    def _counting_source(ctx, events, computed):
+        def load(split, part):
+            computed.append(split)  # threads share the list; append is atomic
+            return part
+
+        return ctx.parallelize(events, 4).map_partitions_with_index(load)
+
+    @pytest.mark.parametrize("backend", ["sequential", "thread"])
+    @pytest.mark.parametrize("duplicate", [False, True])
+    def test_each_input_partition_computed_once(self, backend, duplicate, events):
+        ctx = EngineContext(default_parallelism=4, backend=backend)
+        try:
+            computed: list[int] = []
+            source = self._counting_source(ctx, events, computed)
+            out = TSTRPartitioner(2, 4).partition(source, duplicate=duplicate)
+            primaries = [ev.data for ev in out.collect() if ev.dup_primary]
+        finally:
+            ctx.backend.stop()
+        assert sorted(computed) == [0, 1, 2, 3]
+        assert sorted(primaries) == sorted(ev.data for ev in events)
+        assert not source.is_cached  # the caller's RDD comes back as it went in
+
+    def test_persisted_input_is_used_as_is(self, events):
+        ctx = EngineContext(default_parallelism=4)
+        computed: list[int] = []
+        source = self._counting_source(ctx, events, computed).persist()
+        out = TSTRPartitioner(2, 4).partition(source)
+        assert out.count() == len(events)
+        assert sorted(computed) == [0, 1, 2, 3]
+        assert source.is_cached
+
+    def test_boundaries_and_layout_do_not_depend_on_staging(self, events):
+        # Same (seed, split) sample RNG either way: a persisted input and a
+        # lazy one fit the same boundaries and shuffle to the same layout.
+        ctx = EngineContext(default_parallelism=4)
+        lazy, kept = TSTRPartitioner(2, 4), TSTRPartitioner(2, 4)
+        a = lazy.partition(ctx.parallelize(events, 4).map(lambda ev: ev))
+        b = kept.partition(ctx.parallelize(events, 4).persist())
+        assert lazy.boundaries() == kept.boundaries()
+        layout = lambda rdd: [[ev.data for ev in p] for p in rdd._collect_partitions()]
+        assert layout(a) == layout(b)
+
+    def test_empty_input_returned_as_is(self):
+        ctx = EngineContext(default_parallelism=2)
+        source = ctx.parallelize([], 2)
+        p = TSTRPartitioner(2, 2)
+        assert p.partition(source) is source
+        assert not p.is_fitted and not source.is_cached
+
+
 class TestHashPartitioner:
     def test_deterministic(self, events):
         p = HashPartitioner(8)
