@@ -217,6 +217,53 @@ def test_micro_traj_raster_allocate(benchmark):
     }
 
 
+def test_micro_event_raster_fused(benchmark, tmp_path):
+    """Event→raster flow over 30 v2 blocks × 8×8×24 cells, through
+    ``Pipeline.run`` on the bench backend (``REPRO_BENCH_BACKEND``).
+
+    Fails on any cell difference from the staged operator chain, or when
+    the fused scan decoded a single row.
+    """
+    from repro.core import Pipeline, RasterStructure
+    from repro.core.converters import Event2RasterConverter
+    from repro.core.extractors import RasterFlowExtractor
+    from repro.instances import Event
+    from repro.stio import StDataset
+
+    rng = random.Random(19)
+    spatial = Envelope(1.0, 1.0, 7.0, 7.0)
+    temporal = Duration(10_000.0, 70_000.0)
+    blocks = [
+        [
+            Event.of_point(rng.uniform(0, 8), rng.uniform(0, 8), rng.uniform(0, 86_400), data=i)
+            for i in range(1_000)
+        ]
+        for _ in range(30)
+    ]
+    path = str(tmp_path / "events")
+    StDataset.write(path, blocks, "event", block_format="v2")
+
+    def pipeline():
+        return Pipeline(
+            Selector(spatial, temporal),
+            Event2RasterConverter(RasterStructure.regular(spatial, temporal, 8, 8, 24)),
+            RasterFlowExtractor(),
+        )
+
+    ctx = fresh_ctx()
+    fused = pipeline()
+    assert fused.explain(ctx, path)["path"] == "fused"
+    counts = benchmark(lambda: fused.run(ctx, path).cell_values())
+
+    staged = pipeline()
+    chain = staged.extractor.extract(
+        staged.converter.convert(staged.selector.select(ctx, path))
+    ).cell_values()
+    assert counts == chain
+    assert sum(counts) > 0
+    assert fused.selector.last_load_stats.rows_decoded == 0
+
+
 def test_micro_report(benchmark, boxes, queries):
     """Pruning factor summary: counted intersection tests per query."""
 

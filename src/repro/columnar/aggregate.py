@@ -5,8 +5,8 @@ collective instance in Python — one ``local`` call, one ``Entry`` rebuild,
 and (at merge time) two structure-equality checks per cell.  This module
 replaces those loops with a :class:`CellTable`: a structure-of-arrays
 partial holding dense numpy value/count columns keyed by cell id, built
-with scatter-add kernels (``np.bincount`` for sums and counts,
-``ufunc.at`` for min/max) and merged with elementwise column ops.
+with scatter-add kernels (``np.bincount`` for sums and counts) and merged
+with elementwise column ops.
 
 An :class:`AggSpec` is the columnar compilation of one extractor's
 ``local``/``merge``/``finalize`` triple:
@@ -36,7 +36,7 @@ for that partition.
 from __future__ import annotations
 
 from abc import ABC, abstractmethod
-from typing import Any, Sequence
+from typing import Any, NamedTuple, Sequence
 
 import numpy as np
 
@@ -51,12 +51,11 @@ __all__ = [
     "CountSpec",
     "FieldMeanSpec",
     "PortionSpeedSpec",
+    "ScanWork",
     "TransitSpec",
     "WholeTrajSpeedSpec",
     "cell_counts",
     "scatter_count",
-    "scatter_max",
-    "scatter_min",
     "scatter_sum",
 ]
 
@@ -83,21 +82,32 @@ def scatter_count(cell_ids, n_cells: int):
     return np.bincount(cell_ids, minlength=n_cells).astype(np.int64, copy=False)
 
 
-def scatter_min(cell_ids, values, n_cells: int):
-    """Per-cell minimum; empty cells hold ``+inf``."""
-    out = np.full(n_cells, np.inf)
-    np.minimum.at(out, cell_ids, values)
-    return out
-
-
-def scatter_max(cell_ids, values, n_cells: int):
-    """Per-cell maximum; empty cells hold ``-inf``."""
-    out = np.full(n_cells, -np.inf)
-    np.maximum.at(out, cell_ids, values)
-    return out
-
-
 _COMBINE_OPS = ("sum", "min", "max")
+
+
+class ScanWork(NamedTuple):
+    """Counted work behind a fused-scan partial, summed along the reduce.
+
+    A process worker's counters cannot reach the driver's ``LoadStats`` /
+    ``AllocationStats``, so they travel *with* the partial and are noted
+    once, driver-side — exact on every backend.  ``records``: rows the
+    extent mask admitted; ``rows_decoded``: payloads unpickled;
+    ``quarantined``: names of blocks skipped under ``on_corrupt``.
+    """
+
+    blocks: int = 0
+    rows_scanned: int = 0
+    records: int = 0
+    rows_decoded: int = 0
+    nbytes: int = 0
+    instances: int = 0
+    candidate_tests: int = 0
+    exact_tests: int = 0
+    allocations: int = 0
+    quarantined: tuple = ()
+
+    def __add__(self, other: "ScanWork") -> "ScanWork":  # type: ignore[override]
+        return ScanWork(*[a + b for a, b in zip(self, other)])
 
 
 class CellTable:
@@ -114,10 +124,12 @@ class CellTable:
     single broadcast structure, so type + cell count is the invariant
     worth checking here).  ``rows`` and ``partials`` feed the obs
     counters: total (cell, value) pairs aggregated, and how many
-    per-instance partials were folded in.
+    per-instance partials were folded in.  ``work`` is the
+    :class:`ScanWork` of a table a fused block scan produced (``None`` for
+    one built from a converted instance).
     """
 
-    __slots__ = ("n_cells", "columns", "ops", "kind", "rows", "partials")
+    __slots__ = ("n_cells", "columns", "ops", "kind", "rows", "partials", "work")
 
     def __init__(
         self,
@@ -127,6 +139,7 @@ class CellTable:
         kind: str,
         rows: int = 0,
         partials: int = 1,
+        work: ScanWork | None = None,
     ):
         for name, op in ops.items():
             if op not in _COMBINE_OPS:
@@ -137,6 +150,7 @@ class CellTable:
         self.kind = kind
         self.rows = rows
         self.partials = partials
+        self.work = work
 
     @property
     def nbytes(self) -> int:
@@ -182,6 +196,7 @@ class CellTable:
             self.kind,
             rows=self.rows + other.rows,
             partials=self.partials + other.partials,
+            work=self.work + other.work if self.work and other.work else None,
         )
 
 
@@ -280,6 +295,16 @@ class CountSpec(AggSpec):
             type(instance).__name__,
             rows=int(counts.sum()),
         )
+
+    def from_cells(self, cells, n_cells: int, kind: str, work=None) -> CellTable:
+        """The partial of one allocation, from its cell id per pair alone.
+
+        A spec has this method only if its partial needs no instance payload
+        and merges by integer addition (no fixed merge order): the two
+        things :class:`~repro.core.pipeline.Pipeline`'s fused scan needs.
+        """
+        counts = {"count": scatter_count(cells, n_cells)}
+        return CellTable(n_cells, counts, {"count": "sum"}, kind, len(cells), work=work)
 
     def finalize(self, table: CellTable) -> list:
         return table.columns["count"].tolist()

@@ -146,6 +146,12 @@ class PackedRTree:
             )
         self._levels = levels
 
+    def __getstate__(self) -> dict:
+        # Probe counters are one process's observations, not part of the
+        # index: a tree inside a broadcast structure must pickle the same
+        # before and after it is queried (strict mode, REPRO109).
+        return {**self.__dict__, "stats": RTreeStats()}
+
     # -- introspection -----------------------------------------------------------
 
     def __len__(self) -> int:

@@ -286,6 +286,19 @@ class ToCollectiveConverter:
         self.method = method
         self.stats = AllocationStats()
 
+    def broadcast_structure(self, ctx):
+        """Broadcast the structure, every lazily cached cell array prebuilt:
+        once on the "driver", not per executor (Section 4.2), and *before*
+        the broadcast — its value must not change under its tasks (REPRO109).
+        """
+        structure = self.structure
+        structure._cell_box_arrays()  # builds _cell_st_boxes on the way
+        if self.method == "rtree" or (
+            self.method == "auto" and not structure.is_regular
+        ):
+            structure.packed_rtree()
+        return ctx.broadcast(structure, record_count=structure.n_cells)
+
     def convert(
         self,
         rdd: RDD,
@@ -314,17 +327,7 @@ class ToCollectiveConverter:
             rdd = rdd.filter(_is_primary)
             if pre_map is not None:
                 rdd = rdd.map(pre_map)
-            # Build the cell columns (and index) once on the "driver" and
-            # broadcast them, rather than rebuilding per executor (Section
-            # 4.2) — a broadcast value must not change under its tasks.
-            self.structure._cell_box_arrays()
-            if self.method == "rtree" or (
-                self.method == "auto" and not self.structure.is_regular
-            ):
-                self.structure.packed_rtree()
-            broadcast = rdd.ctx.broadcast(
-                self.structure, record_count=self.structure.n_cells
-            )
+            broadcast = self.broadcast_structure(rdd.ctx)
             method = self.method
             stats = self.stats
 

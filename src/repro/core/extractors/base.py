@@ -247,23 +247,23 @@ class CellAggExtractor(ABC):
 
         return [p[0] for p in rdd.map_partitions(premerge)._collect_partitions() if p]
 
-    def merge_partials(self, partials: list) -> CollectiveInstance:
+    def merge_partials(self, partials: list):
         """Partial list → finalized features, via ``tree_reduce``'s pairing.
 
-        Driver-side adjacent pairing ``(0, 1), (2, 3), …`` with an odd
-        leftover passed through — the same rounds
-        :meth:`~repro.engine.rdd.RDD._pairwise_rounds` runs, which is
+        The driver-side rounds of
+        :meth:`~repro.engine.rdd.RDD._pairwise_rounds` — adjacent pairing
+        ``(0, 1), (2, 3), …``, an odd leftover passed through — which is
         what makes incremental results bit-identical to batch ones.
-        Raises on an empty list (nothing was ever selected).
+        ``CellTable`` partials (what a fused scan banks) pair the same way
+        and come back as the merged *table*: the pipeline, which holds the
+        structure, builds the instance.  Raises on an empty list (nothing
+        was ever selected).
         """
         if not partials:
             raise ValueError("cannot merge an empty partial list")
-        merge = self.merge
-        parts = list(partials)
-        while len(parts) > 1:
-            paired = [
-                (parts[i], parts[i + 1]) for i in range(0, len(parts) - 1, 2)
-            ]
-            leftover = [parts[-1]] if len(parts) % 2 else []
-            parts = [a.merge_with(b, merge) for a, b in paired] + leftover
-        return parts[0].map_value(self.finalize)
+        from repro.columnar.aggregate import CellTable
+
+        tables = isinstance(partials[0], CellTable)
+        merge = CellTable.merge if tables else (lambda a, b: a.merge_with(b, self.merge))
+        merged = RDD._pairwise_rounds(None, merge, list(partials), 0)[0]
+        return merged if tables else merged.map_value(self.finalize)

@@ -40,6 +40,31 @@ if TYPE_CHECKING:  # pragma: no cover
     from repro.partitioners.base import STPartitioner
 
 
+def _refine(candidates: list, spatial, temporal):
+    """Exact ST-range verdict for candidates whose MBR is not their shape.
+
+    One point-in-range pass over the point columns of the trajectories,
+    ``Instance.intersects`` per instance for the rest; an unconstrained
+    dimension is unbounded (every instance lies in its own extent).
+    """
+    inf = math.inf
+    x0, y0, x1, y1 = (
+        (spatial.min_x, spatial.min_y, spatial.max_x, spatial.max_y)
+        if spatial is not None
+        else (-inf, -inf, inf, inf)
+    )
+    t0, t1 = (temporal.start, temporal.end) if temporal is not None else (-inf, inf)
+    points = PointsTable.from_instances(candidates)
+    keep = points.rows_with_point_in(x0, y0, t0, x1, y1, t1)
+    for k in np.flatnonzero(~points.is_trajectory).tolist():
+        inst = candidates[k]
+        keep[k] = inst.intersects(
+            spatial if spatial is not None else inst.spatial_extent,
+            temporal if temporal is not None else inst.temporal_extent,
+        )
+    return keep
+
+
 class Selector:
     """Select instances in an ST range and balance them across partitions.
 
@@ -154,23 +179,6 @@ class Selector:
         cache_hits = self.index_cache_hits
         cache_misses = self.index_cache_misses
 
-        # The range as (x0, y0, t0, x1, y1, t1); an unconstrained dimension
-        # is unbounded for the exact test (every instance lies in its own
-        # extent, which is what ``exact`` substitutes below).
-        inf = math.inf
-        x0, y0, x1, y1 = (
-            (spatial.min_x, spatial.min_y, spatial.max_x, spatial.max_y)
-            if spatial is not None
-            else (-inf, -inf, inf, inf)
-        )
-        t0, t1 = (temporal.start, temporal.end) if temporal is not None else (-inf, inf)
-        query_bounds = (x0, y0, t0, x1, y1, t1)
-
-        def exact(inst: Instance) -> bool:
-            s = spatial if spatial is not None else inst.spatial_extent
-            t = temporal if temporal is not None else inst.temporal_extent
-            return inst.intersects(s, t)
-
         def filter_partition(partition: list) -> list:
             if not partition:
                 return []
@@ -194,19 +202,15 @@ class Selector:
                 rows = table.candidate_rows(box)
             # Rows come back in partition order (downstream sampling —
             # e.g. partitioner fitting — is order-sensitive).  The exact
-            # predicate runs only on the vectorized candidate set: it is
-            # skipped entirely where the MBR *is* the shape, it is one
-            # point-in-range pass over the point columns of the candidate
-            # trajectories, and it is per instance for whatever is left.
+            # predicate runs only on the vectorized candidate set, and is
+            # skipped entirely where the MBR *is* the shape.
             instances = table.rows
             keep = table.box_exact[rows]
             inexact = np.flatnonzero(~keep)
             if len(inexact):
-                candidates = [instances[r] for r in rows[inexact].tolist()]
-                points = PointsTable.from_instances(candidates)
-                keep[inexact] = points.rows_with_point_in(*query_bounds)
-                for k in np.flatnonzero(~points.is_trajectory).tolist():
-                    keep[inexact[k]] = exact(candidates[k])
+                keep[inexact] = _refine(
+                    [instances[r] for r in rows[inexact].tolist()], spatial, temporal
+                )
             return [instances[r] for r in rows[keep].tolist()]
 
         return rdd.map_partitions(filter_partition)
@@ -275,15 +279,9 @@ class Selector:
         tracer = ctx.tracer
         if tracer is None:  # pragma: no cover - span implies a tracer
             return
-        probes = self.rtree_probes.value
-        tracer.counter("rtree_probes", probes)
-        span.args["rtree_probes"] = probes
-        hits = self.index_cache_hits.value
-        misses = self.index_cache_misses.value
-        tracer.counter("selection_index_hits", hits)
-        tracer.counter("selection_index_misses", misses)
-        span.args["selection_index_hits"] = hits
-        span.args["selection_index_misses"] = misses
+        for probes in (self.rtree_probes, self.index_cache_hits, self.index_cache_misses):
+            tracer.counter(probes.name, probes.value)
+            span.args[probes.name] = probes.value
         stats = self.last_load_stats if from_disk else None
         if stats is not None:
             pruned = stats.partitions_total - stats.partitions_selected

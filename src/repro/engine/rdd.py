@@ -649,7 +649,7 @@ class RDD(Generic[T]):
         if not partials:
             raise ValueError("cannot reduce an empty RDD")
         n_partials = len(partials)
-        result, rounds, stage_rounds = self._pairwise_rounds(f, partials, depth)
+        result, rounds, stage_rounds = self._pairwise_rounds(self.ctx, f, partials, depth)
         if stats is not None:
             stats["partials"] = n_partials
             stats["rounds"] = rounds
@@ -686,18 +686,20 @@ class RDD(Generic[T]):
         partials = [p[0] for p in folded._collect_partitions()]
         if not partials:
             return copy.deepcopy(zero)
-        result, _, _ = self._pairwise_rounds(comb, partials, depth)
+        result, _, _ = self._pairwise_rounds(self.ctx, comb, partials, depth)
         return result
 
+    @staticmethod
     def _pairwise_rounds(
-        self, f: Callable[[T, T], T], partials: list, depth: int
+        ctx, f: Callable[[T, T], T], partials: list, depth: int
     ) -> tuple[T, int, int]:
         """Merge ``partials`` by adjacent pairing until one remains.
 
-        Rounds below ``depth`` run as engine stages when more than one
-        pair exists; later (or single-pair) rounds merge on the driver.
-        The pairing is the same either way, so results are depth-invariant
-        for any ``f`` — even a non-associative one.
+        Rounds below ``depth`` run as engine stages on ``ctx`` when more
+        than one pair exists; later (or single-pair) rounds merge on the
+        driver (``depth=0`` never touches ``ctx``).  The pairing is the
+        same either way, so results are depth-invariant for any ``f`` —
+        even a non-associative one.
         """
         rounds = 0
         stage_rounds = 0
@@ -708,7 +710,7 @@ class RDD(Generic[T]):
             ]
             leftover = [partials[-1]] if len(partials) % 2 else []
             if rounds < depth and len(paired) > 1:
-                stage = self.ctx.from_partitions(paired, copy=False)
+                stage = ctx.from_partitions(paired, copy=False)
                 merged = _MapPartitionsRDD(
                     stage, lambda _, pair: [f(pair[0], pair[1])]
                 )._collect_partitions()

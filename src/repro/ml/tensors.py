@@ -96,10 +96,10 @@ def sliding_window_dataset(
             f"sequence of length {sequence.shape[0]} too short for "
             f"history={history}, horizon={horizon}"
         )
-    feature_size = int(np.prod(sequence.shape[1:])) if sequence.ndim > 1 else 1
-    X = np.empty((n_samples, history * feature_size), dtype=np.float64)
-    y = np.empty((n_samples, feature_size), dtype=np.float64)
-    for i in range(n_samples):
-        X[i] = sequence[i : i + history].reshape(-1)
-        y[i] = sequence[i + history + horizon - 1].reshape(-1)
-    return X, y
+    flat = np.asarray(sequence, dtype=np.float64).reshape(sequence.shape[0], -1)
+    # The window axis lands last; put it before the features so a sample
+    # flattens time-major.  One C-order copy each: the results own their
+    # memory (the views alias ``sequence`` and are read-only).
+    windows = np.lib.stride_tricks.sliding_window_view(flat, history, axis=0)
+    X = np.array(windows[:n_samples].transpose(0, 2, 1), order="C")
+    return X.reshape(n_samples, -1), np.array(flat[history + horizon - 1 :], order="C")

@@ -158,7 +158,8 @@ class V2Block:
                 f"supported ({BLOCK_VERSION})"
             )
         if mmap:
-            buf = np.memmap(self.path, dtype=np.uint8, mode="r")
+            # As a str: np.memmap ``resolve()``s a Path, a syscall per part.
+            buf = np.memmap(str(self.path), dtype=np.uint8, mode="r")
         else:
             buf = np.frombuffer(self.path.read_bytes(), dtype=np.uint8)
         if payload_off > len(buf):
@@ -237,15 +238,15 @@ class V2Block:
 
     # -- payload decode -------------------------------------------------------------
 
-    def _decode_row(self, row: int, codec: str):
-        start = self._payload_off + int(self._offsets[row])
-        end = self._payload_off + int(self._offsets[row + 1])
-        value = pickle.loads(memoryview(self._buf[start:end]))
-        return decode_record(value) if codec == "tuple" else value
-
     def decode_rows(self, rows, codec: str) -> list:
         """Unpickle only the given rows (the pruned-load payload path)."""
-        return [self._decode_row(int(r), codec) for r in rows]
+        # One memoryview of the payload region and one list of the offsets
+        # up front: slicing the memmap per row costs more than the unpickle.
+        payload = memoryview(self._buf)[self._payload_off :]
+        offsets = self._offsets.tolist()
+        rows = np.asarray(rows).tolist()
+        values = (pickle.loads(payload[offsets[r] : offsets[r + 1]]) for r in rows)
+        return [decode_record(v) for v in values] if codec == "tuple" else list(values)
 
     def decode_all(self, codec: str) -> list:
         """Unpickle every row (full scan / residency load)."""

@@ -34,8 +34,10 @@ class LoadStats:
 
     ``partitions_total`` vs ``partitions_read`` is the pruning ratio;
     ``records_loaded`` is what Figure 5c/d plot as "memory loaded" — for
-    v2 blocks under query pushdown that is the rows whose payloads were
-    actually unpickled, which is the whole point of the format.
+    v2 blocks under query pushdown that is the rows the extent mask
+    admitted, which is the whole point of the format.  ``rows_decoded``
+    counts the payloads actually unpickled: the same for a staged read, 0
+    for a block a column scan (``read(scan=...)``) decided from its extents.
     ``partitions_selected`` is known at :meth:`StDataset.read` time (how
     many partitions survived metadata pruning), while ``partitions_read``
     counts the *distinct* block files deserialized so far — they converge
@@ -54,6 +56,7 @@ class LoadStats:
     partitions_selected: int = 0
     partitions_read: int = 0
     records_loaded: int = 0
+    rows_decoded: int = 0
     bytes_read: int = 0
     files: set[str] = field(default_factory=set)
     partitions_quarantined: int = 0
@@ -81,8 +84,19 @@ class LoadStats:
             self.files.add(filename)
             self.partitions_read += 1
             self.records_loaded += records
+            self.rows_decoded += records
             self.bytes_read += nbytes
             return True
+
+    def note_scan(self, work) -> None:
+        """Account a column scan from the ``ScanWork`` its partials carried back."""
+        with self._lock:
+            self.partitions_read += work.blocks
+            self.records_loaded += work.records
+            self.rows_decoded += work.rows_decoded
+            self.bytes_read += work.nbytes
+        for filename in work.quarantined:
+            self.note_quarantined(filename)
 
     def note_quarantined(self, filename: str) -> None:
         """Count one undecodable block skipped under ``on_corrupt="quarantine"``."""
@@ -123,6 +137,12 @@ class _DiskPartitionRDD(RDD):
     rows.  Shipping this RDD to a process worker moves the directory path
     and partition metadata — never block bytes; each worker mmaps its own
     blocks locally.
+
+    ``scan`` switches a v2 read to the column-scan compute mode: the
+    partition is ``[scan(block, codec)]`` — the partial the callable
+    computes off the opened block — not decoded records (a quarantined
+    block: ``[scan.skipped(filename)]``), under the same corruption
+    handling; the accounting rides back inside the partials.
     """
 
     def __init__(
@@ -135,6 +155,7 @@ class _DiskPartitionRDD(RDD):
         on_corrupt: str = "raise",
         block_format: str = "v1",
         query_box: STBox | None = None,
+        scan=None,
     ):
         super().__init__(ctx, max(1, len(metas)))
         self._directory = directory
@@ -144,16 +165,16 @@ class _DiskPartitionRDD(RDD):
         self._on_corrupt = on_corrupt
         self._block_format = block_format
         self._query_box = query_box
+        self._scan = scan
 
     def _inject_corrupt_read(self, path: Path) -> None:
         """Honor an active fault plan's ``corrupt_read`` rules.
 
-        v1 mangles the actually-read bytes; v2 never reads the whole file,
-        so the plan decides on a small probe instead — the decision (and
-        its per-file read counter) depends only on the path, keeping chaos
-        runs format-agnostic.  Raising instead of decoding garbage means
-        the retry loop's re-read sees the (clean) on-disk bytes and
-        recovers.
+        v2 never reads the whole file, so the plan decides on a small
+        probe, for both formats — the decision (and its per-file read
+        counter) depends only on the path, keeping chaos runs
+        format-agnostic.  Raising instead of decoding garbage means the
+        retry loop's re-read sees the (clean) on-disk bytes and recovers.
         """
         plan = getattr(self.ctx, "fault_plan", None)
         if plan is None:
@@ -173,28 +194,12 @@ class _DiskPartitionRDD(RDD):
         path = self._directory / meta.filename
         if self._block_format == "v2":
             return self._compute_v2(meta, path)
+        self._inject_corrupt_read(path)
         raw = path.read_bytes()
-        plan = getattr(self.ctx, "fault_plan", None)
-        if plan is not None:
-            mangled = plan.corrupt_read(path, raw)
-            if mangled is not raw:
-                from repro.engine.errors import InjectedFault
-
-                # Raise instead of decoding garbage: the retry loop's
-                # re-read sees the (clean) on-disk bytes and recovers.
-                raise InjectedFault(
-                    f"injected corrupt read of {meta.filename}",
-                    site=meta.filename,
-                )
         try:
             records = pickle.loads(raw)
         except Exception as exc:
-            from repro.engine.errors import CorruptPartitionError
-
-            if self._on_corrupt == "quarantine":
-                self._stats.note_quarantined(meta.filename)
-                return []
-            raise CorruptPartitionError(meta.filename, repr(exc)) from exc
+            return self._undecodable(meta, exc)
         self._stats.note_block(meta.filename, len(records), len(raw))
         if self._codec == "pickle":
             return list(records)
@@ -204,6 +209,8 @@ class _DiskPartitionRDD(RDD):
         self._inject_corrupt_read(path)
         try:
             block = open_v2_block(path)
+            if self._scan is not None:
+                return [self._scan(block, self._codec)]
             if self._query_box is not None and block.filterable:
                 rows = block.candidate_rows(self._query_box)
                 records = block.decode_rows(rows, self._codec)
@@ -212,16 +219,24 @@ class _DiskPartitionRDD(RDD):
                 records = block.decode_all(self._codec)
                 nbytes = block.index_nbytes + block.payload_nbytes()
         except Exception as exc:
-            from repro.engine.errors import CorruptPartitionError
-
-            if self._on_corrupt == "quarantine":
-                self._stats.note_quarantined(meta.filename)
-                return []
-            raise CorruptPartitionError(meta.filename, repr(exc)) from exc
+            return self._undecodable(meta, exc)
         self._stats.note_block(meta.filename, len(records), nbytes)
         return records
 
+    def _undecodable(self, meta: PartitionMeta, exc: Exception) -> list:
+        """``on_corrupt``: raise, or quarantine the block as an empty partition."""
+        if self._on_corrupt != "quarantine":
+            from repro.engine.errors import CorruptPartitionError
+
+            raise CorruptPartitionError(meta.filename, repr(exc)) from exc
+        if self._scan is not None:
+            return [self._scan.skipped(meta.filename)]
+        self._stats.note_quarantined(meta.filename)
+        return []
+
     def __getstate__(self):
+        if self._scan is not None:
+            return dict(self.__dict__)  # a scan's accounting rides its partials
         # Shipping this source to process workers means the blocks are read
         # worker-side, where mutations of the driver's LoadStats are
         # invisible.  Account for the whole read now — exact: v1 from
@@ -264,8 +279,6 @@ class StDataset:
     """
 
     BLOCK_PATTERNS = {"v1": "part-{:05d}.pkl", "v2": "part-{:05d}.stb"}
-    #: Legacy alias (v1); prefer ``BLOCK_PATTERNS``.
-    BLOCK_PATTERN = BLOCK_PATTERNS["v1"]
 
     def __init__(self, directory: str | Path):
         self.directory = Path(directory)
@@ -639,6 +652,7 @@ class StDataset:
         use_metadata: bool = True,
         on_corrupt: str = "raise",
         offset: int = 0,
+        scan=None,
     ) -> tuple[RDD, LoadStats]:
         """A lazy RDD over the partitions that may contain matching data.
 
@@ -660,10 +674,15 @@ class StDataset:
         block files: the partition loads empty and
         ``LoadStats.partitions_quarantined`` counts it, instead of the
         default :class:`~repro.engine.errors.CorruptPartitionError`.
+
+        ``scan`` (v2 only; how ``Pipeline`` lowers aggregate plans) makes
+        each partition ``[scan(block, codec)]``, not the block's records.
         """
         if on_corrupt not in ("raise", "quarantine"):
             raise ValueError("on_corrupt must be 'raise' or 'quarantine'")
         meta = self.cached_metadata()
+        if scan is not None and meta.block_format != "v2":
+            raise ValueError("a column scan needs v2 blocks")
         candidates = meta.partitions[offset:] if offset else meta.partitions
         if use_metadata:
             selected = [p for p in candidates if p.overlaps(spatial, temporal)]
@@ -689,6 +708,7 @@ class StDataset:
             on_corrupt=on_corrupt,
             block_format=meta.block_format,
             query_box=query_box,
+            scan=scan,
         )
         return rdd, stats
 

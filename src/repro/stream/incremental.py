@@ -23,12 +23,12 @@ from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import TYPE_CHECKING, Any
 
-from repro.stio.dataset import StDataset
 from repro.temporal.duration import Duration
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.core.pipeline import Pipeline
     from repro.engine.context import EngineContext
+    from repro.stio.dataset import StDataset
 
 
 class StaleStreamStateError(RuntimeError):
@@ -49,11 +49,11 @@ class StreamState:
     — pruned blocks are consumed too, they just contribute nothing).
     ``fingerprint`` is the ``(filename, count)`` of the last consumed
     block: appends never touch it, compaction rewrites it, which is how
-    staleness is detected.  ``partials`` holds one unfinalized partial
-    collective instance per selected block, in block order — the exact
-    inputs ``tree_reduce`` would pair in a batch run.  The whole object
-    is plain picklable data, so it checkpoints through
-    :class:`~repro.engine.faults.PipelineCheckpoint` as-is.
+    staleness is detected.  ``partials`` holds one unfinalized partial per
+    selected block, in block order — what ``tree_reduce`` would pair in a
+    batch run: a ``CellTable`` when the plan lowers to the fused scan, else
+    a partial collective instance.  All plain picklable data, so the state
+    checkpoints through :class:`~repro.engine.faults.PipelineCheckpoint`.
     """
 
     position: int = 0
@@ -105,15 +105,23 @@ def _extract_new_partials(
     source,
     use_metadata: bool,
     offset: int,
+    fused: "StDataset | None",
 ) -> tuple[list, int, int]:
     """Select/convert/premerge blocks ``[offset:]`` into per-block partials.
 
-    Returns ``(partials, blocks_selected, records_loaded)``.
+    Returns ``(partials, blocks_selected, records_loaded)``.  A plan that
+    lowers to the fused scan over dataset ``fused`` banks that scan's tables.
     """
+    if fused is not None:
+        tables = pipeline._fused_scan(
+            ctx, fused, reduce=False, use_metadata=use_metadata, offset=offset
+        )
+        stats = pipeline.selector.last_load_stats
+        return tables, stats.partitions_selected, stats.records_loaded
     sel = _incremental_selector(pipeline)
     selected = sel.select(ctx, source, use_metadata=use_metadata, offset=offset)
-    stats = sel.last_load_stats
-    if stats is not None and stats.partitions_selected == 0:
+    stats = sel.last_load_stats  # never None: the source is a directory
+    if not stats.partitions_selected:
         # Every new block pruned: nothing to convert.  (An RDD over zero
         # blocks still has one empty partition, and conversion would
         # dutifully emit a zero partial for it — which a batch run over
@@ -123,11 +131,7 @@ def _extract_new_partials(
     if pipeline.converter is not None:
         data = pipeline.converter.convert(data)
     partials = pipeline.extractor.extract_partials(data)
-    return (
-        partials,
-        stats.partitions_selected if stats is not None else len(partials),
-        stats.records_loaded if stats is not None else 0,
-    )
+    return partials, stats.partitions_selected, stats.records_loaded
 
 
 def run_incremental(
@@ -174,7 +178,7 @@ def run_incremental(
         )
 
     state = state if state is not None else StreamState()
-    ds = StDataset(source)
+    path, _, ds = pipeline._lower(source)
     meta = ds.cached_metadata()
     blocks = meta.partitions
     if state.position > len(blocks):
@@ -198,7 +202,8 @@ def run_incremental(
     records = 0
     if blocks_new:
         new_partials, blocks_selected, records = _extract_new_partials(
-            pipeline, ctx, source, use_metadata, state.position
+            pipeline, ctx, source, use_metadata, state.position,
+            ds if path == "fused" else None,
         )
     all_partials = state.partials + new_partials
     new_state = replace(
@@ -211,9 +216,11 @@ def run_incremental(
         generation=meta.generation,
         partials=all_partials,
     )
-    result = (
-        pipeline.extractor.merge_partials(all_partials) if all_partials else None
-    )
+    result = None
+    if all_partials:
+        result = pipeline.extractor.merge_partials(all_partials)
+        if path == "fused":
+            result = pipeline._shell(result)
     tracer = ctx.tracer
     if tracer is not None:
         tracer.counter("incremental_runs", 1)
@@ -243,33 +250,30 @@ def _run_since(
         if sel.temporal is None
         else sel.temporal.intersection(horizon)
     )
+    nothing = IncrementalRun(
+        result=None, state=None, blocks_new=0, blocks_selected=0, records_loaded=0
+    )
     if temporal is None:
         # The query window ends at or before the watermark: nothing new
         # can ever match.
-        return IncrementalRun(
-            result=None, state=None, blocks_new=0, blocks_selected=0,
-            records_loaded=0,
-        )
-    inc_sel = _incremental_selector(pipeline, temporal=temporal)
-    data = inc_sel.select(ctx, source, use_metadata=use_metadata)
-    stats = inc_sel.last_load_stats
-    selected = stats.partitions_selected if stats is not None else 0
-    if selected == 0:
-        return IncrementalRun(
-            result=None, state=None, blocks_new=0, blocks_selected=0,
-            records_loaded=0,
-        )
-    if pipeline.converter is not None:
-        data = pipeline.converter.convert(data)
-    result = (
-        pipeline.extractor.extract(data)
-        if pipeline.extractor is not None
-        else data
+        return nothing
+    # The slice is an ordinary run of the same plan under a narrowed
+    # window, so it lowers exactly as ``Pipeline.run`` does.
+    from repro.core.pipeline import Pipeline
+
+    inc = Pipeline(
+        _incremental_selector(pipeline, temporal=temporal),
+        pipeline.converter,
+        pipeline.extractor,
     )
+    selected = inc.explain(ctx, source, use_metadata=use_metadata)["blocks_selected"]
+    if selected == 0:
+        return nothing
+    result = inc.run(ctx, source, use_metadata=use_metadata)
     return IncrementalRun(
         result=result,
         state=None,
         blocks_new=selected,
         blocks_selected=selected,
-        records_loaded=stats.records_loaded if stats is not None else 0,
+        records_loaded=inc.selector.last_load_stats.records_loaded,
     )

@@ -256,3 +256,40 @@ class TestCollectiveConversions:
         rdd = ctx.parallelize([sm], 1)
         with pytest.raises(Exception):  # surfaces as TaskFailure wrapping TypeError
             CollectiveToSingularConverter().convert(rdd).collect()
+
+
+class TestStrictModeConversion:
+    """Every allocation method must keep its broadcast structure unchanged
+    under ``EngineContext(strict=True)`` (REPRO109): R-tree probe counters
+    stay out of the broadcast value and every lazily cached cell array is
+    built before the broadcast."""
+
+    @pytest.mark.parametrize("backend", ["sequential", "thread", "process"])
+    @pytest.mark.parametrize("method", ["regular", "rtree", "naive"])
+    def test_counts_match_the_oracle(self, backend, method):
+        from repro.core.converters import Event2RasterConverter
+        from repro.core.extractors import RasterFlowExtractor
+        from tests import reference
+
+        events = make_events(200, seed=4, extent=1.0, t_extent=100.0)
+        structure = RasterStructure.regular(Envelope(0, 0, 1, 1), Duration(0, 100), 4, 4, 4)
+        options = {"warmup": False, "max_workers": 2} if backend == "process" else None
+        with EngineContext(
+            default_parallelism=4, backend=backend, backend_options=options, strict=True
+        ) as strict_ctx:
+            converted = Event2RasterConverter(structure, method=method).convert(
+                strict_ctx.parallelize(events, 4)
+            )
+            counts = RasterFlowExtractor().extract(converted).cell_values()
+        assert counts == [len(c) for c in reference.allocate(events, structure, method)]
+
+    def test_a_queried_tree_pickles_like_a_fresh_one(self):
+        import pickle
+
+        structure = SpatialMapStructure.regular(Envelope(0, 0, 10, 10), 4, 4)
+        tree = structure.packed_rtree()
+        before = pickle.dumps(tree)
+        tree.query_coords([1.0, 1.0], [2.0, 2.0])
+        assert tree.stats.queries == 1
+        assert pickle.dumps(tree) == before
+        assert pickle.loads(before).stats.queries == 0

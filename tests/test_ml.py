@@ -74,6 +74,33 @@ class TestTensors:
         with pytest.raises(ValueError):
             sliding_window_dataset(np.arange(3, dtype=float), history=3, horizon=1)
 
+    @pytest.mark.parametrize("shape", [(12,), (12, 3), (12, 2, 3)])
+    @pytest.mark.parametrize("horizon", [1, 3])
+    @pytest.mark.parametrize("history", [1, 4])
+    def test_sliding_window_equals_the_copy_loop(self, shape, horizon, history):
+        """The strided build against the per-sample loop it replaced."""
+        seq = np.random.default_rng(3).normal(size=shape)
+        n = shape[0] - history - horizon + 1
+        features = int(np.prod(shape[1:]))
+        want_x = np.empty((n, history * features))
+        want_y = np.empty((n, features))
+        for i in range(n):
+            want_x[i] = seq[i : i + history].reshape(-1)
+            want_y[i] = seq[i + history + horizon - 1].reshape(-1)
+        X, y = sliding_window_dataset(seq, history=history, horizon=horizon)
+        assert (X.dtype, y.dtype) == (np.float64, np.float64)
+        assert np.array_equal(X, want_x) and np.array_equal(y, want_y)
+        # Fresh, writable arrays: a caller normalising in place must not
+        # write through to (or be refused by a view of) the sequence.
+        before = seq.copy()
+        X += 1.0
+        y += 1.0
+        assert np.array_equal(seq, before)
+
+    def test_sliding_window_accepts_integer_sequences(self):
+        X, y = sliding_window_dataset(np.arange(6), history=2)
+        assert X.dtype == np.float64 and X.tolist()[0] == [0.0, 1.0] and y[0][0] == 2.0
+
 
 class TestExport:
     @pytest.fixture
