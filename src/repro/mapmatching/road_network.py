@@ -173,7 +173,7 @@ class RoadNetwork:
             _, _, dist, _ = self._by_id[seg_id].project(lon, lat)
             if dist <= radius_meters:
                 hits.append((seg_id, dist))
-        hits.sort(key=lambda h: h[1])
+        hits.sort(key=lambda h: (h[1], h[0]))
         return hits[:max_candidates]
 
     # -- routing -----------------------------------------------------------------------

@@ -59,6 +59,18 @@ class TestRoadNetwork:
         # Nearest first.
         assert hits == sorted(hits, key=lambda h: h[1])
 
+    def test_candidate_segments_ties_break_on_segment_id(self):
+        # Every segment meeting at a junction is equidistant (0 m) from it:
+        # their order must be a function of the data, not of index layout.
+        net = RoadNetwork.grid(120.0, 30.0, 6, 6)
+        for r in range(6):
+            for c in range(6):
+                hits = net.candidate_segments(
+                    120.0 + c * 0.005, 30.0 + r * 0.005, 50.0, max_candidates=16
+                )
+                assert len(hits) >= 4
+                assert hits == sorted(hits, key=lambda h: (h[1], h[0]))
+
     def test_candidate_segments_empty_far_away(self, grid):
         assert grid.candidate_segments(120.0, 50.0, radius_meters=100) == []
 
