@@ -16,7 +16,7 @@ from benchmarks.conftest import fresh_ctx
 from repro.core import Selector
 from repro.datasets.common import EPOCH_2013
 from repro.geometry import Envelope
-from repro.index import GridIndex, RTree, STBox
+from repro.index import GridIndex, STBox
 from repro.temporal import Duration
 
 N_BOXES = 5_000
@@ -52,20 +52,6 @@ def queries():
     return out
 
 
-def test_micro_rtree_build(benchmark, boxes):
-    benchmark(lambda: RTree.build(boxes, capacity=16))
-
-
-def test_micro_rtree_query(benchmark, boxes, queries):
-    tree = RTree.build(boxes, capacity=16)
-
-    def run():
-        return sum(len(tree.query(q)) for q in queries)
-
-    total = benchmark(run)
-    assert total > 0
-
-
 def test_micro_bruteforce_query(benchmark, boxes, queries):
     def run():
         return sum(
@@ -84,7 +70,7 @@ def test_micro_packed_rtree_build(benchmark, boxes):
 
 
 def test_micro_packed_rtree_query(benchmark, boxes, queries):
-    """Array-at-a-time descent vs the pointer-chasing query above."""
+    """Array-at-a-time descent vs the brute-force scan above."""
     pytest.importorskip("numpy")
     from repro.columnar import packed_tree_from_boxes
 
@@ -241,7 +227,7 @@ def test_micro_event_raster_fused(benchmark, tmp_path):
         for _ in range(30)
     ]
     path = str(tmp_path / "events")
-    StDataset.write(path, blocks, "event", block_format="v2")
+    StDataset.write(path, blocks, "event")
 
     def pipeline():
         return Pipeline(
@@ -268,10 +254,11 @@ def test_micro_report(benchmark, boxes, queries):
     """Pruning factor summary: counted intersection tests per query."""
 
     def measure():
-        tree = RTree.build(boxes, capacity=16)
-        tree.stats.reset()
+        from repro.columnar import packed_tree_from_boxes
+
+        tree = packed_tree_from_boxes([b for b, _ in boxes], capacity=16)
         for q in queries:
-            tree.query(q)
+            tree.query_rows(q)
         indexed_tests = tree.stats.entry_tests + tree.stats.node_tests
         brute_tests = len(boxes) * len(queries)
         return indexed_tests, brute_tests

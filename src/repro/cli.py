@@ -8,9 +8,9 @@ surface a data engineer needs without writing code:
 * ``generate`` — synthesize a seeded dataset (nyc / porto / air / osm);
 * ``index``    — T-STR-partition an existing dataset and (re)build its
   on-disk metadata index;
-* ``convert-format`` — rewrite a dataset's blocks between the v1
-  (whole-partition pickle) and v2 (mmap-able columnar) block formats,
-  preserving selection results byte-for-byte;
+* ``convert-format`` — upgrade a dataset of v1 (whole-partition pickle)
+  blocks to the mmap-able columnar block format every other command
+  reads and writes, preserving selection results;
 * ``select``   — run a metadata-pruned ST range selection and report the
   pruning statistics (``--format json`` emits the canonical result
   document the serve protocol also uses);
@@ -66,7 +66,7 @@ from repro.datasets import (
 from repro.engine import EngineContext
 from repro.geometry import Envelope
 from repro.partitioners import TSTRPartitioner
-from repro.stio import StDataset, save_dataset
+from repro.stio import DatasetMetadata, StDataset, save_dataset
 from repro.temporal import Duration
 
 _GENERATORS = {
@@ -96,18 +96,10 @@ def _cmd_generate(args: argparse.Namespace) -> int:
     instances = generator(args.records, args.seed)
     ctx = _make_ctx(args)
     partitioner = TSTRPartitioner(args.gt, args.gs) if args.indexed else None
-    save_dataset(
-        args.out,
-        instances,
-        kind,
-        partitioner=partitioner,
-        ctx=ctx,
-        block_format=args.block_format,
-    )
+    save_dataset(args.out, instances, kind, partitioner=partitioner, ctx=ctx)
     print(
         f"wrote {len(instances):,} {kind} records to {args.out} "
-        f"({'T-STR indexed' if args.indexed else 'unindexed'}, "
-        f"{args.block_format} blocks)"
+        f"({'T-STR indexed' if args.indexed else 'unindexed'})"
     )
     ctx.stop()
     return 0
@@ -123,8 +115,6 @@ def _cmd_index(args: argparse.Namespace) -> int:
         rdd,
         meta.instance_type,
         partitioner=TSTRPartitioner(args.gt, args.gs),
-        # A re-index changes the partitioning, not the storage format.
-        block_format=meta.block_format,
     )
     print(
         f"re-indexed {meta.total_records:,} records "
@@ -513,18 +503,17 @@ def _cmd_chaos(args: argparse.Namespace) -> int:
 
 
 def _cmd_convert_format(args: argparse.Namespace) -> int:
-    ds = StDataset(args.path)
-    meta = ds.metadata()
-    if meta.block_format == args.to and args.out is None:
-        print(f"{args.path} already uses block format {args.to}; nothing to do")
+    meta = DatasetMetadata.load(args.path)
+    if meta.block_format == "v2" and args.out is None:
+        print(f"{args.path} already uses block format v2; nothing to do")
         return 0
     start = time.perf_counter()
-    converted = ds.convert(args.to, out=args.out)
+    converted = StDataset(args.path).convert(out=args.out)
     elapsed = time.perf_counter() - start
     target = args.out or args.path
     print(
         f"converted {meta.total_records:,} records "
-        f"({len(meta.partitions)} partitions) {meta.block_format} -> {args.to} "
+        f"({len(meta.partitions)} partitions) {meta.block_format} -> v2 "
         f"at {target} in {elapsed:.2f}s "
         f"(generation {converted.metadata().generation})"
     )
@@ -532,7 +521,7 @@ def _cmd_convert_format(args: argparse.Namespace) -> int:
 
 
 def _cmd_info(args: argparse.Namespace) -> int:
-    meta = StDataset(args.path).metadata()
+    meta = DatasetMetadata.load(args.path)
     non_empty = [p for p in meta.partitions if p.count]
     sizes = [p.count for p in non_empty]
     watermark = (
@@ -619,14 +608,6 @@ def build_parser() -> argparse.ArgumentParser:
     gen.add_argument("--no-indexed", dest="indexed", action="store_false")
     gen.add_argument("--gt", type=int, default=4)
     gen.add_argument("--gs", type=int, default=4)
-    gen.add_argument(
-        "--block-format",
-        choices=("v1", "v2"),
-        default="v1",
-        help="on-disk block layout: v1 pickles each partition whole, v2 "
-        "is the mmap-able columnar format (pruned cold loads decode only "
-        "matching rows)",
-    )
     gen.set_defaults(func=_cmd_generate)
 
     idx = sub.add_parser("index", help="(re)build the T-STR on-disk index")
@@ -737,18 +718,15 @@ def build_parser() -> argparse.ArgumentParser:
 
     convert = sub.add_parser(
         "convert-format",
-        help="rewrite a dataset's blocks into another block format",
-        description="Rewrites every partition block into the target "
-        "format (v1 whole-partition pickles or v2 mmap-able columnar "
-        "blocks), preserving partition layout, record order, codec, and "
-        "bounds — selections answer byte-for-byte identically before and "
-        "after.  In place by default (the generation bumps and old-format "
-        "blocks are removed); --out writes a converted copy instead.",
+        help="upgrade a dataset of v1 blocks to the current block format",
+        description="Rewrites every v1 (whole-partition pickle) block as "
+        "an mmap-able columnar v2 block, preserving partition layout, "
+        "record order, codec, watermark and bounds — selections answer "
+        "identically before and after.  In place by default (the "
+        "generation bumps and the old blocks are removed); --out writes a "
+        "converted copy instead.",
     )
     convert.add_argument("path", type=Path)
-    convert.add_argument(
-        "--to", choices=("v1", "v2"), required=True, help="target block format"
-    )
     convert.add_argument(
         "--out",
         type=Path,

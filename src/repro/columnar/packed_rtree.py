@@ -1,18 +1,20 @@
 """STR bulk-loaded R-tree packed into per-level coordinate arrays.
 
-The scalar :class:`~repro.index.rtree.RTree` walks a tree of Python node
-objects; this variant stores each level's MBRs as ``(m, d)`` min/max
-arrays plus child-range arrays, so a query descends the tree with one
-vectorized intersection test per level instead of one Python call per
-node.  Packing uses the same Sort-Tile-Recursive slab recursion as the
-scalar tree (Leutenegger et al.), implemented over ``argsort`` index
-arrays.
+The system's one R-tree.  The paper uses R-trees in three places — the
+per-partition 3-d selection indexes (§3.1), the index over *structure
+cells* broadcast for singular→collective conversion (§4.2) and the
+road-segment index of HMM map matching (§3.2.2) — and all three only ever
+ask "which rows intersect this box".  Each level's MBRs are stored as
+``(m, d)`` min/max arrays plus child-range arrays, so a query descends the
+tree with one vectorized intersection test per level instead of one Python
+call per node.  Packing is the Sort-Tile-Recursive slab recursion of
+Leutenegger et al. (the same STR the paper's partitioner is named after),
+implemented over ``argsort`` index arrays.
 
-Candidate *sets* are identical to the scalar tree's for any query — MBR
-intersection is deterministic — but probe counts (``node_tests`` /
-``entry_tests``) depend on tree shape and differ between the two
-implementations; parity suites compare ``stats.candidates``, which both
-trees count identically.
+The candidate *set* of a query is a pure function of the boxes — MBR
+intersection is deterministic — while probe counts (``node_tests`` /
+``entry_tests``) depend on tree shape; parity suites compare rows and
+``stats.candidates`` against a brute-force scan.
 """
 
 from __future__ import annotations
@@ -23,15 +25,39 @@ from typing import Sequence
 import numpy as np
 
 from repro.index.boxes import STBox
-from repro.index.rtree import RTreeStats
+
+
+class RTreeStats:
+    """Counters updated by every query; cheap enough to always keep on."""
+
+    __slots__ = ("queries", "node_tests", "entry_tests", "candidates")
+
+    def __init__(self) -> None:
+        self.reset()
+
+    def reset(self) -> None:
+        """Zero all counters."""
+        self.queries = 0
+        self.node_tests = 0
+        self.entry_tests = 0
+        # Rows returned across all queries.  Unlike node/entry test
+        # counts, this is a pure function of the data and the queries (not
+        # of tree shape), so the parity suites compare it directly.
+        self.candidates = 0
+
+    def __repr__(self) -> str:
+        return (
+            f"RTreeStats(queries={self.queries}, node_tests={self.node_tests}, "
+            f"entry_tests={self.entry_tests}, candidates={self.candidates})"
+        )
 
 
 def _str_order(centers, capacity: int):
     """STR packing: (row order, leaf group start offsets) for ``centers``.
 
-    Mirrors the slab recursion of ``RTree._str_tile``: sort by the current
-    dimension, split into ``ceil(n_groups ** (1/(d-dim)))`` slabs, recurse
-    into the next dimension per slab.
+    The classic slab recursion: sort by the current dimension, split into
+    ``ceil(n_groups ** (1/(d-dim)))`` slabs, recurse into the next
+    dimension per slab.
     """
     ndim = centers.shape[1]
     groups: list = []

@@ -5,9 +5,9 @@ converter, and an extractor are defined up front, then executed as a
 pipeline.  Purely a convenience — each operator remains usable on its own.
 
 A plan takes one of two physical paths — the *staged* operator chain over
-RDDs of instances, or, for count aggregates over a v2 dataset, one *fused*
-column scan per block (:class:`_BlockScan`); :meth:`Pipeline.explain` says
-which and why, and docs/architecture.md §12 has the lowering rule.
+RDDs of instances, or, for count aggregates over a dataset directory, one
+*fused* column scan per block (:class:`_BlockScan`); :meth:`Pipeline.explain`
+says which and why, and docs/architecture.md §12 has the lowering rule.
 """
 
 from __future__ import annotations
@@ -26,8 +26,13 @@ from repro.obs.tracer import phase as _phase_span
 from repro.stio.dataset import StDataset
 
 
+#: Selector arguments (with their defaults) that only shape the staged
+#: path's intermediate RDD; a fused run never materialises one.
+_STAGED_ONLY_KNOBS = dict(partitioner=None, num_partitions=None, duplicate=False, index=True)
+
+
 class _BlockScan:
-    """One v2 block → its ``CellTable`` partial: the whole fused stage.
+    """One block → its ``CellTable`` partial: the whole fused stage.
 
     ``candidate_rows`` on the extent columns is the selection (exact for
     ``box_exact`` rows, as ``Selector._filter`` trusts) and
@@ -126,8 +131,8 @@ class Pipeline:
 
         Fused needs every stage to be the library's own: a customised one
         (``convert`` overridden to pass ``pre_map``/``agg``, no ``agg_spec``
-        with ``from_cells``), a ``checkpoint_dir`` or anything but tuple-codec v2
-        blocks runs staged.  ``dataset``: the opened directory source.
+        with ``from_cells``), a ``checkpoint_dir`` or a pickle-codec dataset
+        runs staged.  ``dataset``: the opened directory source.
         """
         from repro.core.converters.base import ToCollectiveConverter
         from repro.core.extractors.base import CellAggExtractor
@@ -146,28 +151,34 @@ class Pipeline:
             reason = "converter is not a plain singular→collective converter"
         elif not hasattr(spec, "from_cells"):
             reason = "extractor is not an order-free integer cell aggregate"
-        elif (meta := dataset.cached_metadata()).block_format != "v2":
-            reason = f"dataset blocks are {meta.block_format}, not v2"
-        elif meta.codec != "tuple":
-            reason = f"dataset codec is {meta.codec!r}, not 'tuple'"
+        elif (codec := dataset.cached_metadata().codec) != "tuple":
+            reason = f"dataset codec is {codec!r}, not 'tuple'"
         else:
-            return "fused", "count aggregate over v2 blocks: one column scan per block", dataset
+            return "fused", "count aggregate over a dataset: one column scan per block", dataset
         return "staged", reason, dataset
 
     def explain(self, ctx: EngineContext, source, checkpoint_dir=None, **select_kwargs) -> dict:
         """Which physical path :meth:`run` would take, without running it.
 
         ``{"path": "fused" | "staged", "reason": ..., "blocks_total": ...,
-        "blocks_selected": ...}`` — the block counts are the metadata
-        pruning of a directory source (``None`` for an RDD or a list).
+        "blocks_selected": ..., "ignored": [...]}`` — the block counts are the
+        metadata pruning of a directory source (``None`` for an RDD or a
+        list); ``ignored`` names the selector arguments a fused plan leaves
+        without effect though they were set (empty on a staged plan).
         """
         path, reason, dataset = self._lower(source, checkpoint_dir)
+        sel = self.selector
         total = selected = None
         if dataset is not None:
-            sel = self.selector
             _, stats = dataset.read(ctx, sel.spatial, sel.temporal, **select_kwargs)
             total, selected = stats.partitions_total, stats.partitions_selected
-        return dict(path=path, reason=reason, blocks_total=total, blocks_selected=selected)
+        ignored = []
+        if path == "fused":
+            knobs = _STAGED_ONLY_KNOBS.items()
+            ignored = [knob for knob, default in knobs if getattr(sel, knob) is not default]
+        return dict(
+            path=path, reason=reason, blocks_total=total, blocks_selected=selected, ignored=ignored
+        )
 
     # -- the fused path -------------------------------------------------------------
 

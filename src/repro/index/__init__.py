@@ -1,12 +1,12 @@
 """Spatial and spatio-temporal indexes.
 
-Three index families back the system, mirroring the paper:
+The index families here back partitioning, regular-structure allocation
+and the GeoMesa-like baseline; the system's R-tree — selection's
+per-partition indexes, conversion's structure-cell index and map matching's
+road-segment index — is the array-packed :class:`repro.columnar.PackedRTree`.
 
-* :class:`RTree` — STR-bulk-loaded, payload-carrying R-tree over
-  N-dimensional boxes with k-NN search; the road-segment index of map
-  matching.  (Selection's per-partition indexes and conversion's
-  structure-cell index are the array-packed
-  :class:`repro.columnar.PackedRTree`.)
+* :class:`STBox` — the N-dimensional box every index and the metadata
+  pruning test share.
 * :class:`QuadTree` — recursive spatial subdivision, backing the quad-tree
   partitioner of Section 3.1.
 * :class:`GridIndex` — regular-grid index implementing the analytic
@@ -16,14 +16,12 @@ Three index families back the system, mirroring the paper:
 """
 
 from repro.index.boxes import STBox
-from repro.index.rtree import RTree
 from repro.index.quadtree import QuadTree
 from repro.index.grid import GridIndex
 from repro.index.xz2 import xz2_key, xz2_query_ranges
 
 __all__ = [
     "STBox",
-    "RTree",
     "QuadTree",
     "GridIndex",
     "xz2_key",

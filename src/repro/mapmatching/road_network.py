@@ -6,6 +6,7 @@ import heapq
 import math
 from dataclasses import dataclass
 
+from repro.columnar.packed_rtree import PackedRTree, packed_tree_from_boxes
 from repro.geometry.distance import (
     METERS_PER_DEGREE_LAT,
     haversine_distance,
@@ -14,7 +15,6 @@ from repro.geometry.distance import (
 )
 from repro.geometry.linestring import LineString
 from repro.index.boxes import STBox
-from repro.index.rtree import RTree
 
 
 @dataclass(frozen=True)
@@ -86,7 +86,7 @@ class RoadNetwork:
             self._adjacency.setdefault(s.from_node, []).append(
                 (s.to_node, s.length_meters, s.segment_id)
             )
-        self._rtree: RTree[int] | None = None
+        self._rtree: PackedRTree | None = None
 
     # -- construction helpers -----------------------------------------------------
 
@@ -144,17 +144,16 @@ class RoadNetwork:
         """Number of directed segments."""
         return len(self.segments)
 
-    def rtree(self) -> RTree[int]:
-        """Lazily built 2-d R-tree over segment MBRs (broadcast by the
-        map-matching conversion so it is built exactly once)."""
+    def rtree(self) -> PackedRTree:
+        """Lazily built 2-d R-tree over segment MBRs, rows indexing
+        ``segments`` (broadcast by the map-matching conversion so it is
+        built exactly once)."""
         if self._rtree is None:
-            items = []
+            boxes = []
             for s in self.segments:
                 env = s.linestring().envelope
-                items.append(
-                    (STBox((env.min_x, env.min_y), (env.max_x, env.max_y)), s.segment_id)
-                )
-            self._rtree = RTree.build(items)
+                boxes.append(STBox((env.min_x, env.min_y), (env.max_x, env.max_y)))
+            self._rtree = packed_tree_from_boxes(boxes)
         return self._rtree
 
     def candidate_segments(
@@ -169,10 +168,11 @@ class RoadNetwork:
         deg_y = radius_meters / METERS_PER_DEGREE_LAT
         box = STBox((lon - deg_x, lat - deg_y), (lon + deg_x, lat + deg_y))
         hits = []
-        for seg_id in self.rtree().query(box):
-            _, _, dist, _ = self._by_id[seg_id].project(lon, lat)
+        for row in self.rtree().query_rows(box).tolist():
+            segment = self.segments[row]
+            _, _, dist, _ = segment.project(lon, lat)
             if dist <= radius_meters:
-                hits.append((seg_id, dist))
+                hits.append((segment.segment_id, dist))
         hits.sort(key=lambda h: (h[1], h[0]))
         return hits[:max_candidates]
 

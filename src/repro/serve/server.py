@@ -168,9 +168,9 @@ class DatasetState:
         missing on the same block may both decode it; the second store is
         dropped so all callers share one resident object per filename.
 
-        For v2 datasets each decode also yields a BoxTable whose extent
-        columns are views into the mmapped block file; it is seeded into
-        the selection-index cache against the *adopted* resident list, so
+        Each decode also yields a BoxTable whose extent columns are views
+        into the mmapped block file; it is seeded into the
+        selection-index cache against the *adopted* resident list, so
         the first query over a fresh block already hits the columnar
         index.  Under ``on_corrupt="quarantine"`` an undecodable block
         answers as empty (and is counted, never cached, so a repaired
@@ -179,7 +179,6 @@ class DatasetState:
         with self._lock:
             meta_snapshot = self.meta
             codec = meta_snapshot.codec
-            block_format = meta_snapshot.block_format
             selected = meta_snapshot.select_partitions(spatial, temporal)
             total = len(meta_snapshot.partitions)
             blocks: dict[str, list] = {}
@@ -195,10 +194,7 @@ class DatasetState:
                     blocks[meta.filename] = block
         decoded = {
             meta.filename: self.dataset.read_block_indexed(
-                meta,
-                codec=codec,
-                block_format=block_format,
-                on_corrupt=self.on_corrupt,
+                meta, codec=codec, on_corrupt=self.on_corrupt
             )
             for meta in misses
         }
@@ -592,7 +588,6 @@ class QueryServer:
                 "resident_blocks": self.state.resident_blocks(),
                 "blocks_loaded": self.state.blocks_loaded,
                 "blocks_quarantined": self.state.blocks_quarantined,
-                "block_format": self.state.meta.block_format,
                 "invalidations": self.state.invalidations,
             },
         }

@@ -1,9 +1,9 @@
-"""The stio v2 block format: mmap-able columnar extents + row payloads.
+"""The stio block format ("v2"): mmap-able columnar extents + row payloads.
 
-A v1 block is one pickle of the whole partition, so even a
-metadata-pruned load pays a full deserialization before the columnar
-BoxTable can be built.  A v2 block splits the partition into two regions
-so the selection hot path never touches bytes it does not need:
+One pickle of the whole partition (the retired v1 layout) makes even a
+metadata-pruned load pay a full deserialization before the columnar
+BoxTable can be built.  A block splits the partition into two regions so
+the selection hot path never touches bytes it does not need:
 
 * **extent columns** — the six structure-of-arrays BoxTable columns
   (``xmin/ymin/tmin/xmax/ymax/tmax`` as float64) plus the ``box_exact``
@@ -20,12 +20,11 @@ Layout (all little-endian, section offsets recorded in the header)::
 
 The ``filterable`` header flag is cleared when any record refuses
 ``st_bounds()`` (pickle-codec checkpoint payloads): such blocks decode
-whole, exactly like v1 — pushdown is an optimization, never a semantics
-change.  :class:`V2Block` pickles as its *path* and re-opens (re-mmaps)
-on the other side, so shipping a block handle to a process worker moves a
-filename, not megabytes; ndarray views taken from it ride pickle
-protocol 5's out-of-band buffers when they are captured by stage
-closures.
+whole — pushdown is an optimization, never a semantics change.
+:class:`V2Block` pickles as its *path* and re-opens (re-mmaps) on the
+other side, so shipping a block handle to a process worker moves a
+filename, not megabytes; ndarray views taken from it ride pickle protocol
+5's out-of-band buffers when they are captured by stage closures.
 """
 
 from __future__ import annotations
@@ -65,7 +64,16 @@ def _row_extent(record) -> tuple[float, float, float, float, float, float, bool]
 
 
 def encode_v2_block(records: Sequence, codec: str) -> bytes:
-    """Serialize one partition into the v2 on-disk layout."""
+    """Serialize one partition into the v2 on-disk layout.
+
+    ``codec`` names how each row's payload encodes: ``"tuple"`` routes it
+    through :func:`~repro.stio.formats.encode_record` (compact,
+    schema-checked); ``"pickle"`` stores it verbatim — lossless for anything
+    picklable, which is what checkpoints need (replica flags, partial
+    collective instances).
+    """
+    if codec not in ("pickle", "tuple"):
+        raise ValueError(f"unknown block codec {codec!r}")
     n = len(records)
     xmin = np.zeros(n, dtype=np.float64)
     ymin = np.zeros(n, dtype=np.float64)
@@ -254,6 +262,14 @@ class V2Block:
 
     # -- byte accounting (LoadStats currency) ---------------------------------------
 
+    def pushdown(self, query_box: STBox | None) -> tuple[np.ndarray | None, int]:
+        """``(rows, bytes)`` a read under ``query_box`` loads; ``rows`` is
+        ``None`` — every row — with no box or on a non-filterable block."""
+        rows = None
+        if query_box is not None and self.filterable:
+            rows = self.candidate_rows(query_box)
+        return rows, self.index_nbytes + self.payload_nbytes(rows)
+
     @property
     def index_nbytes(self) -> int:
         """Bytes before the payload region: header + columns + offsets."""
@@ -284,7 +300,5 @@ def scan_v2_block(path: str | Path, query_box: STBox | None) -> tuple[int, int]:
     match what the worker-side compute observes, on every backend.
     """
     block = open_v2_block(path)
-    if query_box is None or not block.filterable:
-        return block.n, block.index_nbytes + block.payload_nbytes()
-    rows = block.candidate_rows(query_box)
-    return len(rows), block.index_nbytes + block.payload_nbytes(rows)
+    rows, nbytes = block.pushdown(query_box)
+    return (block.n if rows is None else len(rows)), nbytes

@@ -13,14 +13,9 @@ from repro.engine.rdd import RDD
 from repro.geometry.envelope import Envelope
 from repro.index.boxes import STBox, st_query_box
 from repro.instances.base import Instance
-from repro.stio.blockv2 import encode_v2_block, open_v2_block, scan_v2_block
-from repro.stio.formats import decode_record, encode_record
-from repro.stio.metadata import (
-    BLOCK_FORMATS,
-    METADATA_FILENAME,
-    DatasetMetadata,
-    PartitionMeta,
-)
+from repro.stio.blockv2 import V2Block, encode_v2_block, open_v2_block, scan_v2_block
+from repro.stio.formats import decode_record
+from repro.stio.metadata import METADATA_FILENAME, DatasetMetadata, PartitionMeta
 from repro.temporal.duration import Duration
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -33,9 +28,9 @@ class LoadStats:
     """I/O accounting for one load — the currency of Figure 5.
 
     ``partitions_total`` vs ``partitions_read`` is the pruning ratio;
-    ``records_loaded`` is what Figure 5c/d plot as "memory loaded" — for
-    v2 blocks under query pushdown that is the rows the extent mask
-    admitted, which is the whole point of the format.  ``rows_decoded``
+    ``records_loaded`` is what Figure 5c/d plot as "memory loaded" — under
+    query pushdown that is the rows the extent mask admitted, which is the
+    whole point of the block format.  ``rows_decoded``
     counts the payloads actually unpickled: the same for a staged read, 0
     for a block a column scan (``read(scan=...)``) decided from its extents.
     ``partitions_selected`` is known at :meth:`StDataset.read` time (how
@@ -119,6 +114,35 @@ class LoadStats:
         self._lock = threading.Lock()
 
 
+class LegacyBlockFormatError(ValueError):
+    """The directory holds v1 (``part-*.pkl``) blocks, which are convert-only."""
+
+    def __init__(self, directory: Path):
+        super().__init__(
+            f"{directory} holds v1 blocks, a format this version only converts: "
+            f"run `repro convert-format {directory}` (StDataset.convert) first"
+        )
+
+
+def _read_v1_block(path: Path, codec: str) -> list:
+    """Decode one v1 block (a single pickle of the partition's rows) for ``convert``."""
+    rows = pickle.loads(path.read_bytes())
+    if codec == "pickle":
+        return list(rows)
+    return [decode_record(r) for r in rows]
+
+
+def _load_block(
+    path: Path, codec: str, query_box: STBox | None = None
+) -> tuple[V2Block, list, int]:
+    """``(block, records, bytes touched)`` of a read under ``query_box``: the
+    lazy and the eager reader's one open-and-decode step."""
+    block = open_v2_block(path)
+    rows, nbytes = block.pushdown(query_box)
+    records = block.decode_all(codec) if rows is None else block.decode_rows(rows, codec)
+    return block, records, nbytes
+
+
 class _DiskPartitionRDD(RDD):
     """Source RDD whose partitions deserialize lazily from block files.
 
@@ -131,14 +155,13 @@ class _DiskPartitionRDD(RDD):
     retry's re-read recovers, and quarantine stays reserved for genuinely
     bad on-disk blocks.
 
-    For ``block_format="v2"`` with a ``query_box``, the compute is the
-    pruned-load fast path: mmap the extent columns, run the vectorized
-    mask straight off disk, and unpickle payload bytes only for surviving
-    rows.  Shipping this RDD to a process worker moves the directory path
-    and partition metadata — never block bytes; each worker mmaps its own
-    blocks locally.
+    With a ``query_box`` the compute is the pruned-load fast path: mmap the
+    extent columns, run the vectorized mask straight off disk, and unpickle
+    payload bytes only for surviving rows.  Shipping this RDD to a process
+    worker moves the directory path and partition metadata — never block
+    bytes; each worker mmaps its own blocks locally.
 
-    ``scan`` switches a v2 read to the column-scan compute mode: the
+    ``scan`` switches the read to the column-scan compute mode: the
     partition is ``[scan(block, codec)]`` — the partial the callable
     computes off the opened block — not decoded records (a quarantined
     block: ``[scan.skipped(filename)]``), under the same corruption
@@ -153,7 +176,6 @@ class _DiskPartitionRDD(RDD):
         stats: LoadStats,
         codec: str = "tuple",
         on_corrupt: str = "raise",
-        block_format: str = "v1",
         query_box: STBox | None = None,
         scan=None,
     ):
@@ -163,17 +185,15 @@ class _DiskPartitionRDD(RDD):
         self._stats = stats
         self._codec = codec
         self._on_corrupt = on_corrupt
-        self._block_format = block_format
         self._query_box = query_box
         self._scan = scan
 
     def _inject_corrupt_read(self, path: Path) -> None:
         """Honor an active fault plan's ``corrupt_read`` rules.
 
-        v2 never reads the whole file, so the plan decides on a small
-        probe, for both formats — the decision (and its per-file read
-        counter) depends only on the path, keeping chaos runs
-        format-agnostic.  Raising instead of decoding garbage means the
+        A read never touches the whole file, so the plan decides on a
+        small probe — the decision (and its per-file read counter) depends
+        only on the path.  Raising instead of decoding garbage means the
         retry loop's re-read sees the (clean) on-disk bytes and recovers.
         """
         plan = getattr(self.ctx, "fault_plan", None)
@@ -192,32 +212,11 @@ class _DiskPartitionRDD(RDD):
             return []
         meta = self._metas[split]
         path = self._directory / meta.filename
-        if self._block_format == "v2":
-            return self._compute_v2(meta, path)
-        self._inject_corrupt_read(path)
-        raw = path.read_bytes()
-        try:
-            records = pickle.loads(raw)
-        except Exception as exc:
-            return self._undecodable(meta, exc)
-        self._stats.note_block(meta.filename, len(records), len(raw))
-        if self._codec == "pickle":
-            return list(records)
-        return [decode_record(r) for r in records]
-
-    def _compute_v2(self, meta: PartitionMeta, path: Path) -> list:
         self._inject_corrupt_read(path)
         try:
-            block = open_v2_block(path)
             if self._scan is not None:
-                return [self._scan(block, self._codec)]
-            if self._query_box is not None and block.filterable:
-                rows = block.candidate_rows(self._query_box)
-                records = block.decode_rows(rows, self._codec)
-                nbytes = block.index_nbytes + block.payload_nbytes(rows)
-            else:
-                records = block.decode_all(self._codec)
-                nbytes = block.index_nbytes + block.payload_nbytes()
+                return [self._scan(open_v2_block(path), self._codec)]
+            _, records, nbytes = _load_block(path, self._codec, self._query_box)
         except Exception as exc:
             return self._undecodable(meta, exc)
         self._stats.note_block(meta.filename, len(records), nbytes)
@@ -239,22 +238,18 @@ class _DiskPartitionRDD(RDD):
             return dict(self.__dict__)  # a scan's accounting rides its partials
         # Shipping this source to process workers means the blocks are read
         # worker-side, where mutations of the driver's LoadStats are
-        # invisible.  Account for the whole read now — exact: v1 from
-        # metadata (block count and file size equal what _compute
-        # observes), v2 by running the extent mask off the mmap without
-        # decoding any payload (scan_v2_block matches the worker's
-        # pushdown arithmetic).  Per-file dedupe (not an all-or-nothing
-        # guard): after a backend demotion mid-job, some blocks may
-        # already have been read — and accounted — driver-side.
+        # invisible.  Account for the whole read now — exact: the extent
+        # mask runs off the mmap without decoding any payload (scan_v2_block
+        # is the worker's pushdown arithmetic).  Per-file dedupe (not an
+        # all-or-nothing guard): after a backend demotion mid-job, some
+        # blocks may already have been read — and accounted — driver-side.
         for meta in self._metas:
             if self._stats.seen(meta.filename):
                 continue
-            path = self._directory / meta.filename
             try:
-                if self._block_format == "v2":
-                    records, nbytes = scan_v2_block(path, self._query_box)
-                else:
-                    records, nbytes = meta.count, path.stat().st_size
+                records, nbytes = scan_v2_block(
+                    self._directory / meta.filename, self._query_box
+                )
             except Exception:
                 # An unreadable block is the worker's problem to surface
                 # (CorruptPartitionError / quarantine); don't let stats
@@ -271,40 +266,21 @@ class StDataset:
     partitioned layout with its boundaries, :meth:`read` returns a lazy RDD
     over only the partitions surviving metadata pruning.
 
-    Two block formats coexist (autodetected from the metadata on read):
-    ``"v1"`` pickles each partition whole (``part-*.pkl``), ``"v2"``
-    persists mmap-able extent columns plus per-row payload offsets
-    (``part-*.stb``, :mod:`repro.stio.blockv2`) so pruned loads decode
-    only matching rows.  :meth:`convert` rewrites between them.
+    Every block is a v2 file (``part-*.stb``, :mod:`repro.stio.blockv2`):
+    mmap-able extent columns plus per-row payload offsets, so pruned loads
+    decode only matching rows.  A directory of the older whole-partition
+    pickles (``part-*.pkl``, metadata ``block_format`` ``"v1"``) is input to
+    :meth:`convert` only; every other entry point raises
+    :class:`LegacyBlockFormatError` over one.
     """
 
-    BLOCK_PATTERNS = {"v1": "part-{:05d}.pkl", "v2": "part-{:05d}.stb"}
+    BLOCK_PATTERN = "part-{:05d}.stb"
 
     def __init__(self, directory: str | Path):
         self.directory = Path(directory)
         self._meta_cache: tuple[tuple[int, int], DatasetMetadata] | None = None
 
     # -- writing ------------------------------------------------------------------
-
-    @staticmethod
-    def _encode_block(records: Sequence, codec: str, block_format: str = "v1") -> bytes:
-        """One partition's on-disk bytes under ``codec`` + ``block_format``.
-
-        ``"tuple"`` routes records through
-        :func:`~repro.stio.formats.encode_record` (compact,
-        schema-checked); ``"pickle"`` stores records verbatim — lossless
-        for anything picklable, which is what checkpoints need (replica
-        flags, partial collective instances).
-        """
-        if codec not in ("pickle", "tuple"):
-            raise ValueError(f"unknown block codec {codec!r}")
-        if block_format == "v2":
-            return encode_v2_block(records, codec)
-        if codec == "pickle":
-            encoded: list = list(records)
-        else:
-            encoded = [encode_record(r) for r in records]
-        return pickle.dumps(encoded, protocol=pickle.HIGHEST_PROTOCOL)
 
     @staticmethod
     def _block_bounds(
@@ -330,13 +306,13 @@ class StDataset:
     def _remove_orphan_blocks(directory: Path, keep: set[str]) -> None:
         """Delete ``part-*`` block files the new metadata doesn't name.
 
-        An in-place rewrite with fewer partitions (or a format conversion,
-        which changes the extension) must not leave stale blocks behind:
+        An in-place rewrite with fewer partitions (or a conversion, which
+        leaves the v1 ``.pkl`` files behind) must not leave stale blocks:
         they waste disk and poison glob-based tooling that enumerates
         ``part-*`` files instead of reading the metadata.
         """
-        for pattern in StDataset.BLOCK_PATTERNS.values():
-            for stale in directory.glob(pattern.replace("{:05d}", "*")):
+        for pattern in ("part-*.stb", "part-*.pkl"):
+            for stale in directory.glob(pattern):
                 if stale.name not in keep:
                     stale.unlink()
 
@@ -348,7 +324,6 @@ class StDataset:
         instance_type: str,
         boundaries: Sequence[STBox] | None = None,
         codec: str = "tuple",
-        block_format: str = "v1",
         watermark: float | None = None,
     ) -> "StDataset":
         """Persist partition lists and build the metadata index.
@@ -358,16 +333,11 @@ class StDataset:
         partitioner cells — are accepted for API parity but only used for
         partitions that hold no records.
         """
-        if block_format not in BLOCK_FORMATS:
-            raise ValueError(
-                f"unknown block format {block_format!r} "
-                f"(supported: {', '.join(BLOCK_FORMATS)})"
-            )
         directory = Path(directory)
         directory.mkdir(parents=True, exist_ok=True)
         # Rewriting an existing dataset in place (re-index / repartition /
-        # format conversion) is an edit like any other: continue its
-        # generation counter so long-lived readers keyed on it (the serve
+        # conversion) is an edit like any other: continue its generation
+        # counter so long-lived readers keyed on it (the serve
         # result cache) miss.  The streaming watermark survives rewrites
         # the same way — compaction reshuffles blocks, it does not change
         # what has been ingested.
@@ -380,13 +350,10 @@ class StDataset:
                     watermark = existing.watermark
             except (ValueError, FileNotFoundError):
                 generation = 1
-        pattern = cls.BLOCK_PATTERNS[block_format]
         metas = []
         for i, records in enumerate(partitions):
-            filename = pattern.format(i)
-            (directory / filename).write_bytes(
-                cls._encode_block(records, codec, block_format)
-            )
+            filename = cls.BLOCK_PATTERN.format(i)
+            (directory / filename).write_bytes(encode_v2_block(records, codec))
             bounds = cls._block_bounds(records, boundaries, i, codec)
             metas.append(PartitionMeta(filename=filename, count=len(records), bounds=bounds))
         DatasetMetadata(
@@ -394,7 +361,6 @@ class StDataset:
             partitions=metas,
             codec=codec,
             generation=generation,
-            block_format=block_format,
             watermark=watermark,
         ).save(directory)
         cls._remove_orphan_blocks(directory, {m.filename for m in metas})
@@ -408,7 +374,6 @@ class StDataset:
         instance_type: str,
         partitioner: "STPartitioner | None" = None,
         sample_fraction: float = 0.1,
-        block_format: str = "v1",
     ) -> "StDataset":
         """Optionally ST-partition an RDD, then persist it.
 
@@ -421,13 +386,7 @@ class StDataset:
             rdd, boundaries = partitioner.partition_with_info(
                 rdd, sample_fraction=sample_fraction
             )
-        return cls.write(
-            directory,
-            rdd._collect_partitions(),
-            instance_type,
-            boundaries,
-            block_format=block_format,
-        )
+        return cls.write(directory, rdd._collect_partitions(), instance_type, boundaries)
 
     def append(
         self,
@@ -440,23 +399,20 @@ class StDataset:
         The periodic-indexing workflow of Section 4.1's discussion:
         "application programmers may periodically index the new group of
         data and merge the metadata file with the existing ones."  New
-        block files continue the existing numbering and block format; the
-        metadata files are merged — incrementally: existing partition
-        entries are reused as-is, only the new blocks' entries are
-        computed.  ``watermark``, when given, is the batch's high-water
+        block files continue the existing numbering; the metadata files
+        are merged — incrementally: existing partition entries are reused
+        as-is, only the new blocks' entries are computed.
+        ``watermark``, when given, is the batch's high-water
         mark; the merge keeps the max of it and the dataset's existing
         mark, and the whole commit (partitions + generation + watermark)
         is one atomic metadata replace.
         """
         existing = self.metadata()
         offset = len(existing.partitions)
-        pattern = self.BLOCK_PATTERNS[existing.block_format]
         new_metas = []
         for i, records in enumerate(partitions):
-            filename = pattern.format(offset + i)
-            (self.directory / filename).write_bytes(
-                self._encode_block(records, existing.codec, existing.block_format)
-            )
+            filename = self.BLOCK_PATTERN.format(offset + i)
+            (self.directory / filename).write_bytes(encode_v2_block(records, existing.codec))
             bounds = self._block_bounds(records, boundaries, i, existing.codec)
             new_metas.append(
                 PartitionMeta(filename=filename, count=len(records), bounds=bounds)
@@ -466,7 +422,6 @@ class StDataset:
                 instance_type=existing.instance_type,
                 partitions=new_metas,
                 codec=existing.codec,
-                block_format=existing.block_format,
                 watermark=watermark,
             )
         )
@@ -487,30 +442,34 @@ class StDataset:
             )
         return self.append(rdd._collect_partitions(), boundaries)
 
-    def convert(
-        self, block_format: str, out: str | Path | None = None
-    ) -> "StDataset":
-        """Rewrite every block into ``block_format``; returns the result.
+    def convert(self, *, out: str | Path | None = None) -> "StDataset":
+        """Upgrade a v1 directory to the current block format; returns the result.
 
-        Partition layout, record order, codec, and per-partition bounds
-        are preserved exactly, so selections over the converted dataset
-        answer byte-for-byte identically.  With ``out=None`` the dataset
-        is converted in place (generation bumps, old-format blocks are
-        removed); otherwise a sibling copy is written and the source is
-        untouched.  Surfaced on the CLI as ``repro convert-format``.
+        The one entry point that reads v1 blocks.  Partition layout, record
+        order, codec, watermark and per-partition bounds are preserved
+        exactly, so selections over the converted dataset answer
+        identically.  With ``out=None`` the dataset is converted in place
+        (generation bumps, the ``.pkl`` blocks are removed) and a dataset
+        already converted is left untouched; otherwise a sibling copy is
+        written and the source is untouched.  Surfaced on the CLI as
+        ``repro convert-format``.
         """
-        meta = self.metadata()
-        partitions = [
-            self.read_block(m, codec=meta.codec, block_format=meta.block_format)
-            for m in meta.partitions
-        ]
+        meta = DatasetMetadata.load(self.directory)
+        if meta.block_format == "v1":
+            partitions = [
+                _read_v1_block(self.directory / m.filename, meta.codec)
+                for m in meta.partitions
+            ]
+        elif out is None:
+            return self
+        else:
+            partitions = [self.read_block(m, codec=meta.codec) for m in meta.partitions]
         return StDataset.write(
             out if out is not None else self.directory,
             partitions,
             meta.instance_type,
             boundaries=[m.bounds for m in meta.partitions],
             codec=meta.codec,
-            block_format=block_format,
             watermark=meta.watermark,
         )
 
@@ -522,7 +481,6 @@ class StDataset:
         partitioner: "STPartitioner | None" = None,
         rebalance_threshold: int | None = None,
         instance_type: str | None = None,
-        block_format: str = "v1",
     ) -> "IngestReport":
         """Append one micro-batch and advance the persisted watermark.
 
@@ -543,7 +501,6 @@ class StDataset:
             partitioner=partitioner,
             rebalance_threshold=rebalance_threshold,
             instance_type=instance_type,
-            block_format=block_format,
         )
 
     def compact(self, partitioner: "STPartitioner | None" = None) -> int:
@@ -558,9 +515,20 @@ class StDataset:
 
     # -- reading -------------------------------------------------------------------
 
+    def _current(self, meta: DatasetMetadata) -> DatasetMetadata:
+        """``meta`` — unless it names v1 blocks, which only :meth:`convert` reads."""
+        if meta.block_format == "v1":
+            raise LegacyBlockFormatError(self.directory)
+        return meta
+
     def metadata(self) -> DatasetMetadata:
-        """Load the dataset's metadata file (always re-read from disk)."""
-        return DatasetMetadata.load(self.directory)
+        """Load the dataset's metadata file (always re-read from disk).
+
+        Every reader and writer of blocks starts from this or
+        :meth:`cached_metadata`, so they are where a v1 directory is turned
+        away (``repro info`` uses :meth:`DatasetMetadata.load` directly).
+        """
+        return self._current(DatasetMetadata.load(self.directory))
 
     def cached_metadata(self) -> DatasetMetadata:
         """The parsed metadata, memoized on the file's stat signature.
@@ -575,7 +543,7 @@ class StDataset:
         signature = (stat.st_mtime_ns, stat.st_size)
         cached = self._meta_cache
         if cached is None or cached[0] != signature:
-            cached = (signature, DatasetMetadata.load(self.directory))
+            cached = (signature, self._current(DatasetMetadata.load(self.directory)))
             self._meta_cache = cached
         return cached[1]
 
@@ -583,7 +551,6 @@ class StDataset:
         self,
         meta: PartitionMeta,
         codec: str | None = None,
-        block_format: str | None = None,
         on_corrupt: str = "raise",
     ) -> list:
         """Eagerly read and decode one partition's block file.
@@ -592,53 +559,39 @@ class StDataset:
         :meth:`read` (a lazy RDD that re-reads and re-decodes per
         evaluation), this returns a plain list the caller can keep — the
         stable list identity is what lets the per-partition
-        selection-index cache hit across queries.  ``codec`` and
-        ``block_format`` default to the dataset's metadata values via
-        :meth:`cached_metadata` (a stat, not a re-parse, per call);
-        callers holding the metadata should pass both.  An undecodable
+        selection-index cache hit across queries.  ``codec`` defaults to
+        the dataset's metadata value via :meth:`cached_metadata` (a stat,
+        not a re-parse, per call); callers holding the metadata should
+        pass it.  An undecodable
         block honors the same corruption contract as the lazy reader:
         :class:`~repro.engine.errors.CorruptPartitionError` naming the
         file, or an empty list under ``on_corrupt="quarantine"``.
         """
-        records, _ = self.read_block_indexed(
-            meta, codec=codec, block_format=block_format, on_corrupt=on_corrupt
-        )
+        records, _ = self.read_block_indexed(meta, codec=codec, on_corrupt=on_corrupt)
         return records
 
     def read_block_indexed(
         self,
         meta: PartitionMeta,
         codec: str | None = None,
-        block_format: str | None = None,
         on_corrupt: str = "raise",
     ) -> tuple[list, object | None]:
         """:meth:`read_block`, plus the block's columnar selection index.
 
-        For v2 blocks the second element is a
+        The second element is a
         :class:`~repro.columnar.boxtable.BoxTable` whose extent columns
         are *views into the mmapped file* — the serve daemon seeds the
         selection-index cache with it, so resident partitions never
-        re-extract bounds instance-by-instance.  ``None`` for v1 blocks
-        and non-filterable v2 blocks.
+        re-extract bounds instance-by-instance.  ``None`` for
+        non-filterable blocks.
         """
-        if codec is None or block_format is None:
-            cached = self.cached_metadata()
-            codec = codec if codec is not None else cached.codec
-            block_format = (
-                block_format if block_format is not None else cached.block_format
-            )
-        path = self.directory / meta.filename
+        if codec is None:
+            codec = self.cached_metadata().codec
         from repro.engine.errors import CorruptPartitionError
 
         try:
-            if block_format == "v2":
-                block = open_v2_block(path)
-                records = block.decode_all(codec)
-                return records, block.boxtable(records)
-            records = pickle.loads(path.read_bytes())
-            if codec == "pickle":
-                return list(records), None
-            return [decode_record(r) for r in records], None
+            block, records, _ = _load_block(self.directory / meta.filename, codec)
+            return records, block.boxtable(records)
         except Exception as exc:
             if on_corrupt == "quarantine":
                 return [], None
@@ -665,7 +618,7 @@ class StDataset:
         ``use_metadata=False`` loads everything — the "native Spark" mode
         Figure 5 compares against.  The returned RDD still needs in-memory
         fine-grained filtering (step (3) of Figure 4); the Selector does
-        that with per-partition R-trees.  For v2 datasets a metadata-pruned
+        that with per-partition R-trees.  A metadata-pruned
         read additionally pushes the query box down to the block reader:
         extent columns are mmapped, masked off disk, and only matching
         rows' payloads are unpickled — the coarse mask is a superset of
@@ -675,14 +628,12 @@ class StDataset:
         ``LoadStats.partitions_quarantined`` counts it, instead of the
         default :class:`~repro.engine.errors.CorruptPartitionError`.
 
-        ``scan`` (v2 only; how ``Pipeline`` lowers aggregate plans) makes
-        each partition ``[scan(block, codec)]``, not the block's records.
+        ``scan`` (how ``Pipeline`` lowers aggregate plans) makes each
+        partition ``[scan(block, codec)]``, not the block's records.
         """
         if on_corrupt not in ("raise", "quarantine"):
             raise ValueError("on_corrupt must be 'raise' or 'quarantine'")
         meta = self.cached_metadata()
-        if scan is not None and meta.block_format != "v2":
-            raise ValueError("a column scan needs v2 blocks")
         candidates = meta.partitions[offset:] if offset else meta.partitions
         if use_metadata:
             selected = [p for p in candidates if p.overlaps(spatial, temporal)]
@@ -693,11 +644,7 @@ class StDataset:
             partitions_selected=len(selected),
         )
         query_box = None
-        if (
-            use_metadata
-            and meta.block_format == "v2"
-            and (spatial is not None or temporal is not None)
-        ):
+        if use_metadata and (spatial is not None or temporal is not None):
             query_box = st_query_box(spatial, temporal)
         rdd = _DiskPartitionRDD(
             ctx,
@@ -706,7 +653,6 @@ class StDataset:
             stats,
             codec=meta.codec,
             on_corrupt=on_corrupt,
-            block_format=meta.block_format,
             query_box=query_box,
             scan=scan,
         )
@@ -720,14 +666,11 @@ def save_dataset(
     partitioner: "STPartitioner | None" = None,
     num_partitions: int = 8,
     ctx: EngineContext | None = None,
-    block_format: str = "v1",
 ) -> StDataset:
     """Convenience writer from a plain instance list."""
     own_ctx = ctx or EngineContext(default_parallelism=num_partitions)
     rdd = own_ctx.parallelize(instances, num_partitions)
-    return StDataset.write_rdd(
-        directory, rdd, instance_type, partitioner, block_format=block_format
-    )
+    return StDataset.write_rdd(directory, rdd, instance_type, partitioner)
 
 
 def load_dataset(

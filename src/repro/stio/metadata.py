@@ -13,7 +13,9 @@ from repro.temporal.duration import Duration
 
 METADATA_FILENAME = "metadata.json"
 FORMAT_VERSION = 1
-#: Known per-partition block encodings; see :mod:`repro.stio.blockv2`.
+#: Block encodings a metadata file may name: every writer emits ``"v2"``
+#: (:mod:`repro.stio.blockv2`); ``"v1"`` is recognised so that
+#: ``repro convert-format`` can upgrade it.
 BLOCK_FORMATS = ("v1", "v2")
 
 
@@ -78,11 +80,12 @@ class DatasetMetadata:
     metadata files, which are all tuple-encoded.
 
     ``block_format`` names how partitions are laid out *as files*:
-    ``"v1"`` (one pickle per block, ``part-*.pkl``) or ``"v2"`` (the
-    mmap-able columnar layout of :mod:`repro.stio.blockv2`,
-    ``part-*.stb``).  Orthogonal to ``codec``, which names how individual
-    records encode *within* a block.  Absent in older metadata files,
-    which are all v1.
+    ``"v2"`` — the mmap-able columnar layout of :mod:`repro.stio.blockv2`,
+    ``part-*.stb``, which is what every writer emits — or ``"v1"`` (one
+    pickle per block, ``part-*.pkl``), kept only so such a directory is
+    recognised and sent to ``repro convert-format``.  Orthogonal to
+    ``codec``, which names how individual records encode *within* a block.
+    Absent in older metadata files, which are all v1.
 
     ``generation`` is a monotonically increasing edit counter for the
     dataset *as a whole*: every append bumps it (see :meth:`merged_with`)
@@ -110,7 +113,7 @@ class DatasetMetadata:
     version: int = FORMAT_VERSION
     codec: str = "tuple"
     generation: int = 0
-    block_format: str = "v1"
+    block_format: str = "v2"
     watermark: float | None = None
 
     @property

@@ -101,14 +101,12 @@ def ingest_batch(
     partitioner: "STPartitioner | None" = None,
     rebalance_threshold: int | None = None,
     instance_type: str | None = None,
-    block_format: str = "v1",
 ) -> IngestReport:
     """Append one micro-batch and advance the persisted watermark.
 
     The first call on a fresh directory creates the dataset
-    (``instance_type`` is required then; ``block_format`` picks the
-    block layout).  Subsequent calls inherit both from the metadata.
-    ``rebalance_threshold``, when given, triggers
+    (``instance_type`` is required then); subsequent calls inherit it from
+    the metadata.  ``rebalance_threshold``, when given, triggers
     :func:`compact_dataset` once the post-ingest block count exceeds it.
 
     Tracer counters (when a tracer is installed): ``ingest_batches``,
@@ -161,7 +159,6 @@ def ingest_batch(
             partitions,
             instance_type,
             boundaries=boundaries,
-            block_format=block_format,
             watermark=watermark,
         )
     meta = dataset.cached_metadata()
@@ -205,8 +202,8 @@ def compact_dataset(
     The rebalance arm of ingestion: reads every block, refits the
     partitioner on the *full* resident population (a default
     ``TSTRPartitioner(≈√blocks, 1)`` when none is given), and rewrites
-    in place.  Codec, block format, and — crucially — the watermark are
-    preserved; the generation bumps (an in-place rewrite is an edit) and
+    in place.  Codec and — crucially — the watermark are preserved; the
+    generation bumps (an in-place rewrite is an edit) and
     orphan blocks from the old layout are removed.  Returns the number
     of blocks the rewrite replaced.
     """
@@ -217,11 +214,7 @@ def compact_dataset(
     replaced = len(meta.partitions)
     records: list = []
     for part in meta.partitions:
-        records.extend(
-            dataset.read_block(
-                part, codec=meta.codec, block_format=meta.block_format
-            )
-        )
+        records.extend(dataset.read_block(part, codec=meta.codec))
     if not records:
         return 0
     if partitioner is None:
@@ -233,7 +226,6 @@ def compact_dataset(
         meta.instance_type,
         boundaries=boundaries,
         codec=meta.codec,
-        block_format=meta.block_format,
         watermark=meta.watermark,
     )
     tracer = current_tracer()

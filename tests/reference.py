@@ -10,8 +10,12 @@ purpose — the production paths must agree with it bit for bit.
 from __future__ import annotations
 
 import copy
+import json
+import pickle
+from pathlib import Path
 
 from repro.core.converters.base import _cell_bounds, _matches_cell, _needs_exact
+from repro.stio.formats import encode_record
 
 
 def select(instances, spatial=None, temporal=None) -> list:
@@ -24,6 +28,61 @@ def select(instances, spatial=None, temporal=None) -> list:
             temporal if temporal is not None else inst.temporal_extent,
         )
     ]
+
+
+def box_query(boxes, query) -> list[int]:
+    """Sorted rows of ``boxes`` intersecting ``query`` — what any R-tree over
+    them must return, and its ``stats.candidates`` must count."""
+    return [i for i, box in enumerate(boxes) if box.intersects(query)]
+
+
+def write_v1_dataset(
+    directory,
+    partitions,
+    instance_type,
+    codec="tuple",
+    declare_format=True,
+    watermark=None,
+) -> Path:
+    """A v1 dataset directory, byte for byte as the retired writer laid it out.
+
+    One pickle of the partition's rows per ``part-*.pkl`` (``encode_record``
+    tuples, or the records verbatim under ``codec="pickle"``) and a
+    ``metadata.json`` naming ``"block_format": "v1"`` — or, with
+    ``declare_format=False``, omitting the key as the oldest files do.
+    No writer in ``src/`` produces this any more; it exists so the one v1
+    *input* path (``StDataset.convert``) and the typed refusal everywhere
+    else stay tested.
+    """
+    directory = Path(directory)
+    directory.mkdir(parents=True, exist_ok=True)
+    metas = []
+    for i, records in enumerate(partitions):
+        rows = list(records) if codec == "pickle" else [encode_record(r) for r in records]
+        (directory / f"part-{i:05d}.pkl").write_bytes(
+            pickle.dumps(rows, protocol=pickle.HIGHEST_PROTOCOL)
+        )
+        mins, maxs = [0.0] * 3, [0.0] * 3
+        if records and all(hasattr(r, "st_box") for r in records):
+            boxes = [r.st_box() for r in records]
+            mins = [min(b.mins[d] for b in boxes) for d in range(3)]
+            maxs = [max(b.maxs[d] for b in boxes) for d in range(3)]
+        metas.append(
+            {"filename": f"part-{i:05d}.pkl", "count": len(records), "mins": mins, "maxs": maxs}
+        )
+    payload = {
+        "version": 1,
+        "instance_type": instance_type,
+        "codec": codec,
+        "generation": 0,
+        "partitions": metas,
+    }
+    if declare_format:
+        payload["block_format"] = "v1"
+    if watermark is not None:
+        payload["watermark"] = watermark
+    (directory / "metadata.json").write_text(json.dumps(payload, indent=1))
+    return directory
 
 
 def assign(partitioner, instances) -> list[int]:

@@ -38,7 +38,6 @@ from repro.engine import EngineContext
 from repro.geometry import Envelope, LineString, Point, Polygon
 from repro.index.boxes import STBox
 from repro.index.grid import GridIndex
-from repro.index.rtree import RTree
 from repro.instances import Event, Trajectory
 from repro.instances.base import Entry, Instance
 from repro.partitioners import (
@@ -114,17 +113,17 @@ class TestPackedRTreeParity:
     @given(event_sets(min_size=1), st.lists(st_boxes(), min_size=1, max_size=5))
     @settings(max_examples=50, deadline=None)
     def test_query_sets_and_candidate_counts_match(self, events, queries):
-        entries = [(e.st_box(), i) for i, e in enumerate(events)]
-        scalar = RTree.build(entries, capacity=4)
-        packed = packed_tree_from_boxes([b for b, _ in entries], capacity=4)
+        boxes = [e.st_box() for e in events]
+        packed = packed_tree_from_boxes(boxes, capacity=4)
+        candidates = 0
         for box in queries:
-            scalar_hits = sorted(scalar.query(box))
-            packed_hits = packed.query_rows(box).tolist()
-            assert packed_hits == scalar_hits
-        # candidates is shape-independent, so the two trees agree exactly;
-        # node/entry test counts are shape-dependent and may not.
-        assert packed.stats.candidates == scalar.stats.candidates
-        assert packed.stats.queries == scalar.stats.queries
+            expected = reference.box_query(boxes, box)
+            candidates += len(expected)
+            assert packed.query_rows(box).tolist() == expected
+        # candidates is a function of the data and the queries alone;
+        # node/entry test counts depend on tree shape.
+        assert packed.stats.candidates == candidates
+        assert packed.stats.queries == len(queries)
 
     def test_batch_matches_singles_and_tiny_trees(self):
         for n in (0, 1, 2, 5, 100):
@@ -138,8 +137,7 @@ class TestPackedRTreeParity:
             batch = packed.query_batch(queries)
             for box, rows in zip(queries, batch):
                 assert rows.tolist() == packed.query_rows(box).tolist()
-                expected = sorted(i for i, b in enumerate(boxes) if b.intersects(box))
-                assert rows.tolist() == expected
+                assert rows.tolist() == reference.box_query(boxes, box)
 
     def test_packed_tree_pickles(self):
         import pickle

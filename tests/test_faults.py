@@ -102,7 +102,7 @@ class TestFaultPlan:
                 plan.decide("delay", 1, partition, 1) is None
             )
         # Worker-local mutable state does not travel.
-        plan.corrupt_read("part-00000.pkl", b"xx")
+        plan.corrupt_read("part-00000.stb", b"xx")
         restored = pickle.loads(pickle.dumps(plan))
         assert restored._read_counts == {}
         assert restored.fired == []
@@ -426,17 +426,26 @@ def _write_event_dataset(directory, n=40, partitions=8):
     return events
 
 
+def _corrupt_block(directory, index, junk=b"not a block") -> str:
+    """Overwrite the ``index``-th block the metadata names; returns its filename."""
+    filename = StDataset(directory).metadata().partitions[index].filename
+    assert (directory / filename).is_file()
+    (directory / filename).write_bytes(junk)
+    return filename
+
+
 class TestCorruptPartitions:
     def test_raise_surfaces_corrupt_partition_error(self, tmp_path):
         _write_event_dataset(tmp_path / "ds")
-        (tmp_path / "ds" / "part-00002.pkl").write_bytes(b"not a pickle")
+        corrupt = _corrupt_block(tmp_path / "ds", 2)
         ctx = make_ctx()
         try:
             rdd, _ = StDataset(tmp_path / "ds").read(ctx, use_metadata=False)
             with pytest.raises(TaskFailure) as exc_info:
                 rdd.collect()
             assert isinstance(exc_info.value.cause, CorruptPartitionError)
-            assert "part-00002.pkl" in str(exc_info.value.cause)
+            assert corrupt == "part-00002.stb"
+            assert corrupt in str(exc_info.value.cause)
         finally:
             ctx.stop()
 
@@ -444,7 +453,7 @@ class TestCorruptPartitions:
         events = _write_event_dataset(tmp_path / "ds")
         meta = StDataset(tmp_path / "ds").metadata()
         lost = meta.partitions[2].count
-        (tmp_path / "ds" / "part-00002.pkl").write_bytes(b"not a pickle")
+        corrupt = _corrupt_block(tmp_path / "ds", 2)
         ctx = make_ctx()
         try:
             rdd, stats = StDataset(tmp_path / "ds").read(
@@ -452,7 +461,7 @@ class TestCorruptPartitions:
             )
             assert rdd.count() == len(events) - lost
             assert stats.partitions_quarantined == 1
-            assert stats.quarantined_files == ["part-00002.pkl"]
+            assert stats.quarantined_files == [corrupt]
         finally:
             ctx.stop()
 
@@ -460,7 +469,7 @@ class TestCorruptPartitions:
         from repro.obs import Tracer, installed
 
         _write_event_dataset(tmp_path / "ds")
-        (tmp_path / "ds" / "part-00001.pkl").write_bytes(b"junk")
+        _corrupt_block(tmp_path / "ds", 1, b"junk")
         ctx = make_ctx()
         tracer = Tracer()
         try:
@@ -532,6 +541,42 @@ class TestCheckpointResume:
                 assert pickle.dumps(result.cell_values()) == pickle.dumps(
                     baseline.cell_values()
                 )
+        finally:
+            ctx.stop()
+
+    @pytest.mark.parametrize("backend", ALL_BACKENDS)
+    def test_extentless_phase_output_round_trips(self, backend, tmp_path):
+        """Partial collective instances, and raw state with no ST extent at
+        all (a non-filterable block), come back from a checkpoint unchanged."""
+        from repro.stio import open_v2_block
+
+        events = _write_event_dataset(tmp_path / "ds", n=120, partitions=3)
+        ctx = make_ctx(backend)
+        try:
+            pipe = _flow_pipeline()
+            partials = pipe.converter.convert(ctx.parallelize(events, 3))._collect_partitions()
+            raw = [[{"windows": {0: 3, 7: [1.5, 2.0]}, "seen": 7}], [], [("k", 1), None]]
+            ckpt = PipelineCheckpoint(tmp_path / "ckpt", ctx)
+            ckpt.save("partials", ctx.from_partitions(partials))
+            ckpt.save("raw", ctx.from_partitions(raw))
+            for phase in ("partials", "raw"):
+                meta = StDataset(ckpt.phase_dir(phase)).metadata()
+                assert (meta.block_format, meta.codec) == ("v2", "pickle")
+                blocks = [open_v2_block(ckpt.phase_dir(phase) / m.filename) for m in meta.partitions]
+                assert [len(b) for b in blocks] == [m.count for m in meta.partitions]
+                if phase == "raw":
+                    assert not any(b.filterable for b in blocks if len(b))
+            assert ckpt.load("raw")._collect_partitions() == raw
+            loaded = ckpt.load("partials")._collect_partitions()
+            assert [[type(p) for p in part] for part in loaded] == [
+                [type(p) for p in part] for part in partials
+            ]
+            assert [[p.cell_values() for p in part] for part in loaded] == [
+                [p.cell_values() for p in part] for part in partials
+            ]
+            assert pickle.dumps(pipe.extractor.extract(ckpt.load("partials")).cell_values()) == (
+                pickle.dumps(pipe.extractor.extract(ctx.from_partitions(partials)).cell_values())
+            )
         finally:
             ctx.stop()
 

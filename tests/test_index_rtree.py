@@ -1,4 +1,4 @@
-"""R-tree unit + property tests (vs brute force)."""
+"""R-tree unit + property tests (``PackedRTree`` vs a brute-force scan)."""
 
 import random
 
@@ -6,116 +6,85 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.index import RTree, STBox
+from repro.columnar.packed_rtree import PackedRTree, packed_tree_from_boxes
+from repro.index import STBox
+
+from . import reference
 
 
-def random_boxes(n: int, seed: int, ndim: int = 2) -> list[tuple[STBox, int]]:
+def random_boxes(n: int, seed: int, ndim: int = 2) -> list[STBox]:
     rng = random.Random(seed)
     boxes = []
-    for i in range(n):
+    for _ in range(n):
         mins = [rng.uniform(0, 90) for _ in range(ndim)]
         maxs = [m + rng.uniform(0, 10) for m in mins]
-        boxes.append((STBox(mins, maxs), i))
+        boxes.append(STBox(mins, maxs))
     return boxes
 
 
 class TestBuild:
     def test_empty_tree(self):
-        tree = RTree.build([])
+        tree = packed_tree_from_boxes([])
         assert len(tree) == 0
         assert tree.height == 0
-        assert tree.query(STBox((0, 0), (1, 1))) == []
+        assert tree.query_rows(STBox((0, 0), (1, 1))).tolist() == []
 
     def test_single_item(self):
-        tree = RTree.build([(STBox((0, 0), (1, 1)), "a")])
+        tree = packed_tree_from_boxes([STBox((0, 0), (1, 1))])
         assert len(tree) == 1
-        assert tree.query(STBox((0.5, 0.5), (2, 2))) == ["a"]
+        assert tree.query_rows(STBox((0.5, 0.5), (2, 2))).tolist() == [0]
 
     def test_capacity_bounds_height(self):
-        items = random_boxes(1000, 1)
-        shallow = RTree.build(items, capacity=64)
-        deep = RTree.build(items, capacity=4)
+        boxes = random_boxes(1000, 1)
+        shallow = packed_tree_from_boxes(boxes, capacity=64)
+        deep = packed_tree_from_boxes(boxes, capacity=4)
         assert shallow.height < deep.height
 
     def test_invalid_capacity(self):
         with pytest.raises(ValueError):
-            RTree.build([], capacity=1)
+            packed_tree_from_boxes([], capacity=1)
+
+    def test_all_entries(self):
+        tree = packed_tree_from_boxes(random_boxes(50, 2), capacity=4)
+        assert tree.query_rows(STBox((-1, -1), (101, 101))).tolist() == list(range(50))
 
     def test_mixed_dims_rejected(self):
         with pytest.raises(ValueError):
-            RTree.build([(STBox((0,), (1,)), 0), (STBox((0, 0), (1, 1)), 1)])
-
-    def test_all_entries(self):
-        items = random_boxes(50, 2)
-        tree = RTree.build(items)
-        assert sorted(p for _, p in tree.all_entries()) == list(range(50))
+            packed_tree_from_boxes([STBox((0,), (1,)), STBox((0, 0), (1, 1))])
+        with pytest.raises(ValueError):
+            PackedRTree([[0.0], [1.0]], [[1.0, 1.0], [2.0, 2.0]])
 
 
 class TestQuery:
     @pytest.mark.parametrize("ndim", [1, 2, 3])
     def test_matches_brute_force(self, ndim):
-        items = random_boxes(400, seed=ndim, ndim=ndim)
-        tree = RTree.build(items, capacity=8)
+        boxes = random_boxes(400, seed=ndim, ndim=ndim)
+        tree = packed_tree_from_boxes(boxes, capacity=8)
         rng = random.Random(99)
+        candidates = 0
         for _ in range(20):
             mins = [rng.uniform(0, 80) for _ in range(ndim)]
             maxs = [m + rng.uniform(0, 30) for m in mins]
             q = STBox(mins, maxs)
-            expected = sorted(i for box, i in items if box.intersects(q))
-            assert sorted(tree.query(q)) == expected
+            expected = reference.box_query(boxes, q)
+            candidates += len(expected)
+            assert tree.query_rows(q).tolist() == expected
+        assert tree.stats.queries == 20
+        assert tree.stats.candidates == candidates
 
     def test_query_dim_mismatch(self):
-        tree = RTree.build(random_boxes(10, 3))
+        tree = packed_tree_from_boxes(random_boxes(10, 3))
         with pytest.raises(ValueError):
-            tree.query(STBox((0,), (1,)))
-
-    def test_query_entries_returns_boxes(self):
-        items = random_boxes(100, 4)
-        tree = RTree.build(items)
-        q = STBox((0, 0), (50, 50))
-        for box, payload in tree.query_entries(q):
-            assert box.intersects(q)
-            assert items[payload][0] == box
+            tree.query_rows(STBox((0,), (1,)))
 
     def test_stats_track_pruning(self):
-        items = random_boxes(1000, 5)
-        tree = RTree.build(items, capacity=8)
+        tree = packed_tree_from_boxes(random_boxes(1000, 5), capacity=8)
         tree.stats.reset()
-        tree.query(STBox((0, 0), (5, 5)))
+        tree.query_rows(STBox((0, 0), (5, 5)))
         # A selective query must touch far fewer entries than a full scan.
         assert 0 < tree.stats.entry_tests < 1000
         tree.stats.reset()
         assert tree.stats.queries == 0
-
-
-class TestNearest:
-    def test_nearest_matches_brute_force(self):
-        items = random_boxes(300, 7)
-        tree = RTree.build(items)
-        rng = random.Random(1)
-        for _ in range(10):
-            center = (rng.uniform(0, 100), rng.uniform(0, 100))
-
-            def dist(box: STBox) -> float:
-                import math
-
-                return math.sqrt(
-                    sum(
-                        max(lo - c, c - hi, 0.0) ** 2
-                        for c, lo, hi in zip(center, box.mins, box.maxs)
-                    )
-                )
-
-            expected = sorted((dist(box), i) for box, i in items)[:5]
-            got = tree.nearest(center, k=5)
-            assert [pytest.approx(d) for d, _ in expected] == [d for d, _ in got]
-
-    def test_nearest_k_zero(self):
-        tree = RTree.build(random_boxes(10, 8))
-        assert tree.nearest((0, 0), k=0) == []
-
-    def test_nearest_on_empty_tree(self):
-        assert RTree.build([]).nearest((0, 0), k=3) == []
 
 
 coord = st.floats(min_value=0, max_value=100, allow_nan=False)
@@ -124,28 +93,27 @@ coord = st.floats(min_value=0, max_value=100, allow_nan=False)
 @st.composite
 def box_lists(draw):
     n = draw(st.integers(1, 60))
-    items = []
-    for i in range(n):
+    boxes = []
+    for _ in range(n):
         x1, x2 = sorted((draw(coord), draw(coord)))
         y1, y2 = sorted((draw(coord), draw(coord)))
-        items.append((STBox((x1, y1), (x2, y2)), i))
-    return items
+        boxes.append(STBox((x1, y1), (x2, y2)))
+    return boxes
 
 
 class TestRTreeProperties:
     @given(box_lists(), coord, coord, coord, coord)
     @settings(max_examples=60, deadline=None)
-    def test_query_equals_brute_force(self, items, a, b, c, d):
+    def test_query_equals_brute_force(self, boxes, a, b, c, d):
         x1, x2 = sorted((a, c))
         y1, y2 = sorted((b, d))
         q = STBox((x1, y1), (x2, y2))
-        tree = RTree.build(items, capacity=4)
-        expected = sorted(i for box, i in items if box.intersects(q))
-        assert sorted(tree.query(q)) == expected
+        tree = packed_tree_from_boxes(boxes, capacity=4)
+        assert tree.query_rows(q).tolist() == reference.box_query(boxes, q)
 
     @given(box_lists())
     @settings(max_examples=30, deadline=None)
-    def test_every_item_findable_by_own_box(self, items):
-        tree = RTree.build(items, capacity=4)
-        for box, payload in items:
-            assert payload in tree.query(box)
+    def test_every_item_findable_by_own_box(self, boxes):
+        tree = packed_tree_from_boxes(boxes, capacity=4)
+        for row, box in enumerate(boxes):
+            assert row in tree.query_rows(box).tolist()

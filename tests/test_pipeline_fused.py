@@ -105,8 +105,8 @@ def lattice_event(ix: int, iy: int, it: int, i: int = 0) -> Event:
     return Event.of_point(ix * 0.5, iy * 0.5, it * 4.0, data=i)
 
 
-def write_blocks(path, blocks, block_format="v2", codec="tuple") -> str:
-    StDataset.write(path, blocks, "event", block_format=block_format, codec=codec)
+def write_blocks(path, blocks, codec="tuple") -> str:
+    StDataset.write(path, blocks, "event", codec=codec)
     return str(path)
 
 
@@ -261,7 +261,7 @@ class TestPerBlockFallback:
 
         trajs = make_trajectories(40, extent=8.0)
         span = Duration(0.0, 90_000.0)
-        StDataset.write(tmp_path / "ds", [trajs[:20], trajs[20:]], "trajectory", block_format="v2")
+        StDataset.write(tmp_path / "ds", [trajs[:20], trajs[20:]], "trajectory")
 
         def pipe():
             return Pipeline(
@@ -294,6 +294,7 @@ class TestStagedFallbackReasons:
         result = pipe.run(traced, source, **run_kwargs)
         (root,) = tracer.find("pipeline")
         assert root.args["path"] == "staged" and fragment in root.args["reason"]
+        assert info["ignored"] == root.args["ignored"] == []
         assert not tracer.find("FusedScan")
         return result
 
@@ -311,10 +312,17 @@ class TestStagedFallbackReasons:
         assert pipe.run(ctx, ctx.parallelize(events, 3)).cell_values() == oracle(pipe, events)
 
     def test_v1_blocks(self, tmp_path, ctx, events):
-        path = write_blocks(tmp_path / "v1", [events], block_format="v1")
+        """Not a fallback any more: a v1 directory is refused, then converts."""
+        from repro.stio.dataset import LegacyBlockFormatError
+
+        path = str(reference.write_v1_dataset(tmp_path / "v1", [events], "event"))
         pipe = pipeline("raster")
-        result = self.check(ctx, pipe, path, "v1")
-        assert result.cell_values() == oracle(pipe, events)
+        for call in (pipe.explain, pipe.run):
+            with pytest.raises(LegacyBlockFormatError, match="convert-format"):
+                call(ctx, path)
+        StDataset(path).convert()
+        assert pipe.explain(ctx, path)["path"] == "fused"
+        assert pipe.run(ctx, path).cell_values() == oracle(pipe, events)
 
     def test_pickle_codec(self, tmp_path, ctx, events):
         path = write_blocks(tmp_path / "pk", [events], codec="pickle")
@@ -326,7 +334,7 @@ class TestStagedFallbackReasons:
         from tests.conftest import make_trajectories
 
         trajs = make_trajectories(20, extent=8.0)
-        StDataset.write(tmp_path / "tr", [trajs], "trajectory", block_format="v2")
+        StDataset.write(tmp_path / "tr", [trajs], "trajectory")
         span = Duration(0.0, 90_000.0)
         pipe = Pipeline(
             Selector(QUERY_S, span),
@@ -374,6 +382,79 @@ class TestStagedFallbackReasons:
         assert (info["blocks_total"], info["blocks_selected"]) == (2, 1)
         assert pipeline("raster").explain(ctx, path, use_metadata=False)["blocks_selected"] == 2
         assert pipeline("raster").explain(ctx, path, offset=1)["blocks_total"] == 1
+
+    def test_explain_names_the_selector_knobs_a_fused_plan_ignores(self, tmp_path, events):
+        path = write_blocks(tmp_path / "ds", [events[0::2], events[1::2]])
+        tracer = Tracer()
+        ctx = EngineContext(default_parallelism=4, tracer=tracer)
+        assert pipeline("raster").explain(ctx, path)["ignored"] == []
+        knobs = dict(partitioner=TSTRPartitioner(2, 2), num_partitions=3, duplicate=True, index=False)
+        for knob, value in knobs.items():
+            assert pipeline("raster", **{knob: value}).explain(ctx, path)["ignored"] == [knob]
+        # Defaults spelled out are not "set"; on_corrupt/backend are honoured.
+        spelled = pipeline("raster", partitioner=None, num_partitions=None, duplicate=False,
+                           index=True, on_corrupt="quarantine", backend="thread")
+        assert spelled.explain(ctx, path)["ignored"] == []
+        # The traced root span carries it, and ignoring changes no answer.
+        pipe = pipeline("raster", **knobs)
+        result = pipe.run(ctx, path)
+        (root,) = tracer.find("pipeline")
+        assert root.args["path"] == "fused" and root.args["ignored"] == list(knobs)
+        assert result.cell_values() == oracle(pipe, events)
+        # The same selector on a staged plan (a list source) ignores nothing.
+        assert pipeline("raster", **knobs).explain(ctx, events)["ignored"] == []
+
+
+# ---------------------------------------------------------------------------
+# The default configuration reaches the fused path: no format argument anywhere
+
+
+class TestDefaultConfigurationIsFused:
+    EVENTS = [lattice_event(x, y, 8, x) for x in range(17) for y in range(17)]
+
+    def check(self, ctx, path, events):
+        pipe = pipeline("raster")
+        assert pipe.explain(ctx, path)["path"] == "fused"
+        assert pipe.run(ctx, path).cell_values() == oracle(pipe, events)
+        assert pipe.selector.last_load_stats.rows_decoded == 0
+
+    def test_save_dataset(self, tmp_path, ctx):
+        from repro.stio import save_dataset
+
+        save_dataset(tmp_path / "d", self.EVENTS, "event")
+        self.check(ctx, str(tmp_path / "d"), self.EVENTS)
+
+    def test_write(self, tmp_path, ctx):
+        StDataset.write(tmp_path / "d", [self.EVENTS[:100], self.EVENTS[100:]], "event")
+        self.check(ctx, str(tmp_path / "d"), self.EVENTS)
+
+    def test_ingest_then_run_incremental(self, tmp_path, ctx):
+        ds = StDataset(tmp_path / "d")
+        ds.ingest(self.EVENTS[:150], instance_type="event")
+        ds.ingest(self.EVENTS[150:])
+        self.check(ctx, str(tmp_path / "d"), self.EVENTS)
+        pipe = pipeline("raster")
+        run = pipe.run_incremental(ctx, str(tmp_path / "d"))
+        assert run.result.cell_values() == oracle(pipe, self.EVENTS)
+        assert pipe.selector.last_load_stats.rows_decoded == 0
+
+    def test_repro_generate(self, tmp_path, ctx, capsys):
+        from repro.cli import main
+        from repro.datasets import NYC_BBOX
+        from repro.datasets.common import EPOCH_2013
+
+        assert main(["generate", "nyc", "--records", "300", "--out", str(tmp_path / "d")]) == 0
+        capsys.readouterr()
+        spatial = NYC_BBOX.to_envelope()
+        temporal = Duration(EPOCH_2013, EPOCH_2013 + 30 * 86_400.0)
+        pipe = Pipeline(
+            Selector(spatial, temporal),
+            Event2RasterConverter(RasterStructure.regular(spatial, temporal, 4, 4, 4)),
+            RasterFlowExtractor(),
+        )
+        assert pipe.explain(ctx, str(tmp_path / "d"))["path"] == "fused"
+        assert sum(pipe.run(ctx, str(tmp_path / "d")).cell_values()) > 0
+        assert pipe.selector.last_load_stats.rows_decoded == 0
 
 
 # ---------------------------------------------------------------------------
@@ -480,7 +561,7 @@ class TestIncrementalState:
         batches = [self.batch(i) for i in range(k)]
         for batch in batches:
             StDataset(path).ingest(batch, partitioner=TSTRPartitioner(1, 2),
-                                   instance_type="event", block_format="v2")
+                                   instance_type="event")
         return batches
 
     @pytest.mark.parametrize("backend", ALL_BACKENDS)
@@ -492,7 +573,7 @@ class TestIncrementalState:
         seen = []
         for i in range(3):
             StDataset(path).ingest(self.batch(i), partitioner=TSTRPartitioner(1, 2),
-                                   instance_type="event", block_format="v2")
+                                   instance_type="event")
             seen += self.batch(i)
             run = pipe.run_incremental(ctx, path, state=state)
             state = run.state
@@ -513,7 +594,7 @@ class TestIncrementalState:
         (checkpointed,) = ckpt.load("stream-state").collect()
 
         extra = [lattice_event(x, 8, 10, 9) for x in range(17)]
-        StDataset(path).ingest(extra, block_format="v2")
+        StDataset(path).ingest(extra)
         expected = oracle(pipe, [e for b in batches for e in b] + extra)
         for state in (revived, checkpointed):
             run = pipeline("raster").run_incremental(ctx, path, state=state)

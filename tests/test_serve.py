@@ -20,7 +20,6 @@ from repro.columnar.packed_rtree import PackedRTree
 from repro.core import Selector
 from repro.engine import EngineContext
 from repro.geometry import Envelope
-from repro.index.rtree import RTree
 from repro.instances import Event
 from repro.serve import (
     AdmissionController,
@@ -264,10 +263,9 @@ class TestIndexCacheBytes:
         table = BoxTable.from_instances(events)
         mins, maxs = table.coords()
         tree = PackedRTree(mins, maxs, capacity=16)
-        scalar = RTree.build(((e.st_box(), e) for e in events), capacity=16)
         assert table.nbytes > 0
-        assert tree.nbytes > 0
-        assert scalar.nbytes >= 200 * 150  # ≥ per-entry cost floor
+        # Exact: at least the reordered entry arrays plus the row order.
+        assert tree.nbytes >= mins.nbytes + maxs.nbytes + 200 * 8
 
 
 # ---------------------------------------------------------------------------

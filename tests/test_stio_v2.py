@@ -1,4 +1,5 @@
-"""v2 block format: round-trip, parity, pushdown, conversion, corruption.
+"""The stio block format: round-trip, pushdown, corruption — and v1 as a
+convert-only input (conversion, the typed refusal everywhere else).
 
 Also the regression tests for the block-decode hot-path fixes that landed
 with the format: ``read_block`` metadata caching and corruption contract,
@@ -19,6 +20,10 @@ from repro.columnar.cache import (
 )
 from repro.core import Selector
 from repro.engine import EngineContext
+from repro.core.converters import Event2RasterConverter
+from repro.core.extractors import RasterFlowExtractor
+from repro.core.pipeline import Pipeline
+from repro.core.structures import RasterStructure
 from repro.engine.errors import CorruptPartitionError, TaskFailure
 from repro.engine.faults import FaultPlan, FaultRule
 from repro.geometry import Envelope, LineString, Point, Polygon
@@ -32,7 +37,9 @@ from repro.stio import (
     save_dataset,
     scan_v2_block,
 )
+from repro.stio.dataset import LegacyBlockFormatError
 from repro.temporal import Duration
+from tests import reference
 from tests.conftest import make_events, make_trajectories
 
 QUERY_SPATIAL = Envelope(1.0, 1.0, 3.0, 3.0)
@@ -159,7 +166,7 @@ class TestV2BlockRoundTrip:
 class TestV2Dataset:
     def test_write_uses_stb_blocks_and_autodetects(self, ctx, tmp_path):
         events = make_events(120)
-        ds = save_dataset(tmp_path / "ds", events, "event", block_format="v2")
+        ds = save_dataset(tmp_path / "ds", events, "event")
         meta = ds.metadata()
         assert meta.block_format == "v2"
         assert all(m.filename.endswith(".stb") for m in meta.partitions)
@@ -169,22 +176,24 @@ class TestV2Dataset:
 
     @pytest.mark.parametrize("mk", [make_events, make_trajectories])
     def test_selection_parity_v1_vs_v2(self, ctx, tmp_path, mk):
+        """A dataset upgraded from v1 answers as one written fresh — and as
+        the brute-force scan."""
         data = mk(150)
         itype = "event" if mk is make_events else "trajectory"
-        save_dataset(tmp_path / "v1", data, itype, block_format="v1")
-        save_dataset(tmp_path / "v2", data, itype, block_format="v2")
-        results = {}
-        for fmt in ("v1", "v2"):
+        reference.write_v1_dataset(tmp_path / "v1", [data[i::4] for i in range(4)], itype)
+        StDataset(tmp_path / "v1").convert(out=tmp_path / "upgraded")
+        save_dataset(tmp_path / "v2", data, itype)
+        expected = _identities(reference.select(data, QUERY_SPATIAL, QUERY_TEMPORAL))
+        assert expected
+        for name in ("upgraded", "v2"):
             invalidate_partition_indexes()
             selector = Selector(QUERY_SPATIAL, QUERY_TEMPORAL)
-            results[fmt] = _identities(
-                selector.select(ctx, tmp_path / fmt).collect()
-            )
-        assert results["v1"] == results["v2"]
+            got = selector.select(ctx, tmp_path / name).collect()
+            assert _identities(got) == expected
 
     def test_pruned_read_decodes_only_matching_rows(self, ctx, tmp_path):
         events = make_events(300)
-        save_dataset(tmp_path / "ds", events, "event", block_format="v2")
+        save_dataset(tmp_path / "ds", events, "event")
         rdd, stats = StDataset(tmp_path / "ds").read(
             ctx, QUERY_SPATIAL, QUERY_TEMPORAL
         )
@@ -196,7 +205,7 @@ class TestV2Dataset:
 
     def test_unpruned_read_loads_everything(self, ctx, tmp_path):
         events = make_events(100)
-        save_dataset(tmp_path / "ds", events, "event", block_format="v2")
+        save_dataset(tmp_path / "ds", events, "event")
         rdd, stats = StDataset(tmp_path / "ds").read(ctx, use_metadata=False)
         assert len(rdd.collect()) == len(events)
         assert stats.records_loaded == len(events)
@@ -204,7 +213,7 @@ class TestV2Dataset:
     def test_append_continues_v2_format(self, ctx, tmp_path):
         events = make_events(80)
         ds = save_dataset(
-            tmp_path / "ds", events[:40], "event", num_partitions=2, block_format="v2"
+            tmp_path / "ds", events[:40], "event", num_partitions=2
         )
         ds.append([events[40:60], events[60:]])
         meta = ds.metadata()
@@ -214,25 +223,25 @@ class TestV2Dataset:
         assert _identities(rdd.collect()) == _identities(events)
 
     def test_unknown_block_format_rejected(self, tmp_path):
-        with pytest.raises(ValueError, match="block format"):
+        with pytest.raises(TypeError, match="block_format"):
             StDataset.write(tmp_path / "ds", [[]], "event", block_format="v3")
         save_dataset(tmp_path / "ok", make_events(10), "event")
         meta_path = tmp_path / "ok" / "metadata.json"
-        meta_path.write_text(
-            meta_path.read_text().replace('"block_format": "v1"', '"block_format": "v9"')
-        )
+        text = meta_path.read_text()
+        assert '"block_format": "v2"' in text
+        meta_path.write_text(text.replace('"block_format": "v2"', '"block_format": "v9"'))
         with pytest.raises(ValueError, match="block format"):
             StDataset(tmp_path / "ok").metadata()
 
     def test_merge_rejects_mixed_formats(self):
         v1 = DatasetMetadata(instance_type="event", partitions=[], block_format="v1")
-        v2 = DatasetMetadata(instance_type="event", partitions=[], block_format="v2")
+        v2 = DatasetMetadata(instance_type="event", partitions=[])
         with pytest.raises(ValueError, match="block formats"):
             v1.merged_with(v2)
 
     def test_process_backend_parity(self, tmp_path):
         events = make_events(120)
-        save_dataset(tmp_path / "ds", events, "event", block_format="v2")
+        save_dataset(tmp_path / "ds", events, "event")
         seq_ctx = EngineContext(default_parallelism=4)
         proc_ctx = EngineContext(
             default_parallelism=2, backend="process", backend_options={"warmup": False}
@@ -253,45 +262,192 @@ class TestV2Dataset:
             proc_ctx.stop()
 
 
+def _non_instance_rows(n: int) -> list:
+    """Checkpoint-style payloads: picklable, but no ST extent at all."""
+    return [{"cell": i, "partial": [i, i + 1]} for i in range(n)]
+
+
+def _v1_partitions(codec: str) -> list[list]:
+    if codec == "pickle":
+        return [_non_instance_rows(7), [], _non_instance_rows(3)]
+    events = make_events(90)
+    return [events[:40], [], events[40:55], events[55:]]
+
+
+def _rows(partitions) -> list:
+    """Comparable form of every record, in partition then row order."""
+    return [
+        [r if isinstance(r, dict) else r.identity() for r in records]
+        for records in partitions
+    ]
+
+
+def _snapshot(directory) -> list:
+    return sorted((p.name, p.read_bytes()) for p in directory.iterdir())
+
+
 class TestConvert:
+    """``convert`` is the one reader of v1 directories (tests/reference.py
+    writes them; no writer in ``src/`` does)."""
+
     def test_in_place_conversion(self, ctx, tmp_path):
-        events = make_events(90)
-        ds = save_dataset(tmp_path / "ds", events, "event", num_partitions=5)
-        generation = ds.metadata().generation
-        converted = ds.convert("v2")
+        for codec in ("tuple", "pickle"):
+            for declare_format in (True, False):
+                self.check_in_place(ctx, tmp_path / f"{codec}-{declare_format}", codec, declare_format)
+
+    def check_in_place(self, ctx, directory, codec, declare_format):
+        partitions = _v1_partitions(codec)
+        reference.write_v1_dataset(
+            directory, partitions, "event", codec,
+            declare_format=declare_format, watermark=123.5,
+        )
+        before = DatasetMetadata.load(directory)
+        assert before.block_format == "v1"
+        converted = StDataset(directory).convert()
         meta = converted.metadata()
         assert meta.block_format == "v2"
-        assert meta.generation == generation + 1
-        assert not list((tmp_path / "ds").glob("part-*.pkl"))
+        assert meta.generation == before.generation + 1
+        assert (meta.instance_type, meta.codec, meta.watermark) == ("event", codec, 123.5)
+        assert [(m.count, m.bounds) for m in meta.partitions] == [
+            (m.count, m.bounds) for m in before.partitions
+        ]
+        # The .pkl orphans are gone; exactly the named .stb blocks remain.
+        assert sorted(p.name for p in directory.glob("part-*")) == [
+            m.filename for m in meta.partitions
+        ]
+        assert all(m.filename.endswith(".stb") for m in meta.partitions)
+        # Records equal the fixture's input, partition by partition, in order.
+        assert _rows(converted.read_block(m) for m in meta.partitions) == _rows(partitions)
         rdd, _ = converted.read(ctx)
-        assert _identities(rdd.collect()) == _identities(events)
+        assert _rows([rdd.collect()]) == _rows([sum(partitions, [])])
+        # A second convert is a no-op: nothing rewritten, generation unmoved.
+        after = _snapshot(directory)
+        assert converted.convert().directory == directory
+        assert _snapshot(directory) == after
 
     def test_conversion_to_copy_preserves_source(self, ctx, tmp_path):
-        events = make_events(60)
-        ds = save_dataset(tmp_path / "src", events, "event")
-        converted = ds.convert("v2", out=tmp_path / "dst")
-        assert ds.metadata().block_format == "v1"
-        assert converted.metadata().block_format == "v2"
-        from repro.index.boxes import st_query_box
+        for codec in ("tuple", "pickle"):
+            self.check_copy(ctx, tmp_path / codec, codec)
 
-        box = st_query_box(QUERY_SPATIAL, QUERY_TEMPORAL)
-        expected = _identities([e for e in events if e.st_box().intersects(box)])
-        for d in ("src", "dst"):
+    def check_copy(self, ctx, tmp_path, codec):
+        partitions = _v1_partitions(codec)
+        reference.write_v1_dataset(tmp_path / "src", partitions, "event", codec, watermark=9.0)
+        before = _snapshot(tmp_path / "src")
+        converted = StDataset(tmp_path / "src").convert(out=tmp_path / "dst")
+        assert _snapshot(tmp_path / "src") == before
+        assert DatasetMetadata.load(tmp_path / "src").block_format == "v1"
+        meta = converted.metadata()
+        assert (meta.block_format, meta.generation, meta.watermark) == ("v2", 0, 9.0)
+        assert _rows(converted.read_block(m) for m in meta.partitions) == _rows(partitions)
+        assert not list((tmp_path / "dst").glob("part-*.pkl"))
+        if codec == "tuple":
             invalidate_partition_indexes()
+            events = sum(partitions, [])
             selector = Selector(QUERY_SPATIAL, QUERY_TEMPORAL)
-            assert (
-                _identities(selector.select(ctx, tmp_path / d).collect()) == expected
-            )
+            assert _identities(
+                selector.select(ctx, tmp_path / "dst").collect()
+            ) == _identities(reference.select(events, QUERY_SPATIAL, QUERY_TEMPORAL))
 
-    def test_round_trip_back_to_v1(self, ctx, tmp_path):
-        events = make_events(70)
-        ds = save_dataset(tmp_path / "ds", events, "event", block_format="v2")
-        back = ds.convert("v1")
-        meta = back.metadata()
-        assert meta.block_format == "v1"
-        assert not list((tmp_path / "ds").glob("part-*.stb"))
-        rdd, _ = back.read(ctx)
+    def test_copy_of_a_current_dataset(self, ctx, tmp_path):
+        events = make_events(50)
+        ds = save_dataset(tmp_path / "src", events, "event", num_partitions=3)
+        copy = ds.convert(out=tmp_path / "dst")
+        assert copy.directory == tmp_path / "dst"
+        rdd, _ = copy.read(ctx)
         assert _identities(rdd.collect()) == _identities(events)
+
+    def test_cli_info_and_convert_format(self, tmp_path, capsys):
+        from repro.cli import main
+
+        events = make_events(30)
+        reference.write_v1_dataset(tmp_path / "ds", [events[:10], events[10:]], "event")
+        assert main(["info", str(tmp_path / "ds")]) == 0
+        assert "v1" in capsys.readouterr().out
+        with pytest.raises(SystemExit):
+            main(["convert-format", str(tmp_path / "ds"), "--to", "v2"])
+        capsys.readouterr()
+        assert main(["convert-format", str(tmp_path / "ds"), "--out", str(tmp_path / "up")]) == 0
+        assert "v1 -> v2" in capsys.readouterr().out
+        assert main(["convert-format", str(tmp_path / "ds")]) == 0
+        assert main(["convert-format", str(tmp_path / "ds")]) == 0
+        assert "nothing to do" in capsys.readouterr().out
+        for d in ("ds", "up"):
+            assert StDataset(tmp_path / d).metadata().total_records == 30
+        with pytest.raises(SystemExit):
+            main(["generate", "nyc", "--out", str(tmp_path / "g"), "--block-format", "v1"])
+
+
+class TestV1IsConvertOnly:
+    """Every entry point but ``convert``/``repro info`` refuses a v1 directory
+    with one typed, actionable error; ``block_format=`` is gone everywhere."""
+
+    @pytest.fixture(params=[True, False], ids=["declared", "legacy-key-absent"])
+    def v1(self, request, tmp_path):
+        events = make_events(40)
+        reference.write_v1_dataset(
+            tmp_path / "v1", [events[:20], events[20:]], "event",
+            declare_format=request.param,
+        )
+        return tmp_path / "v1"
+
+    def _pipeline(self):
+        structure = RasterStructure.regular(QUERY_SPATIAL, QUERY_TEMPORAL, 2, 2, 2)
+        return Pipeline(
+            Selector(QUERY_SPATIAL, QUERY_TEMPORAL),
+            Event2RasterConverter(structure),
+            RasterFlowExtractor(),
+        )
+
+    def test_every_entry_point_raises_the_typed_error(self, ctx, v1):
+        from repro.serve.server import DatasetState, QueryServer
+
+        ds = StDataset(v1)
+        part = DatasetMetadata.load(v1).partitions[0]
+        entry_points = {
+            "read": lambda: ds.read(ctx),
+            "read_block": lambda: ds.read_block(part),
+            "read_block_indexed": lambda: ds.read_block_indexed(part),
+            "select": lambda: Selector(QUERY_SPATIAL, QUERY_TEMPORAL).select(ctx, v1),
+            "run": lambda: self._pipeline().run(ctx, v1),
+            "explain": lambda: self._pipeline().explain(ctx, v1),
+            "run_incremental": lambda: self._pipeline().run_incremental(ctx, v1),
+            "append": lambda: ds.append([make_events(3)]),
+            "ingest": lambda: ds.ingest(make_events(3)),
+            "compact": lambda: ds.compact(),
+            "metadata": lambda: ds.metadata(),
+            "serve state": lambda: DatasetState(v1),
+            "serve start-up": lambda: QueryServer(v1),
+        }
+        before = _snapshot(v1)
+        for name, call in entry_points.items():
+            with pytest.raises(LegacyBlockFormatError, match="convert-format") as exc_info:
+                call()
+            assert str(v1) in str(exc_info.value), name
+        # Refusing is all they did: the directory is byte-for-byte untouched.
+        assert _snapshot(v1) == before
+
+    def test_block_format_argument_is_gone(self, ctx, tmp_path):
+        from repro.stio.dataset import _DiskPartitionRDD
+        from repro.stream.ingest import ingest_batch
+
+        events = make_events(12)
+        ds = save_dataset(tmp_path / "ds", events, "event", num_partitions=1)
+        part = ds.metadata().partitions[0]
+        former_sites = [
+            lambda **kw: StDataset.write(tmp_path / "w", [events], "event", **kw),
+            lambda **kw: StDataset.write_rdd(tmp_path / "w", ctx.parallelize(events, 2), "event", **kw),
+            lambda **kw: save_dataset(tmp_path / "w", events, "event", **kw),
+            lambda **kw: StDataset(tmp_path / "i").ingest(events, instance_type="event", **kw),
+            lambda **kw: ingest_batch(StDataset(tmp_path / "i"), events, instance_type="event", **kw),
+            lambda **kw: ds.read_block(part, **kw),
+            lambda **kw: ds.read_block_indexed(part, **kw),
+            lambda **kw: _DiskPartitionRDD(ctx, tmp_path / "ds", [part], None, **kw),
+        ]
+        for site in former_sites:
+            with pytest.raises(TypeError, match="block_format"):
+                site(block_format="v2")
+        with pytest.raises(TypeError):
+            ds.convert("v2")  # the former target-format positional
 
 
 # -- corruption -------------------------------------------------------------------
@@ -299,7 +455,7 @@ class TestConvert:
 
 class TestV2Corruption:
     def test_corrupt_v2_block_raises_with_filename(self, ctx, tmp_path):
-        save_dataset(tmp_path / "ds", make_events(60), "event", block_format="v2")
+        save_dataset(tmp_path / "ds", make_events(60), "event")
         (tmp_path / "ds" / "part-00001.stb").write_bytes(b"scrambled")
         rdd, _ = StDataset(tmp_path / "ds").read(ctx, use_metadata=False)
         with pytest.raises(TaskFailure) as exc_info:
@@ -309,7 +465,7 @@ class TestV2Corruption:
 
     def test_quarantine_skips_corrupt_v2_block(self, ctx, tmp_path):
         events = make_events(60)
-        save_dataset(tmp_path / "ds", events, "event", block_format="v2")
+        save_dataset(tmp_path / "ds", events, "event")
         lost = StDataset(tmp_path / "ds").metadata().partitions[1].count
         (tmp_path / "ds" / "part-00001.stb").write_bytes(b"scrambled")
         rdd, stats = StDataset(tmp_path / "ds").read(
@@ -321,7 +477,7 @@ class TestV2Corruption:
 
     def test_injected_corrupt_read_is_transient_on_v2(self, tmp_path):
         events = make_events(60)
-        save_dataset(tmp_path / "ds", events, "event", block_format="v2")
+        save_dataset(tmp_path / "ds", events, "event")
         plan = FaultPlan([FaultRule("corrupt_read", path="part-00000")])
         ctx = EngineContext(default_parallelism=4, fault_plan=plan)
         try:
@@ -367,16 +523,17 @@ class TestReadBlockRegressions:
     def test_read_block_indexed_returns_mmap_boxtable(self, tmp_path):
         events = make_events(50)
         ds = save_dataset(
-            tmp_path / "ds", events, "event", num_partitions=1, block_format="v2"
+            tmp_path / "ds", events, "event", num_partitions=1
         )
         meta = ds.metadata().partitions[0]
         records, table = ds.read_block_indexed(meta)
         assert len(records) == len(events)
         assert table is not None
         assert len(table) == len(records)
-        # v1 blocks carry no columnar sidecar.
-        ds1 = save_dataset(tmp_path / "v1", events, "event", num_partitions=1)
-        _, no_table = ds1.read_block_indexed(ds1.metadata().partitions[0])
+        # A block of extent-less payloads carries no columnar sidecar.
+        raw = StDataset.write(tmp_path / "raw", [_non_instance_rows(5)], "checkpoint", codec="pickle")
+        rows, no_table = raw.read_block_indexed(raw.metadata().partitions[0])
+        assert rows == _non_instance_rows(5)
         assert no_table is None
 
 
@@ -385,10 +542,10 @@ class TestOrphanCleanup:
         events = make_events(80)
         parts = [events[i::8] for i in range(8)]
         StDataset.write(tmp_path / "ds", parts, "event")
-        assert len(list((tmp_path / "ds").glob("part-*.pkl"))) == 8
+        assert len(list((tmp_path / "ds").glob("part-*.stb"))) == 8
         StDataset.write(tmp_path / "ds", [events[:40], events[40:]], "event")
         remaining = sorted(p.name for p in (tmp_path / "ds").glob("part-*"))
-        assert remaining == ["part-00000.pkl", "part-00001.pkl"]
+        assert remaining == ["part-00000.stb", "part-00001.stb"]
         meta = StDataset(tmp_path / "ds").metadata()
         assert meta.total_records == len(events)
 
@@ -427,7 +584,7 @@ class TestLoadStats:
 
     def test_thread_backend_load_counts_each_block_once(self, tmp_path):
         events = make_events(200)
-        save_dataset(tmp_path / "ds", events, "event", block_format="v2")
+        save_dataset(tmp_path / "ds", events, "event")
         ctx = EngineContext(default_parallelism=8, backend="thread")
         try:
             rdd, stats = StDataset(tmp_path / "ds").read(ctx, use_metadata=False)
@@ -449,7 +606,7 @@ class TestZeroCopyShipping:
 
         events = make_events(200)
         ds = save_dataset(
-            tmp_path / "ds", events, "event", num_partitions=1, block_format="v2"
+            tmp_path / "ds", events, "event", num_partitions=1
         )
         meta = ds.metadata().partitions[0]
         records, table = ds.read_block_indexed(meta)
@@ -473,7 +630,7 @@ class TestServeOverV2:
         from repro.serve.server import DatasetState
 
         events = make_events(150)
-        save_dataset(tmp_path / "ds", events, "event", block_format="v2")
+        save_dataset(tmp_path / "ds", events, "event")
         return events, DatasetState(tmp_path / "ds", **kwargs)
 
     def test_resident_blocks_seed_the_selection_cache(self, tmp_path):

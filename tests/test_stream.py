@@ -122,9 +122,10 @@ class TestWatermark:
         assert meta.generation == 1
 
     def test_convert_preserves_watermark(self, tmp_path, ctx):
-        StDataset.write(tmp_path / "ds", [make_events(40)], "event", watermark=9.0)
-        out = StDataset(tmp_path / "ds").convert("v2", out=tmp_path / "v2")
+        reference.write_v1_dataset(tmp_path / "ds", [make_events(40)], "event", watermark=9.0)
+        out = StDataset(tmp_path / "ds").convert(out=tmp_path / "v2")
         assert out.metadata().watermark == 9.0
+        assert StDataset(tmp_path / "ds").convert().metadata().watermark == 9.0
 
 
 # ---------------------------------------------------------------------------
@@ -543,6 +544,31 @@ class TestWindows:
         assert resumed.restore(ckpt)
         assert resumed.features() == win.features()
         assert resumed.records_seen == win.records_seen
+
+    @pytest.mark.parametrize("backend", ["sequential", "thread", "process"])
+    def test_checkpoint_restore_on_every_backend(self, tmp_path, backend):
+        ctx = make_ctx(backend)
+        try:
+            ckpt = PipelineCheckpoint(tmp_path / "ckpt", ctx)
+            trajs = make_trajectories(30, seed=9)
+            t_lo = min(t.temporal_extent.start for t in trajs)
+            windows = [
+                WindowedFlowExtractor(origin=0.0, size=3_600.0),
+                WindowedSpeedExtractor(origin=t_lo, size=1_800.0, step=900.0),
+            ]
+            windows[0].update(ctx.parallelize(event_batches(1)[0], 4))
+            windows[1].update(ctx.parallelize(trajs, 3))
+            for i, win in enumerate(windows):
+                win.checkpoint(ckpt, phase=f"win{i}")
+                resumed = type(win)(origin=win.origin, size=win.size, step=win.step)
+                assert resumed.restore(ckpt, phase=f"win{i}")
+                assert resumed.windows == win.windows
+                assert resumed.features() == win.features()
+                assert (resumed.records_seen, resumed.updates) == (win.records_seen, win.updates)
+                (block,) = ckpt.phase_dir(f"win{i}").glob("part-*")
+                assert block.suffix == ".stb"
+        finally:
+            ctx.stop()
 
     def test_restore_rejects_grid_mismatch(self, tmp_path, ctx):
         ckpt = PipelineCheckpoint(tmp_path / "ckpt", ctx)
