@@ -14,10 +14,13 @@ An :class:`AggSpec` is the columnar compilation of one extractor's
 * :meth:`AggSpec.build` — one partition-partial instance → its CellTable
   (the vectorized ``local`` + within-partition ``merge``);
 * :meth:`CellTable.merge` — the vectorized cross-partition ``merge``;
-* :meth:`AggSpec.finalize` — merged CellTable → per-cell feature list;
-* :meth:`AggSpec.partials` — CellTable → per-cell *unfinalized* partials
-  in the scalar representation, so a columnar partial can be demoted and
-  merged scalar-wise when a sibling partition fell back (mixed inputs).
+* :meth:`AggSpec.finalize` — merged CellTable → per-cell feature list.
+
+``build`` never declines, so an extractor with a spec reduces CellTables
+and nothing else: a ``(cell, trajectory)`` pair the array kernel cannot
+decide — an interval-valued entry time, a non-envelope transit cell — is
+computed inside the kernel with the scalar helpers the extractor's
+``local`` calls and scattered with the rest.
 
 Exactness contract: every kernel reproduces the scalar path bit-for-bit,
 not just approximately.  The load-bearing facts: ``np.bincount``
@@ -27,10 +30,8 @@ per-trajectory segment distances are computed with the same scalar
 ``haversine_distance`` calls, once per trajectory; and portion lengths
 are summed with Python's sequential ``sum`` per *unique* portion (numpy's
 pairwise-summation reductions — including ``reduceat`` — associate
-differently and are deliberately avoided).  ``build`` returns ``None``
-for inputs it cannot vectorize exactly (non-envelope transit cells,
-non-instant trajectory timestamps); callers fall back to the scalar path
-for that partition.
+differently and are deliberately avoided); a scalar-computed pair keeps
+its position in that order.
 """
 
 from __future__ import annotations
@@ -207,25 +208,12 @@ class AggSpec(ABC):
     """Columnar compilation of one extractor's local/merge/finalize."""
 
     @abstractmethod
-    def build(self, instance) -> CellTable | None:
-        """One partial collective instance → its CellTable.
-
-        Returns ``None`` when this instance cannot be vectorized exactly;
-        the caller then computes the partition's partial on the scalar
-        path instead.
-        """
+    def build(self, instance) -> CellTable:
+        """One partial collective instance → its CellTable."""
 
     @abstractmethod
     def finalize(self, table: CellTable) -> list:
         """Merged CellTable → per-cell features, in cell order."""
-
-    @abstractmethod
-    def partials(self, table: CellTable) -> list:
-        """CellTable → per-cell partials in the scalar representation.
-
-        Used to demote a columnar partial for a scalar ``merge_with``
-        when sibling partitions fell back to the scalar path.
-        """
 
 
 def _pair_layout(entries, type_check) -> tuple[list[int], dict]:
@@ -251,20 +239,15 @@ def _pair_layout(entries, type_check) -> tuple[list[int], dict]:
     return pair_cells, groups
 
 
-def _instant_timestamps(traj: Trajectory) -> list[float] | None:
-    """The trajectory's timestamps, or None if any entry spans an interval.
+def _is_instant(traj: Trajectory) -> bool:
+    """Whether every entry time of the trajectory is an instant.
 
     The searchsorted window trick below models entry durations as points;
     interval-valued entries would make closed-interval ``intersects``
-    membership non-contiguous in general, so such inputs fall back.
+    membership non-contiguous in general, so the kernels compute such a
+    trajectory's pairs one by one.
     """
-    ts: list[float] = []
-    for e in traj.entries:
-        t = e.temporal.start
-        if e.temporal.end != t:
-            return None
-        ts.append(t)
-    return ts
+    return all(e.temporal.end == e.temporal.start for e in traj.entries)
 
 
 def _segment_meters(traj: Trajectory) -> list[float]:
@@ -307,9 +290,6 @@ class CountSpec(AggSpec):
         return CellTable(n_cells, counts, {"count": "sum"}, kind, len(cells), work=work)
 
     def finalize(self, table: CellTable) -> list:
-        return table.columns["count"].tolist()
-
-    def partials(self, table: CellTable) -> list:
         return table.columns["count"].tolist()
 
 
@@ -355,11 +335,6 @@ class WholeTrajSpeedSpec(AggSpec):
         counts = table.columns["count"].tolist()
         return [t / c if c else None for t, c in zip(totals, counts)]
 
-    def partials(self, table: CellTable) -> list:
-        totals = table.columns["total"].tolist()
-        counts = table.columns["count"].tolist()
-        return list(zip(totals, counts))
-
 
 class PortionSpeedSpec(AggSpec):
     """Vectorizes the sub-trajectory speed extractors (Ts / Raster).
@@ -383,7 +358,7 @@ class PortionSpeedSpec(AggSpec):
         if not isinstance(value, Trajectory):
             raise TypeError(self.type_error)
 
-    def build(self, instance) -> CellTable | None:
+    def build(self, instance) -> CellTable:
         entries = instance.entries
         n = len(entries)
         starts = np.fromiter((e.temporal.start for e in entries), float, count=n)
@@ -394,9 +369,18 @@ class PortionSpeedSpec(AggSpec):
         kept = np.zeros(len(pair_cells), dtype=bool)
         kmh = self.unit == "kmh"
         for traj, positions in groups.values():
-            ts_list = _instant_timestamps(traj)
-            if ts_list is None:
-                return None
+            if not _is_instant(traj):
+                # Interval entry times: these pairs, and only these, take
+                # the scalar helpers ``local`` calls.
+                for p in positions:
+                    portion = traj.sub_trajectory(entries[pair_cells[p]].temporal)
+                    if portion is not None and len(portion.entries) >= 2:
+                        speeds[p] = (
+                            portion.average_speed_kmh() if kmh else portion.average_speed_ms()
+                        )
+                        kept[p] = True
+                continue
+            ts_list = [e.temporal.start for e in traj.entries]
             ts = np.asarray(ts_list)
             pos = np.asarray(positions, dtype=np.int64)
             cells = pair_cell[pos]
@@ -440,38 +424,30 @@ class PortionSpeedSpec(AggSpec):
         vehicles = table.columns["vehicles"].tolist()
         return list(zip(vehicles, means))
 
-    def partials(self, table: CellTable) -> list:
-        totals = table.columns["total"].tolist()
-        counts = table.columns["count"].tolist()
-        if not self.count_vehicles:
-            return list(zip(totals, counts))
-        vehicles = table.columns["vehicles"].tolist()
-        return list(zip(vehicles, totals, counts))
-
 
 class TransitSpec(AggSpec):
     """Vectorizes ``RasterTransitExtractor``: per-cell in/out flow.
 
-    Supports envelope spatial cells (the regular-raster case): the
-    temporal window gives a contiguous timestamp slice, and the in-cell
-    test over that slice is a vectorized closed-bounds containment —
-    identical comparisons to ``Envelope.contains_point``.  Non-envelope
-    cells fall back to the scalar path.
+    Over an envelope spatial cell (the regular-raster case) the temporal
+    window gives a contiguous timestamp slice, and the in-cell test over
+    that slice is a vectorized closed-bounds containment — identical
+    comparisons to ``Envelope.contains_point``.  A pair with a
+    non-envelope cell, or an interval-valued trajectory, runs the
+    ``intersects`` tests of the extractor's ``local`` entry by entry.
     """
 
     def __init__(self, type_error: str):
         self.type_error = type_error
 
-    def build(self, instance) -> CellTable | None:
+    def build(self, instance) -> CellTable:
         entries = instance.entries
         n = len(entries)
-        for e in entries:
-            if not isinstance(e.spatial, Envelope):
-                return None
-        min_x = np.fromiter((e.spatial.min_x for e in entries), float, count=n)
-        max_x = np.fromiter((e.spatial.max_x for e in entries), float, count=n)
-        min_y = np.fromiter((e.spatial.min_y for e in entries), float, count=n)
-        max_y = np.fromiter((e.spatial.max_y for e in entries), float, count=n)
+        is_box = [isinstance(e.spatial, Envelope) for e in entries]
+        boxes = [e.spatial.envelope for e in entries]
+        min_x = np.fromiter((b.min_x for b in boxes), float, count=n)
+        max_x = np.fromiter((b.max_x for b in boxes), float, count=n)
+        min_y = np.fromiter((b.min_y for b in boxes), float, count=n)
+        max_y = np.fromiter((b.max_y for b in boxes), float, count=n)
         starts = np.fromiter((e.temporal.start for e in entries), float, count=n)
         ends = np.fromiter((e.temporal.end for e in entries), float, count=n)
 
@@ -487,29 +463,41 @@ class TransitSpec(AggSpec):
         for traj, positions in groups.values():
             if isinstance(traj, Event):
                 continue  # events carry no motion (scalar path skips them too)
-            ts_list = _instant_timestamps(traj)
-            if ts_list is None:
-                return None
-            ts = np.asarray(ts_list)
-            xs = np.fromiter((e.spatial.x for e in traj.entries), float, count=len(ts))
-            ys = np.fromiter((e.spatial.y for e in traj.entries), float, count=len(ts))
-            t_first = ts_list[0]
-            t_last = ts_list[-1]
-            pos = np.asarray(positions, dtype=np.int64)
-            cells = pair_cell[pos]
-            lo = np.searchsorted(ts, starts[cells], side="left")
-            hi = np.searchsorted(ts, ends[cells], side="right") - 1
+            cells = pair_cell[np.asarray(positions, dtype=np.int64)]
+            instant = _is_instant(traj)
+            lo = hi = cells  # (an interval trajectory's pairs read no slice)
+            if instant:
+                ts_list = [e.temporal.start for e in traj.entries]
+                ts = np.asarray(ts_list)
+                xs = np.fromiter((e.spatial.x for e in traj.entries), float, count=len(ts))
+                ys = np.fromiter((e.spatial.y for e in traj.entries), float, count=len(ts))
+                lo = np.searchsorted(ts, starts[cells], side="left")
+                hi = np.searchsorted(ts, ends[cells], side="right") - 1
+            t_first = traj.entries[0].temporal.start
+            t_last = traj.entries[-1].temporal.start
             for c, i, j in zip(cells.tolist(), lo.tolist(), hi.tolist()):
-                if j < i:
-                    continue  # no points inside the cell's duration
-                xw = xs[i : j + 1]
-                yw = ys[i : j + 1]
-                inside = (xw >= min_x[c]) & (xw <= max_x[c])
-                inside &= (yw >= min_y[c]) & (yw <= max_y[c])
-                if not inside.any():
-                    continue
-                first_in = ts_list[i + int(inside.argmax())]
-                last_in = ts_list[i + len(inside) - 1 - int(inside[::-1].argmax())]
+                if instant and is_box[c]:
+                    if j < i:
+                        continue  # no points inside the cell's duration
+                    xw = xs[i : j + 1]
+                    yw = ys[i : j + 1]
+                    inside = (xw >= min_x[c]) & (xw <= max_x[c])
+                    inside &= (yw >= min_y[c]) & (yw <= max_y[c])
+                    if not inside.any():
+                        continue
+                    first_in = ts_list[i + int(inside.argmax())]
+                    last_in = ts_list[i + len(inside) - 1 - int(inside[::-1].argmax())]
+                else:
+                    cell = entries[c]
+                    inside_times = [
+                        e.temporal.start
+                        for e in traj.entries
+                        if cell.temporal.intersects(e.temporal)
+                        and cell.spatial.intersects(e.spatial)
+                    ]
+                    if not inside_times:
+                        continue
+                    first_in, last_in = min(inside_times), max(inside_times)
                 if first_in > t_first:
                     inflow[c] += 1
                 if last_in < t_last:
@@ -523,9 +511,6 @@ class TransitSpec(AggSpec):
         )
 
     def finalize(self, table: CellTable) -> list:
-        return self.partials(table)
-
-    def partials(self, table: CellTable) -> list:
         inflow = table.columns["inflow"].tolist()
         outflow = table.columns["outflow"].tolist()
         return list(zip(inflow, outflow))
@@ -588,8 +573,3 @@ class FieldMeanSpec(AggSpec):
                     {f: round(total / count, 9) for f, total in sums.items()}
                 )
         return features
-
-    def partials(self, table: CellTable) -> list:
-        counts = table.columns["count"].tolist()
-        fields = [name[4:] for name in table.columns if name.startswith("sum:")]
-        return list(zip(self._cell_dicts(table, fields), counts))

@@ -1,10 +1,19 @@
-"""Extractor base classes."""
+"""Extractor base classes.
+
+A :class:`CellAggExtractor` has one partial kind, fixed by the extractor
+alone: a :class:`~repro.columnar.aggregate.CellTable` when it declares an
+:meth:`~CellAggExtractor.agg_spec`, else the collective instance its
+``local``/``merge`` fold.  :meth:`~CellAggExtractor.fold` names that kind's
+build and merge; ``extract`` and the pipeline's incremental runs reduce
+with nothing else.
+"""
 
 from __future__ import annotations
 
 from abc import ABC, abstractmethod
 from typing import Any, Callable
 
+from repro.columnar.aggregate import CellTable
 from repro.engine.rdd import RDD
 from repro.geometry.base import Geometry
 from repro.instances.collective import CollectiveInstance
@@ -40,33 +49,12 @@ class CustomExtractor:
         return result
 
 
-def _partition_partial(instances: list, spec: Any | None, local, merge):
-    """One partition's premerged, tagged partial (``None`` when empty).
-
-    ``("table", (skeleton, CellTable))`` when ``spec`` vectorizes every
-    partial instance of the partition exactly — the skeleton (the
-    partition's first instance) carries the cell structure needed to
-    rebuild, or demote to, a collective instance.  Otherwise — no spec, or
-    an input ``spec.build`` declines (interval durations, non-envelope
-    cells) — the whole partition folds left through ``local``/``merge``
-    into ``("scalar", partial_instance)``.
-    """
-    if not instances:
-        return None
-    if spec is not None:
-        table = None
-        for inst in instances:
-            built = spec.build(inst)
-            if built is None:
-                break
-            table = built if table is None else table.merge(built)
-        else:
-            return ("table", (instances[0], table))
-    acc = None
-    for inst in instances:
-        partial = inst.map_value_plus(local)
-        acc = partial if acc is None else acc.merge_with(partial, merge)
-    return ("scalar", acc)
+def _folded(instances: list, build, merge):
+    """Left fold of one partition's converted instances into its partial."""
+    acc = build(instances[0])
+    for inst in instances[1:]:
+        acc = merge(acc, build(inst))
+    return acc
 
 
 class CellAggExtractor(ABC):
@@ -87,18 +75,11 @@ class CellAggExtractor(ABC):
 
     There is one reduce — a per-partition sequential fold, then the
     balanced pairwise tree of :meth:`~repro.engine.rdd.RDD.tree_reduce` —
-    and the *input* picks each partition's partial representation:
-
-    * a subclass that declares an :meth:`agg_spec` gets
-      :class:`~repro.columnar.aggregate.CellTable` partials built with
-      vectorized kernels;
-    * a subclass without one, and any partition whose input the spec
-      cannot vectorize exactly (``spec.build`` returns ``None``), folds
-      ``local``/``merge`` per cell in Python instead.  Where the two kinds
-      meet in the tree, the table side is demoted through
-      :meth:`~repro.columnar.aggregate.AggSpec.partials`, which is
-      bit-exact — features never depend on which representation a
-      partition used.
+    over one kind of partial (:meth:`fold`): a subclass that declares an
+    :meth:`agg_spec` reduces :class:`~repro.columnar.aggregate.CellTable`
+    partials built with vectorized kernels, a subclass without one reduces
+    the instances its ``local``/``merge`` fold per cell in Python.  The
+    two agree bit for bit (``tests/reference.py`` withholds the spec).
 
     ``reduce_depth`` is the tree-stage knob of ``tree_reduce`` — it moves
     merge rounds between workers and the driver without changing the
@@ -128,9 +109,63 @@ class CellAggExtractor(ABC):
         """
         return None
 
+    # -- the one partial ---------------------------------------------------------
+
+    def fold(self) -> tuple[Callable, Callable]:
+        """``(build, merge)``: one converted instance → its partial, and
+        the pair merge of two partials — ``spec.build`` / ``CellTable.merge``
+        with an :meth:`agg_spec`, the ``local`` map / per-cell ``merge``
+        without."""
+        spec = self.agg_spec()
+        if spec is not None:
+            return spec.build, CellTable.merge
+        local, combine = self.local, self.merge
+        return (
+            lambda instance: instance.map_value_plus(local),
+            lambda a, b: a.merge_with(b, combine),
+        )
+
+    def premerged(self, rdd: RDD) -> RDD:
+        """Each non-empty partition of converted instances → its one
+        unfinalized partial: what the reduce pairs and an incremental run
+        banks."""
+        build, merge = self.fold()
+
+        def premerge(instances: list) -> list:
+            return [_folded(instances, build, merge)] if instances else []
+
+        return rdd.map_partitions(premerge)
+
+    def finalized(self, partial, instance_of: Callable[[list], CollectiveInstance]):
+        """Reduced partial → the feature instance.
+
+        ``instance_of`` builds the instance from per-cell values — a table
+        has the values but not the cells (a folded instance has both).
+        """
+        spec = self.agg_spec()
+        if spec is None:
+            return partial.map_value(self.finalize)
+        return instance_of(spec.finalize(partial))
+
     def extract(self, rdd: RDD) -> CollectiveInstance:
         """Run this extraction on the RDD (see class docstring)."""
-        spec = self.agg_spec()
+        build, merge = self.fold()
+        # A table needs some instance's cells to become one again: each
+        # partial travels with its partition's first instance — by
+        # reference, or stripped of its cell arrays where tasks serialize.
+        strip = rdd.ctx.backend.requires_serializable_tasks
+
+        def premerge(instances: list) -> list:
+            if not instances:
+                return []
+            skeleton = instances[0]
+            if strip:
+                skeleton = skeleton.with_cell_values([None] * skeleton.n_cells)
+            return [(skeleton, _folded(instances, build, merge))]
+
+        def pair_merge(a: tuple, b: tuple) -> tuple:
+            return (a[0], merge(a[1], b[1]))
+
         # ``tree_reduce`` is an action, so the phase span brackets real
         # work (plus any still-lazy upstream lineage) without extra
         # forcing.
@@ -140,12 +175,10 @@ class CellAggExtractor(ABC):
                 tracer.counters.get("stage_oob_bytes", 0) if tracer is not None else 0
             )
             stats: dict = {}
-            kind, payload = self._reduce(rdd, spec, stats)
-            if kind == "table":
-                skeleton, table = payload
-                result = skeleton.with_cell_values(spec.finalize(table))
-            else:
-                result = payload.map_value(self.finalize)
+            skeleton, partial = rdd.map_partitions(premerge).tree_reduce(
+                pair_merge, depth=self.reduce_depth, stats=stats
+            )
+            result = self.finalized(partial, skeleton.with_cell_values)
             if tracer is not None:
                 oob = tracer.counters.get("stage_oob_bytes", 0) - oob_before
                 partials = stats.get("partials", 0)
@@ -157,7 +190,7 @@ class CellAggExtractor(ABC):
                 tracer.counter("extract_reduce_oob_bytes", oob)
                 if span is not None:
                     span.args.update(
-                        columnar=kind == "table",
+                        columnar=isinstance(partial, CellTable),
                         cells_aggregated=cells,
                         partials_merged=partials,
                         tree_depth=rounds,
@@ -165,105 +198,6 @@ class CellAggExtractor(ABC):
                     )
             return result
 
-    def _reduce(self, rdd: RDD, spec: Any | None, stats: dict) -> tuple:
-        """Premerge per partition, then tree-reduce the tagged partials.
-
-        Returns the root ``(kind, payload)`` of :func:`_partition_partial`'s
-        tagging: ``"table"`` only when every partition vectorized.  On
-        backends that serialize tasks a table's skeleton is stripped of
-        its cell arrays first; elsewhere it is the partition's first
-        instance by reference, which costs nothing.
-        """
-        local = self.local
-        merge = self.merge
-        strip = rdd.ctx.backend.requires_serializable_tasks
-
-        def premerge(instances: list) -> list:
-            tagged = _partition_partial(instances, spec, local, merge)
-            if tagged is None:
-                return []
-            kind, payload = tagged
-            if kind == "table" and strip:
-                skeleton, table = payload
-                skeleton = skeleton.with_cell_values([None] * skeleton.n_cells)
-                return [(kind, (skeleton, table))]
-            return [tagged]
-
-        def pair_merge(a: tuple, b: tuple) -> tuple:
-            kind_a, pa = a
-            kind_b, pb = b
-            if kind_a == "table" and kind_b == "table":
-                (skeleton, ta), (_, tb) = pa, pb
-                return ("table", (skeleton, ta.merge(tb)))
-            if kind_a == "table":
-                skeleton, ta = pa
-                pa = skeleton.with_cell_values(spec.partials(ta))
-            elif kind_b == "table":
-                skeleton, tb = pb
-                pb = skeleton.with_cell_values(spec.partials(tb))
-            return ("scalar", pa.merge_with(pb, merge))
-
-        return rdd.map_partitions(premerge).tree_reduce(
-            pair_merge, depth=self.reduce_depth, stats=stats
-        )
-
     def extract_values(self, rdd: RDD) -> list:
         """Convenience: just the per-cell features, in cell order."""
         return self.extract(rdd).cell_values()
-
-    # -- incremental extraction (the streaming API) --------------------------------
-
-    def extract_partials(self, rdd: RDD) -> list[CollectiveInstance]:
-        """Per-partition *unfinalized* partials, in partition order.
-
-        The streaming half of :meth:`extract`: each partition premerges
-        into one partial collective instance exactly as :meth:`extract`
-        does — a ``CellTable`` partial is demoted to the ``local``/``merge``
-        partial domain through ``spec.partials`` (bit-exact by the
-        mixed-partial contract) — but instead of tree-reducing to one
-        value, the partials come back as a list the caller can bank.
-        :meth:`merge_partials` over partials accumulated across any
-        number of incremental runs replays :meth:`~repro.engine.rdd.RDD.tree_reduce`'s
-        exact pairing, so the final features are bit-identical to one
-        batch :meth:`extract` over the union — the incremental-parity
-        guarantee of :meth:`~repro.core.pipeline.Pipeline.run_incremental`.
-
-        Empty partitions contribute no partial (matching ``tree_reduce``,
-        which drops them).
-        """
-        spec = self.agg_spec()
-        local = self.local
-        merge = self.merge
-
-        def premerge(instances: list) -> list:
-            tagged = _partition_partial(instances, spec, local, merge)
-            if tagged is None:
-                return []
-            kind, payload = tagged
-            if kind == "table":
-                skeleton, table = payload
-                payload = skeleton.with_cell_values(spec.partials(table))
-            return [payload]
-
-        return [p[0] for p in rdd.map_partitions(premerge)._collect_partitions() if p]
-
-    def merge_partials(self, partials: list):
-        """Partial list → finalized features, via ``tree_reduce``'s pairing.
-
-        The driver-side rounds of
-        :meth:`~repro.engine.rdd.RDD._pairwise_rounds` — adjacent pairing
-        ``(0, 1), (2, 3), …``, an odd leftover passed through — which is
-        what makes incremental results bit-identical to batch ones.
-        ``CellTable`` partials (what a fused scan banks) pair the same way
-        and come back as the merged *table*: the pipeline, which holds the
-        structure, builds the instance.  Raises on an empty list (nothing
-        was ever selected).
-        """
-        if not partials:
-            raise ValueError("cannot merge an empty partial list")
-        from repro.columnar.aggregate import CellTable
-
-        tables = isinstance(partials[0], CellTable)
-        merge = CellTable.merge if tables else (lambda a, b: a.merge_with(b, self.merge))
-        merged = RDD._pairwise_rounds(None, merge, list(partials), 0)[0]
-        return merged if tables else merged.map_value(self.finalize)

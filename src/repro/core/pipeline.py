@@ -8,13 +8,21 @@ A plan takes one of two physical paths — the *staged* operator chain over
 RDDs of instances, or, for count aggregates over a dataset directory, one
 *fused* column scan per block (:class:`_BlockScan`); :meth:`Pipeline.explain`
 says which and why, and docs/architecture.md §12 has the lowering rule.
+
+Every entry point lowers its request once, to a :class:`_Plan`:
+``explain`` shows it, ``run`` executes it, ``run_incremental`` executes it
+over a block suffix (state mode) or under a narrowed window (since mode).
+Whichever path runs, the extraction is one partial per block or partition,
+the fixed adjacent pairing of ``tree_reduce``, one finalize.
 """
 
 from __future__ import annotations
 
-from contextlib import nullcontext
+import copy
+import math
+from contextlib import contextmanager, nullcontext
 from pathlib import Path
-from typing import Any
+from typing import Any, NamedTuple
 
 import numpy as np
 
@@ -22,13 +30,55 @@ from repro.columnar.aggregate import CellTable, ScanWork
 from repro.core.selector import _refine
 from repro.core.structures import TimeSeriesStructure
 from repro.engine.context import EngineContext
+from repro.engine.rdd import RDD
 from repro.obs.tracer import phase as _phase_span
-from repro.stio.dataset import StDataset
+from repro.stio.dataset import LoadStats, StDataset
+from repro.stream.incremental import IncrementalRun, StreamState
+from repro.temporal.duration import Duration
 
 
-#: Selector arguments (with their defaults) that only shape the staged
-#: path's intermediate RDD; a fused run never materialises one.
-_STAGED_ONLY_KNOBS = dict(partitioner=None, num_partitions=None, duplicate=False, index=True)
+#: Selector arguments (with their defaults) that only balance the staged
+#: path's shuffle: a state-mode incremental run, which banks one partial per
+#: on-disk block, runs without them.
+_SHUFFLE_KNOBS = dict(partitioner=None, num_partitions=None, duplicate=False)
+#: ... and those that only shape the staged path's intermediate RDD; a fused
+#: run never materialises one.
+_STAGED_ONLY_KNOBS = dict(_SHUFFLE_KNOBS, index=True)
+
+
+def _replaced(selector, **fields):
+    """A copy of ``selector`` with ``fields`` set (the probe counters stay shared)."""
+    clone = copy.copy(selector)
+    vars(clone).update(fields)
+    return clone
+
+
+class _Plan(NamedTuple):
+    """One lowered request: what ``explain`` shows and every run executes.
+
+    ``selector`` is the pipeline's own, or a copy with a narrowed window or
+    without the shuffle knobs; ``data`` the lazy read of ``dataset``'s pruned
+    blocks past ``offset`` (``stats`` is that pruning) or — no dataset, or a
+    checkpointed plan — the source itself, for the Selection phase to load.
+    """
+
+    path: str
+    reason: str
+    ignored: list
+    selector: Any
+    dataset: StDataset | None
+    data: Any
+    stats: LoadStats | None
+    offset: int
+
+    def explain(self) -> dict:
+        total = selected = None
+        if self.stats is not None:
+            total, selected = self.stats.partitions_total, self.stats.partitions_selected
+        return dict(
+            path=self.path, reason=self.reason, blocks_total=total,
+            blocks_selected=selected, ignored=self.ignored,
+        )
 
 
 class _BlockScan:
@@ -126,13 +176,15 @@ class Pipeline:
 
     # -- lowering -----------------------------------------------------------------
 
-    def _lower(self, source, checkpoint_dir=None):
-        """``(path, reason, dataset)`` — the one place that picks fused vs staged.
+    def _lower(
+        self, ctx, source, checkpoint_dir, selector, use_metadata=True, offset=0
+    ) -> _Plan:
+        """The one place that picks fused vs staged — and prunes the dataset.
 
         Fused needs every stage to be the library's own: a customised one
         (``convert`` overridden to pass ``pre_map``/``agg``, no ``agg_spec``
         with ``from_cells``), a ``checkpoint_dir`` or a pickle-codec dataset
-        runs staged.  ``dataset``: the opened directory source.
+        runs staged.  ``selector`` is the one the plan executes with.
         """
         from repro.core.converters.base import ToCollectiveConverter
         from repro.core.extractors.base import CellAggExtractor
@@ -140,6 +192,7 @@ class Pipeline:
         converter, extractor = self.converter, self.extractor
         dataset = StDataset(source) if isinstance(source, (str, Path)) else None
         spec = extractor.agg_spec() if isinstance(extractor, CellAggExtractor) else None
+        path = "staged"
         if checkpoint_dir is not None:
             reason = "checkpoint_dir persists the per-phase RDDs"
         elif dataset is None:
@@ -154,8 +207,24 @@ class Pipeline:
         elif (codec := dataset.cached_metadata().codec) != "tuple":
             reason = f"dataset codec is {codec!r}, not 'tuple'"
         else:
-            return "fused", "count aggregate over a dataset: one column scan per block", dataset
-        return "staged", reason, dataset
+            path, reason = "fused", "count aggregate over a dataset: one column scan per block"
+        # (a checkpointed plan loads inside its Selection phase, which a
+        # resumed run skips without touching the source)
+        data, stats = source, None
+        if dataset is not None and checkpoint_dir is None:
+            data, stats = dataset.read(
+                ctx, selector.spatial, selector.temporal,
+                use_metadata=use_metadata, on_corrupt=selector.on_corrupt, offset=offset,
+            )
+        # A knob set on the pipeline's selector is ignored when the plan is
+        # fused, or when its own selector runs without it.
+        ignored = [
+            knob
+            for knob, default in _STAGED_ONLY_KNOBS.items()
+            if getattr(self.selector, knob) is not default
+            and (path == "fused" or getattr(selector, knob) is default)
+        ]
+        return _Plan(path, reason, ignored, selector, dataset, data, stats, offset)
 
     def explain(self, ctx: EngineContext, source, checkpoint_dir=None, **select_kwargs) -> dict:
         """Which physical path :meth:`run` would take, without running it.
@@ -163,68 +232,109 @@ class Pipeline:
         ``{"path": "fused" | "staged", "reason": ..., "blocks_total": ...,
         "blocks_selected": ..., "ignored": [...]}`` — the block counts are the
         metadata pruning of a directory source (``None`` for an RDD or a
-        list); ``ignored`` names the selector arguments a fused plan leaves
-        without effect though they were set (empty on a staged plan).
+        list, and under ``checkpoint_dir``, whose Selection phase owns the
+        load); ``ignored`` names the selector arguments the plan leaves
+        without effect though they were set (a fused plan: everything that
+        shapes the staged RDD; a staged :meth:`run`: nothing).
         """
-        path, reason, dataset = self._lower(source, checkpoint_dir)
-        sel = self.selector
-        total = selected = None
-        if dataset is not None:
-            _, stats = dataset.read(ctx, sel.spatial, sel.temporal, **select_kwargs)
-            total, selected = stats.partitions_total, stats.partitions_selected
-        ignored = []
-        if path == "fused":
-            knobs = _STAGED_ONLY_KNOBS.items()
-            ignored = [knob for knob, default in knobs if getattr(sel, knob) is not default]
-        return dict(
-            path=path, reason=reason, blocks_total=total, blocks_selected=selected, ignored=ignored
-        )
+        return self._lower(ctx, source, checkpoint_dir, self.selector, **select_kwargs).explain()
 
-    # -- the fused path -------------------------------------------------------------
+    @contextmanager
+    def _root_span(self, ctx: EngineContext, plan: _Plan):
+        """The root ``pipeline`` span of a traced run: the plan's
+        :meth:`explain` fields and its block offset."""
+        if ctx.tracer is None:
+            yield None
+            return
+        with ctx.tracer.span("pipeline", "pipeline", default_scope=True) as span:
+            span.args.update(plan.explain(), offset=plan.offset)
+            yield span
 
-    def _fused_scan(self, ctx: EngineContext, dataset, reduce: bool, **select_kwargs):
-        """Run the fused stage over ``dataset``'s selected blocks.
+    # -- executing a plan -----------------------------------------------------------
 
-        Returns the tree-reduced table (the zero table when nothing is
-        selected) or, ``reduce=False``, the per-block tables in block order;
-        notes the work they carried back on the selector's ``LoadStats``,
-        ``converter.stats`` and the phase span.
+    def _block_partials(self, ctx: EngineContext, plan: _Plan, root) -> list:
+        """The plan's unfinalized extraction partials on the driver, one per
+        selected block, in block order (a fused plan with no block selected:
+        its one zero table).
+
+        A fused plan scans them off the block columns, noting the work they
+        carry back on the selector's ``LoadStats``, ``converter.stats`` and
+        the spans; a staged one — which must keep the one-partition-per-block
+        layout, so its selector has no shuffle knob — runs the operators up
+        to :meth:`CellAggExtractor.premerged
+        <repro.core.extractors.base.CellAggExtractor.premerged>`.
         """
-        sel, converter = self.selector, self.converter
+        sel, converter, tracer = plan.selector, self.converter, ctx.tracer
+        self.selector.last_load_stats = plan.stats
+        if plan.path != "fused":
+            data = sel.select_loaded(ctx, plan.data, plan.stats)
+            if converter is not None:
+                with _phase_span("Conversion", tracer):
+                    data = converter.convert(data)
+            with _phase_span("Extraction", tracer):
+                return [p[0] for p in self.extractor.premerged(data)._collect_partitions() if p]
         for probes in (sel.rtree_probes, sel.index_cache_hits, sel.index_cache_misses):
             probes.reset()  # a column scan builds and probes no R-tree
-        with _phase_span("FusedScan", ctx.tracer) as span:
+        with _phase_span("FusedScan", tracer) as span:
             structure = converter.broadcast_structure(ctx)
             scan = _BlockScan(sel, converter, self.extractor.agg_spec(), structure)
-            rdd, stats = dataset.read(
-                ctx, sel.spatial, sel.temporal,
-                on_corrupt=sel.on_corrupt, scan=scan, **select_kwargs,
-            )
-            sel.last_load_stats = stats
-            with ctx.using_backend(sel.backend) if sel.backend else nullcontext():
-                if not stats.partitions_selected:
-                    result = scan.skipped() if reduce else []
-                elif reduce:
-                    result = rdd.tree_reduce(
-                        CellTable.merge, depth=self.extractor.reduce_depth
-                    )
-                else:
-                    result = [p[0] for p in rdd._collect_partitions()]
-            work = result.work if reduce else sum((t.work for t in result), ScanWork())
-            stats.note_scan(work)
+            tables = [scan.skipped()]
+            if plan.stats.partitions_selected:
+                with ctx.using_backend(sel.backend) if sel.backend else nullcontext():
+                    tables = [p[0] for p in plan.data.scanned(scan)._collect_partitions()]
+            work = sum((t.work for t in tables), ScanWork())
+            plan.stats.note_scan(work)
             converter.stats.add(
                 work.instances, work.candidate_tests, work.exact_tests, work.allocations
             )
             if span is not None:
                 sel._record_phase_counters(ctx, span, from_disk=True)
                 span.args.update(work._asdict())
-        return result
+                root.args.update(work._asdict())
+        return tables
 
-    def _shell(self, table: CellTable):
-        """Merged table → the finalized collective instance (driver-side)."""
-        return self.converter.structure.instance_of(
-            self.extractor.agg_spec().finalize(table)
-        )
+    def _reduced(self, ctx: EngineContext, partials: list, depth: int):
+        """Partials → the feature instance: ``tree_reduce``'s adjacent
+        pairing (``depth`` rounds of it as engine stages), then finalize."""
+        _, merge = self.extractor.fold()
+        merged = RDD._pairwise_rounds(ctx, merge, partials, depth)[0]
+        return self.extractor.finalized(merged, self.converter.structure.instance_of)
+
+    def _execute(self, ctx: EngineContext, plan: _Plan, root, checkpoint_dir=None, resume=True):
+        """:meth:`run` past the lowering."""
+        if plan.path == "fused":
+            tables = self._block_partials(ctx, plan, root)
+            return self._reduced(ctx, tables, self.extractor.reduce_depth)
+        tracer = ctx.tracer
+        ckpt = None
+        if checkpoint_dir is not None:
+            from repro.engine.faults import PipelineCheckpoint
+
+            ckpt = PipelineCheckpoint(checkpoint_dir, ctx)
+        data = None
+        conversion_done = False
+        if ckpt is not None and resume:
+            if self.converter is not None and ckpt.has(self.CONVERSION_PHASE):
+                data = ckpt.load(self.CONVERSION_PHASE)
+                conversion_done = True
+            elif ckpt.has(self.SELECTION_PHASE):
+                data = ckpt.load(self.SELECTION_PHASE)
+        if data is None:
+            if plan.stats is None:
+                data = plan.selector.select(ctx, plan.data)
+            else:
+                data = plan.selector.select_loaded(ctx, plan.data, plan.stats)
+            if ckpt is not None:
+                data = ckpt.save(self.SELECTION_PHASE, data)
+        if self.converter is not None and not conversion_done:
+            with _phase_span("Conversion", tracer):
+                data = self.converter.convert(data)
+            if ckpt is not None:
+                data = ckpt.save(self.CONVERSION_PHASE, data)
+        if self.extractor is not None:
+            with _phase_span("Extraction", tracer):
+                return self.extractor.extract(data)
+        return data
 
     # -- running --------------------------------------------------------------------
 
@@ -256,47 +366,9 @@ class Pipeline:
         always runs.  ``resume=False`` keeps writing checkpoints but
         ignores existing ones (a forced clean run).
         """
-        tracer = ctx.tracer
-        root = (
-            tracer.span("pipeline", "pipeline", default_scope=True)
-            if tracer is not None
-            else nullcontext()
-        )
-        path, _, dataset = self._lower(source, checkpoint_dir)
-        ckpt = None
-        if checkpoint_dir is not None:
-            from repro.engine.faults import PipelineCheckpoint
-
-            ckpt = PipelineCheckpoint(checkpoint_dir, ctx)
-        with root as span:
-            if span is not None:
-                span.args.update(self.explain(ctx, source, checkpoint_dir, **select_kwargs))
-            if path == "fused":
-                table = self._fused_scan(ctx, dataset, reduce=True, **select_kwargs)
-                if span is not None:
-                    span.args.update(table.work._asdict())
-                return self._shell(table)
-            data = None
-            conversion_done = False
-            if ckpt is not None and resume:
-                if self.converter is not None and ckpt.has(self.CONVERSION_PHASE):
-                    data = ckpt.load(self.CONVERSION_PHASE)
-                    conversion_done = True
-                elif ckpt.has(self.SELECTION_PHASE):
-                    data = ckpt.load(self.SELECTION_PHASE)
-            if data is None:
-                data = self.selector.select(ctx, source, **select_kwargs)
-                if ckpt is not None:
-                    data = ckpt.save(self.SELECTION_PHASE, data)
-            if self.converter is not None and not conversion_done:
-                with _phase_span("Conversion", tracer):
-                    data = self.converter.convert(data)
-                if ckpt is not None:
-                    data = ckpt.save(self.CONVERSION_PHASE, data)
-            if self.extractor is not None:
-                with _phase_span("Extraction", tracer):
-                    return self.extractor.extract(data)
-            return data
+        plan = self._lower(ctx, source, checkpoint_dir, self.selector, **select_kwargs)
+        with self._root_span(ctx, plan) as root:
+            return self._execute(ctx, plan, root, checkpoint_dir, resume)
 
     def run_incremental(
         self,
@@ -306,27 +378,76 @@ class Pipeline:
         since: float | None = None,
         use_metadata: bool = True,
     ):
-        """Run over new-since-last-time blocks only; see
-        :func:`repro.stream.run_incremental`.
+        """Run over new-since-last-time blocks only — the same plan
+        :meth:`run` executes, over less of the dataset.
 
-        State mode (pass the previous run's ``state``, or nothing to
-        bootstrap) banks per-block partials and returns features over
-        everything consumed so far — bit-identical to :meth:`run` over
-        the union (the extractor must be a
-        :class:`~repro.core.extractors.base.CellAggExtractor`; the
-        selector's partitioner, a shuffle-balance knob, is ignored).
-        Since mode (pass ``since``, typically the persisted watermark)
-        statelessly extracts just the post-``since`` slice.  Both lower
-        exactly as :meth:`run` does.  Returns an
-        :class:`~repro.stream.IncrementalRun`.
+        * **State mode** (pass the previous run's ``state``, or nothing to
+          bootstrap): lowers over the blocks past ``state.position``
+          (appends only ever add blocks at the end), appends their
+          partials to the state's bank and reduces the whole bank with
+          ``tree_reduce``'s pairing — features over everything consumed so
+          far, bit-identical to :meth:`run` over the union with no
+          partitioner.  The selector's shuffle knobs are ignored (one
+          partial per on-disk block is the unit that is banked) and the
+          extractor must be a
+          :class:`~repro.core.extractors.base.CellAggExtractor`.  Raises
+          :class:`~repro.stream.StaleStreamStateError` when the consumed
+          blocks were rewritten underneath the state.
+        * **Since mode** (pass ``since``, typically the watermark
+          persisted before the latest ingests): stateless; :meth:`run`
+          under the window narrowed to strictly after ``since``, so the
+          ordinary metadata pruning and pushdown skip everything older.
+          Records with end time exactly ``since`` are *excluded* (the
+          watermark is the max end already ingested).
+
+        Needs a dataset directory.  A traced call sits under the same root
+        ``pipeline`` span as :meth:`run`.  Returns an
+        :class:`~repro.stream.IncrementalRun`, whose ``result`` is ``None``
+        when nothing has ever been selected.
         """
-        from repro.stream.incremental import run_incremental
+        from repro.core.extractors.base import CellAggExtractor
 
-        return run_incremental(
-            self,
-            ctx,
-            source,
-            state=state,
-            since=since,
-            use_metadata=use_metadata,
+        if state is not None and since is not None:
+            raise ValueError("pass state or since, not both")
+        if not isinstance(source, (str, Path)):
+            raise TypeError("run_incremental needs an on-disk dataset directory")
+        if since is not None:
+            nothing = IncrementalRun(None, None, 0, 0, 0)
+            window = Duration(math.nextafter(since, math.inf), math.inf)
+            if self.selector.temporal is not None:
+                window = self.selector.temporal.intersection(window)
+                if window is None:
+                    return nothing  # the query ends at or before the watermark
+            plan = self._lower(
+                ctx, source, None, _replaced(self.selector, temporal=window), use_metadata
+            )
+            selected = plan.stats.partitions_selected
+            if not selected:
+                return nothing
+            with self._root_span(ctx, plan) as root:
+                result = self._execute(ctx, plan, root)
+            return IncrementalRun(result, None, selected, selected, plan.stats.records_loaded)
+        if not isinstance(self.extractor, CellAggExtractor):
+            raise TypeError(
+                "run_incremental needs a CellAggExtractor (an extractor with "
+                f"mergeable partials); got {type(self.extractor).__name__}"
+            )
+        state = state if state is not None else StreamState()
+        plan = self._lower(
+            ctx, source, None, _replaced(self.selector, **_SHUFFLE_KNOBS),
+            use_metadata, state.position,
+        )
+        meta = plan.dataset.cached_metadata()
+        state.check_current(meta)
+        stats = plan.stats
+        with self._root_span(ctx, plan) as root:
+            new = self._block_partials(ctx, plan, root) if stats.partitions_selected else []
+            state = state.advanced(meta, stats.partitions_total, new)
+            result = self._reduced(ctx, state.partials, 0) if state.partials else None
+        if ctx.tracer is not None:
+            ctx.tracer.counter("incremental_runs", 1)
+            ctx.tracer.counter("incremental_blocks_new", stats.partitions_total)
+            ctx.tracer.counter("incremental_blocks_selected", stats.partitions_selected)
+        return IncrementalRun(
+            result, state, stats.partitions_total, stats.partitions_selected, stats.records_loaded
         )

@@ -139,30 +139,6 @@ class Selector:
         self.index_cache_hits: Accumulator[int] = counter("selection_index_hits")
         self.index_cache_misses: Accumulator[int] = counter("selection_index_misses")
 
-    # -- loading -------------------------------------------------------------------
-
-    def _load(
-        self,
-        ctx: EngineContext,
-        source: "str | Path | RDD | Sequence[Instance]",
-        use_metadata: bool,
-        offset: int = 0,
-    ) -> RDD:
-        if isinstance(source, RDD):
-            return source
-        if isinstance(source, (str, Path)):
-            rdd, stats = StDataset(source).read(
-                ctx,
-                self.spatial,
-                self.temporal,
-                use_metadata=use_metadata,
-                on_corrupt=self.on_corrupt,
-                offset=offset,
-            )
-            self.last_load_stats = stats
-            return rdd
-        return ctx.parallelize(list(source), self.num_partitions or ctx.default_parallelism)
-
     # -- filtering ------------------------------------------------------------------
 
     def _query_box(self) -> STBox:
@@ -231,6 +207,31 @@ class Selector:
         (directory sources only) skips the first ``offset`` on-disk
         blocks before pruning — the incremental-read hook of
         :meth:`~repro.core.pipeline.Pipeline.run_incremental`.
+        """
+        stats = None
+        if isinstance(source, (str, Path)):
+            source, stats = StDataset(source).read(
+                ctx,
+                self.spatial,
+                self.temporal,
+                use_metadata=use_metadata,
+                on_corrupt=self.on_corrupt,
+                offset=offset,
+            )
+        elif not isinstance(source, RDD):
+            source = ctx.parallelize(
+                list(source), self.num_partitions or ctx.default_parallelism
+            )
+        return self.select_loaded(ctx, source, stats)
+
+    def select_loaded(
+        self, ctx: EngineContext, loaded: RDD, stats: LoadStats | None = None
+    ) -> RDD:
+        """:meth:`select` past the load: filter ``loaded`` and (optionally)
+        ST-partition it.  ``stats`` is the accounting of the
+        :meth:`StDataset.read <repro.stio.dataset.StDataset.read>` that
+        produced ``loaded`` — how a pipeline that already pruned the
+        dataset while lowering hands its read over.
 
         Under an active tracer the whole selection runs eagerly inside a
         "Selection" phase span (profiling moves the evaluation boundary —
@@ -242,7 +243,8 @@ class Selector:
             self.rtree_probes.reset()
             self.index_cache_hits.reset()
             self.index_cache_misses.reset()
-            loaded = self._load(ctx, source, use_metadata, offset=offset)
+            if stats is not None:
+                self.last_load_stats = stats
             selected = self._filter(loaded)
             if self.partitioner is not None:
                 selected = self.partitioner.partition(
@@ -268,11 +270,7 @@ class Selector:
             elif span is not None:
                 selected = ctx.from_partitions(selected._collect_partitions())
             if span is not None:
-                self._record_phase_counters(
-                    ctx,
-                    span,
-                    from_disk=isinstance(source, (str, Path)),
-                )
+                self._record_phase_counters(ctx, span, from_disk=stats is not None)
         return selected
 
     def _record_phase_counters(self, ctx: EngineContext, span, from_disk: bool) -> None:

@@ -32,7 +32,7 @@ class LoadStats:
     query pushdown that is the rows the extent mask admitted, which is the
     whole point of the block format.  ``rows_decoded``
     counts the payloads actually unpickled: the same for a staged read, 0
-    for a block a column scan (``read(scan=...)``) decided from its extents.
+    for a block a column scan (``rdd.scanned(...)``) decided from its extents.
     ``partitions_selected`` is known at :meth:`StDataset.read` time (how
     many partitions survived metadata pruning), while ``partitions_read``
     counts the *distinct* block files deserialized so far — they converge
@@ -161,7 +161,7 @@ class _DiskPartitionRDD(RDD):
     worker moves the directory path and partition metadata — never block
     bytes; each worker mmaps its own blocks locally.
 
-    ``scan`` switches the read to the column-scan compute mode: the
+    :meth:`scanned` switches the read to the column-scan compute mode: the
     partition is ``[scan(block, codec)]`` — the partial the callable
     computes off the opened block — not decoded records (a quarantined
     block: ``[scan.skipped(filename)]``), under the same corruption
@@ -187,6 +187,14 @@ class _DiskPartitionRDD(RDD):
         self._on_corrupt = on_corrupt
         self._query_box = query_box
         self._scan = scan
+
+    def scanned(self, scan) -> "_DiskPartitionRDD":
+        """The same pruned read as a column scan (how ``Pipeline`` runs a
+        fused plan): each partition is ``[scan(block, codec)]``."""
+        return _DiskPartitionRDD(
+            self.ctx, self._directory, self._metas, self._stats,
+            self._codec, self._on_corrupt, self._query_box, scan,
+        )
 
     def _inject_corrupt_read(self, path: Path) -> None:
         """Honor an active fault plan's ``corrupt_read`` rules.
@@ -338,18 +346,20 @@ class StDataset:
         # Rewriting an existing dataset in place (re-index / repartition /
         # conversion) is an edit like any other: continue its generation
         # counter so long-lived readers keyed on it (the serve
-        # result cache) miss.  The streaming watermark survives rewrites
-        # the same way — compaction reshuffles blocks, it does not change
-        # what has been ingested.
-        generation = 0
+        # result cache) miss, and bump its rewrite epoch so position-based
+        # ones (stream states) notice.  The streaming watermark survives
+        # rewrites the same way — compaction reshuffles blocks, it does not
+        # change what has been ingested.
+        generation = epoch = 0
         if (directory / METADATA_FILENAME).exists():
             try:
                 existing = DatasetMetadata.load(directory)
                 generation = existing.generation + 1
+                epoch = existing.epoch + 1
                 if watermark is None:
                     watermark = existing.watermark
             except (ValueError, FileNotFoundError):
-                generation = 1
+                generation = epoch = 1
         metas = []
         for i, records in enumerate(partitions):
             filename = cls.BLOCK_PATTERN.format(i)
@@ -361,6 +371,7 @@ class StDataset:
             partitions=metas,
             codec=codec,
             generation=generation,
+            epoch=epoch,
             watermark=watermark,
         ).save(directory)
         cls._remove_orphan_blocks(directory, {m.filename for m in metas})
@@ -605,7 +616,6 @@ class StDataset:
         use_metadata: bool = True,
         on_corrupt: str = "raise",
         offset: int = 0,
-        scan=None,
     ) -> tuple[RDD, LoadStats]:
         """A lazy RDD over the partitions that may contain matching data.
 
@@ -627,9 +637,6 @@ class StDataset:
         block files: the partition loads empty and
         ``LoadStats.partitions_quarantined`` counts it, instead of the
         default :class:`~repro.engine.errors.CorruptPartitionError`.
-
-        ``scan`` (how ``Pipeline`` lowers aggregate plans) makes each
-        partition ``[scan(block, codec)]``, not the block's records.
         """
         if on_corrupt not in ("raise", "quarantine"):
             raise ValueError("on_corrupt must be 'raise' or 'quarantine'")
@@ -654,7 +661,6 @@ class StDataset:
             codec=meta.codec,
             on_corrupt=on_corrupt,
             query_box=query_box,
-            scan=scan,
         )
         return rdd, stats
 

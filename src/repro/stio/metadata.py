@@ -95,6 +95,13 @@ class DatasetMetadata:
     computed against generation N can never be served once the data moved
     to N+1.  Absent in older metadata files, which read as generation 0.
 
+    ``epoch`` is the rewrite epoch: :meth:`~repro.stio.dataset.StDataset.write`
+    over an existing dataset (compaction, re-index, conversion) bumps it,
+    an append (:meth:`merged_with`) carries it forward.  Position-based
+    readers (:class:`~repro.stream.StreamState`) compare it to learn that
+    blocks they consumed were rewritten — block names and counts cannot
+    tell, a rewrite reuses both.  Absent in older files, which read as 0.
+
     ``watermark`` is the streaming high-water mark: the maximum event end
     time ever ingested (epoch seconds), or ``None`` for datasets never
     touched by :meth:`~repro.stio.dataset.StDataset.ingest`.  It advances
@@ -113,6 +120,7 @@ class DatasetMetadata:
     version: int = FORMAT_VERSION
     codec: str = "tuple"
     generation: int = 0
+    epoch: int = 0
     block_format: str = "v2"
     watermark: float | None = None
 
@@ -147,6 +155,7 @@ class DatasetMetadata:
             "codec": self.codec,
             "block_format": self.block_format,
             "generation": self.generation,
+            "epoch": self.epoch,
             "partitions": [p.to_dict() for p in self.partitions],
         }
         if self.watermark is not None:
@@ -187,6 +196,7 @@ class DatasetMetadata:
             version=payload["version"],
             codec=payload.get("codec", "tuple"),
             generation=int(payload.get("generation", 0)),
+            epoch=int(payload.get("epoch", 0)),
             block_format=block_format,
             watermark=float(watermark) if watermark is not None else None,
         )
@@ -215,6 +225,7 @@ class DatasetMetadata:
             # An append is an edit: cached answers against the old
             # generation must stop hitting.
             generation=self.generation + 1,
+            epoch=self.epoch,
             block_format=self.block_format,
             watermark=watermark,
         )

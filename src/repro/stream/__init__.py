@@ -10,9 +10,9 @@ sit behind a feed, in three pieces:
   rebalance threshold trips;
 * **incremental runs** (:mod:`repro.stream.incremental`) —
   :meth:`Pipeline.run_incremental <repro.core.pipeline.Pipeline.run_incremental>`
-  selects/converts/extracts only new-since-last-run blocks and merges
-  them into running state, bit-identically to a batch run over the
-  union;
+  executes the batch plan over only new-since-last-run blocks and merges
+  their partials into running state, bit-identically to a batch run over
+  the union;
 * **windowed extractors** (:mod:`repro.stream.windows`) — tumbling and
   sliding flow/speed features whose state survives worker loss through
   :class:`~repro.engine.faults.PipelineCheckpoint`.
@@ -24,7 +24,6 @@ from repro.stream.incremental import (
     IncrementalRun,
     StaleStreamStateError,
     StreamState,
-    run_incremental,
 )
 from repro.stream.ingest import IngestReport, compact_dataset, ingest_batch
 from repro.stream.windows import (
@@ -43,5 +42,4 @@ __all__ = [
     "WindowedSpeedExtractor",
     "compact_dataset",
     "ingest_batch",
-    "run_incremental",
 ]

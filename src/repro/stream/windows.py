@@ -138,12 +138,8 @@ class WindowedExtractor:
                     )
             return [(local, count)]
 
-        folded = rdd.map_partitions(fold)._collect_partitions()
         seen = 0
-        for partition in folded:
-            if not partition:
-                continue
-            local, count = partition[0]
+        for local, count in rdd.map_partitions(fold).collect():
             seen += count
             for k in sorted(local):
                 if k in self.windows:

@@ -7,8 +7,9 @@ extractor folding its own ``local``/``merge``/``finalize``
 deterministic reduce topology (per-partition left fold, then balanced
 adjacent pairing), so the comparisons below use plain ``==`` — no
 tolerances — over randomized inputs, empty cells, single partitions,
-duplicate-mode boundary replicas, partitions the spec declines
-(demotion), and all three execution backends.
+duplicate-mode boundary replicas, the pairs a kernel computes one by one
+(interval entry times, non-envelope cells), and all three execution
+backends.
 """
 
 from __future__ import annotations
@@ -201,7 +202,11 @@ class TestExtractionParity:
 
 
 class TestScalarFallbackAndDemotion:
-    """Partitions the spec cannot vectorize demote exactly, not approximately."""
+    """Inputs the array kernels cannot decide stay inside the kernel: those
+    ``(cell, trajectory)`` pairs are computed one by one and scattered with
+    the rest, so the partial is a ``CellTable`` whatever the input holds.
+    (No spec declines and nothing demotes any more; the class keeps its
+    name for the test ids.)"""
 
     @staticmethod
     def _extraction_span_kind(converted_partitions, extractor) -> bool:
@@ -213,14 +218,29 @@ class TestScalarFallbackAndDemotion:
         return span.args["columnar"]
 
     @staticmethod
-    def _interval_trajectory(offset: float):
-        # Interval-valued entry durations: PortionSpeedSpec.build returns
-        # None for these, forcing the partition onto the scalar path.
+    def _interval_trajectory(offset: float, t0: float = 0.0, step: float = 1_000.0):
+        # Interval-valued entry durations: window membership is not a
+        # contiguous timestamp slice, so the kernels go pair by pair.
         entries = [
-            Entry(Point(1.0 + offset, 1.0), Duration(1_000.0 * k, 1_000.0 * k + 50.0), None)
+            Entry(Point(1.0 + offset, 1.0 + 0.3 * k), Duration(t0 + step * k, t0 + step * k + 50.0), None)
             for k in range(1, 6)
         ]
         return Trajectory(entries, data=f"interval-{offset}")
+
+    def _check(self, backend, converter, partitions, extractor):
+        """Extractor == fold oracle over these partitions, as CellTables."""
+        ctx = EngineContext(default_parallelism=len(partitions), backend=backend)
+        try:
+            converted = converter.convert(ctx.from_partitions(partitions))
+            scalar, columnar = _both_paths(ctx, converted, extractor)
+            assert columnar == scalar
+            assert any(v not in (None, (0, 0), (0, None)) for v in scalar)
+            kinds = extractor.premerged(
+                ctx.from_partitions(converted._collect_partitions())
+            ).collect()
+            assert kinds and all(isinstance(p, CellTable) for p in kinds)
+        finally:
+            ctx.backend.stop()
 
     @pytest.mark.parametrize("parts", [1, 3])
     def test_interval_trajectories_fall_back(self, parts):
@@ -230,10 +250,10 @@ class TestScalarFallbackAndDemotion:
         converted = Traj2TsConverter(ts).convert(ctx.parallelize(trajectories, parts))
         scalar, columnar = _both_paths(ctx, converted, TsSpeedExtractor())
         assert columnar == scalar
-        # Every partition fell back, so the span must not claim columnar;
-        # the same extractor over vectorizable input must.
+        # The kernel handled every pair itself: the span reports columnar,
+        # exactly as over instant-only input.
         partitions = converted._collect_partitions()
-        assert self._extraction_span_kind(partitions, TsSpeedExtractor()) is False
+        assert self._extraction_span_kind(partitions, TsSpeedExtractor()) is True
         vectorizable = Traj2TsConverter(ts).convert(
             ctx.parallelize(make_trajectories(8, seed=3), parts)
         )
@@ -245,8 +265,8 @@ class TestScalarFallbackAndDemotion:
         )
 
     def test_mixed_partitions_demote(self):
-        # Partition 0 vectorizes, partition 1 cannot: the tree merge must
-        # demote the CellTable side and still match the scalar result.
+        # Partition 0 holds instant trajectories, partition 1 interval
+        # ones: both build tables, which merge as tables.
         _, ts, _ = _structures()
         vectorizable = make_trajectories(8, seed=3)
         fallback = [self._interval_trajectory(0.2 * i) for i in range(3)]
@@ -256,6 +276,66 @@ class TestScalarFallbackAndDemotion:
         )
         scalar, columnar = _both_paths(ctx, converted, TsSpeedExtractor())
         assert columnar == scalar
+        assert self._extraction_span_kind(
+            converted._collect_partitions(), TsSpeedExtractor()
+        ) is True
+
+    @pytest.mark.parametrize("backend", ALL_BACKENDS)
+    def test_interval_and_instant_trajectories_on_every_backend(self, backend):
+        """All-interval partitions, and partitions mixing both kinds, for the
+        time-series and the raster speed kernels (the latter's
+        ``count_vehicles`` column counts interval trajectories too)."""
+        _, ts, raster = _structures()
+        instant = make_trajectories(9, seed=4)
+        # Spread over the raster's time slots so several cells see a
+        # multi-point portion.
+        interval = [
+            self._interval_trajectory(0.4 * i, t0=7_000.0 * i, step=2_500.0) for i in range(6)
+        ]
+        mixed = [instant[:5] + interval[:2], interval[2:4] + instant[5:], interval[4:]]
+        for partitions in ([interval[:3], interval[3:]], mixed):
+            self._check(backend, Traj2TsConverter(ts), partitions, TsSpeedExtractor())
+            self._check(
+                backend, Traj2RasterConverter(raster), partitions, RasterSpeedExtractor()
+            )
+            self._check(
+                backend, Traj2RasterConverter(raster), partitions, RasterTransitExtractor()
+            )
+
+    @pytest.mark.parametrize("backend", ALL_BACKENDS)
+    def test_non_envelope_transit_cells(self, backend):
+        """Irregular (polygon) raster cells: ``TransitSpec`` tests those
+        cells' pairs with ``intersects``, the envelope cells' with arrays."""
+        from repro.core.structures import RasterStructure
+        from repro.geometry import Polygon
+
+        triangle = Polygon([(0.0, 0.0), (10.0, 0.0), (0.0, 10.0)])
+        slots = [Duration(0.0, 43_200.0), Duration(43_200.0, 86_400.0)]
+        cells = [(g, d) for g in (triangle, Envelope(5.0, 5.0, 10.0, 10.0)) for d in slots]
+        raster = RasterStructure(cells)
+        assert not raster.is_regular
+        # Walks along the diagonal cross the triangle's hypotenuse inside
+        # its MBR — where a box test and the polygon disagree.
+        outward = [(1.0 + k, 1.0 + k, 1_000.0 + 600.0 * k) for k in range(8)]
+        inward = [(x, y, 50_000.0 - t) for x, y, t in reversed(outward)]
+        crossing = [Trajectory.of_points(outward, data="out"), Trajectory.of_points(inward, data="in")]
+        crossing.append(
+            Trajectory(
+                [Entry(Point(x, y), Duration(t, t + 90.0), None) for x, y, t in outward],
+                data="interval-out",
+            )
+        )
+        trajectories = make_trajectories(20, seed=11)
+        interval = [
+            self._interval_trajectory(0.5 * i, t0=9_000.0 * i, step=6_000.0) for i in range(5)
+        ]
+        partitions = [
+            trajectories[:10] + interval[:2] + crossing[:1],
+            trajectories[10:] + interval[2:] + crossing[1:],
+        ]
+        self._check(
+            backend, Traj2RasterConverter(raster), partitions, RasterTransitExtractor()
+        )
 
 
 class TestTreeReduce:
@@ -423,5 +503,4 @@ class TestCellTable:
         spec = CountSpec()
         table = spec.build(instance)
         assert spec.finalize(table) == [1, 0, 2, 0]
-        assert spec.partials(table) == [1, 0, 2, 0]
         assert table.rows == 3

@@ -11,16 +11,22 @@ the last bit), and with chaos-injected worker loss mid-batch.
 from __future__ import annotations
 
 import json
+import math
+import tempfile
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from repro.columnar.aggregate import CellTable
 from repro.core import Pipeline, Selector, TimeSeriesStructure
 from repro.core.converters import Event2TsConverter, Traj2TsConverter
-from repro.core.extractors import TsFlowExtractor, TsSpeedExtractor
+from repro.core.extractors import CellAggExtractor, TsFlowExtractor, TsSpeedExtractor
 from repro.engine import EngineContext
 from repro.engine.faults import FaultPlan, FaultRule, PipelineCheckpoint
 from repro.geometry import Envelope
-from repro.instances import Event
+from repro.instances import Event, TimeSeries
 from repro.obs.tracer import Tracer, installed
 from repro.partitioners import TSTRPartitioner
 from repro.stio import StDataset
@@ -72,10 +78,10 @@ def event_batches(k: int = 4, per_batch: int = 250) -> list[list[Event]]:
     return batches
 
 
-def flow_pipeline(days: int = 4) -> Pipeline:
+def flow_pipeline(days: int = 4, temporal=None, **selector_kwargs) -> Pipeline:
     span = Duration(0.0, days * DAY)
     return Pipeline(
-        selector=Selector(AREA, span),
+        selector=Selector(AREA, temporal or span, **selector_kwargs),
         converter=Event2TsConverter(
             TimeSeriesStructure.of_interval(span, 6 * 3_600.0)
         ),
@@ -428,6 +434,198 @@ class TestIncrementalParity:
             flow_pipeline().run_incremental(ctx, tmp_path / "feed")
         assert tracer.counters["incremental_runs"] == 1
         assert tracer.counters["incremental_blocks_new"] == 1
+
+
+class MeanTripLength(CellAggExtractor):
+    """A user-defined extractor — ``local``/``merge`` only, no ``agg_spec`` —
+    whose float sums expose any change of merge order in the last bit."""
+
+    def local(self, values, spatial, temporal):
+        return (sum(t.length_meters() for t in values), len(values))
+
+    def merge(self, a, b):
+        return (a[0] + b[0], a[1] + b[1])
+
+    def finalize(self, partial):
+        return partial[0] / partial[1] if partial[1] else None
+
+
+TRAJS = make_trajectories(120, seed=5)
+TRAJ_SPAN = Duration(
+    min(t.temporal_extent.start for t in TRAJS), max(t.temporal_extent.end for t in TRAJS)
+)
+
+
+def _traj_pipeline(extractor_type, temporal=TRAJ_SPAN, **selector_kwargs) -> Pipeline:
+    return Pipeline(
+        Selector(AREA, temporal, **selector_kwargs),
+        Traj2TsConverter(TimeSeriesStructure.of_interval(TRAJ_SPAN, TRAJ_SPAN.length / 8)),
+        extractor_type(),
+    )
+
+
+#: name → (pipeline factory, K micro-batches, instance type, ingest
+#: partitioner, physical path, banked partial type)
+PLANS = {
+    "fused-count": (flow_pipeline, event_batches(4), "event", (1, 2), "fused", CellTable),
+    "staged-float": (
+        lambda **kw: _traj_pipeline(TsSpeedExtractor, **kw),
+        [TRAJS[i::4] for i in range(4)], "trajectory", (2, 1), "staged", CellTable,
+    ),
+    "staged-user-defined": (
+        lambda **kw: _traj_pipeline(MeanTripLength, **kw),
+        [TRAJS[i::4] for i in range(4)], "trajectory", (2, 1), "staged", TimeSeries,
+    ),
+}
+
+
+class TestIncrementalIsTheBatchPlan:
+    """``run_incremental`` executes the plan ``run`` executes — over a block
+    suffix (state mode) or a narrowed window (since mode) — so its answers
+    are ``run``'s, bit for bit, whichever physical path the plan takes."""
+
+    @pytest.mark.parametrize("backend", ALL_BACKENDS)
+    @pytest.mark.parametrize("plan", sorted(PLANS))
+    def test_k_incremental_runs_equal_one_run(self, tmp_path, plan, backend):
+        make, batches, instance_type, grid, path, partial_type = PLANS[plan]
+        ctx = make_ctx(backend)
+        feed = tmp_path / "feed"
+        # A partitioner on the selector is a shuffle knob: state mode ignores it.
+        pipe = make(partitioner=TSTRPartitioner(2, 2))
+        state = None
+        try:
+            for batch in batches:
+                StDataset(feed).ingest(
+                    batch, partitioner=TSTRPartitioner(*grid), instance_type=instance_type
+                )
+                run = pipe.run_incremental(ctx, feed, state=state)
+                state = run.state
+            assert make().explain(ctx, feed)["path"] == path
+            assert run.result.cell_values() == make().run(ctx, feed).cell_values()
+            assert run.result.cell_values() == make().run(make_ctx(), feed).cell_values()
+        finally:
+            ctx.stop()
+        assert any(v for v in run.result.cell_values())
+        assert state.position == len(StDataset(feed).metadata().partitions)
+        assert len(state.partials) > len(batches)
+        assert all(type(p) is partial_type for p in state.partials)
+
+    @pytest.mark.parametrize("backend", ALL_BACKENDS)
+    @pytest.mark.parametrize("plan", sorted(PLANS))
+    def test_since_mode_is_run_under_the_narrowed_window(self, tmp_path, plan, backend):
+        make, batches, instance_type, grid, _, _ = PLANS[plan]
+        ctx = make_ctx(backend)
+        feed = tmp_path / "feed"
+        ds = StDataset(feed)
+        try:
+            for batch in batches[:2]:
+                ds.ingest(batch, partitioner=TSTRPartitioner(*grid), instance_type=instance_type)
+            # Any instant works as the mark; this one splits the data.
+            mark = sorted(i.temporal_extent.end for b in batches for i in b)[len(batches[0])]
+            for batch in batches[2:]:
+                ds.ingest(batch, partitioner=TSTRPartitioner(*grid))
+            pipe = make()
+            run = pipe.run_incremental(ctx, feed, since=mark)
+            window = pipe.selector.temporal.intersection(
+                Duration(math.nextafter(mark, math.inf), math.inf)
+            )
+            expected = make(temporal=window).run(ctx, feed)
+            assert run.result.cell_values() == expected.cell_values()
+            assert any(v for v in run.result.cell_values())
+            assert run.state is None and run.blocks_selected > 0
+            # Nothing past the newest record: no block selected, no result.
+            newest = max(i.temporal_extent.end for b in batches for i in b)
+            empty = pipe.run_incremental(ctx, feed, since=newest)
+            assert (empty.result, empty.blocks_selected, empty.records_loaded) == (None, 0, 0)
+        finally:
+            ctx.stop()
+
+
+class TestStaleState:
+    """A state is stale exactly when blocks it consumed were rewritten."""
+
+    def test_compaction_to_same_names_and_counts_is_detected(self, tmp_path):
+        """The reproduction of the bug: block ``i`` is always named
+        ``part-{i:05d}.stb`` and T-STR cuts equal-count partitions, so the
+        last consumed block's ``(filename, count)`` survives a compaction."""
+        ctx = make_ctx()
+        feed = tmp_path / "feed"
+        ds = StDataset(feed)
+        first, second = event_batches(2, per_batch=1_000)
+        pipe = flow_pipeline(days=2)
+        ds.ingest(first, partitioner=TSTRPartitioner(1, 2), instance_type="event")
+        run = pipe.run_incremental(ctx, feed)
+        last = ds.metadata().partitions[run.state.position - 1]
+        ds.ingest(second, partitioner=TSTRPartitioner(1, 2))
+        ds.compact(TSTRPartitioner(1, 4))
+        now = ds.metadata().partitions[run.state.position - 1]
+        assert (now.filename, now.count) == (last.filename, last.count) == ("part-00001.stb", 500)
+        with pytest.raises(StaleStreamStateError):
+            pipe.run_incremental(ctx, feed, state=run.state)
+        fresh = pipe.run_incremental(ctx, feed)
+        assert fresh.result.cell_values() == flow_pipeline(days=2).run(ctx, feed).cell_values()
+        assert sum(fresh.result.cell_values()) == 2_000
+
+    def test_metadata_without_an_epoch_key_opens_and_detects_overrun(self, tmp_path):
+        ctx = make_ctx()
+        feed = tmp_path / "feed"
+        ds = StDataset(feed)
+        for batch in event_batches(2):
+            ds.ingest(batch, partitioner=TSTRPartitioner(1, 2), instance_type="event")
+        run = flow_pipeline().run_incremental(ctx, feed)
+        # A metadata file as written before the rewrite epoch existed ...
+        payload = json.loads((feed / "metadata.json").read_text())
+        del payload["epoch"]
+        (feed / "metadata.json").write_text(json.dumps(payload))
+        assert ds.metadata().epoch == 0
+        again = flow_pipeline().run_incremental(ctx, feed, state=run.state)
+        assert again.blocks_new == 0
+        # ... still detects a state that ran past its end,
+        payload["partitions"] = payload["partitions"][:2]
+        (feed / "metadata.json").write_text(json.dumps(payload))
+        with pytest.raises(StaleStreamStateError):
+            flow_pipeline().run_incremental(ctx, feed, state=run.state)
+        # and its first in-place rewrite by this version is epoch 1.
+        ds.compact(TSTRPartitioner(1, 1))
+        assert ds.metadata().epoch == 1
+
+    @given(
+        sizes=st.lists(st.integers(1, 40), min_size=1, max_size=3),
+        ingest_grid=st.tuples(st.integers(1, 2), st.integers(1, 3)),
+        compact_grid=st.tuples(st.integers(1, 3), st.integers(1, 3)),
+        appends_after=st.integers(0, 2),
+    )
+    @settings(max_examples=30, deadline=None)
+    def test_every_compaction_is_stale_and_no_append_is(
+        self, sizes, ingest_grid, compact_grid, appends_after
+    ):
+        ctx = make_ctx()
+        pipe = flow_pipeline()
+        events = iter(make_events(sum(sizes) + 40 * (appends_after + 1), t_extent=4 * DAY))
+        with tempfile.TemporaryDirectory() as tmp:
+            feed = Path(tmp) / "feed"
+            ds = StDataset(feed)
+
+            def append(n):
+                ds.ingest(
+                    [next(events) for _ in range(n)],
+                    partitioner=TSTRPartitioner(*ingest_grid),
+                    instance_type="event",
+                )
+
+            state = None
+            for n in sizes:  # appends only: never stale
+                append(n)
+                state = pipe.run_incremental(ctx, feed, state=state).state
+            ds.compact(TSTRPartitioner(*compact_grid))
+            for _ in range(appends_after):
+                append(40)
+            with pytest.raises(StaleStreamStateError):
+                pipe.run_incremental(ctx, feed, state=state)
+            run = pipe.run_incremental(ctx, feed)
+            append(40)  # and the fresh state keeps working across appends
+            run = pipe.run_incremental(ctx, feed, state=run.state)
+            assert run.result.cell_values() == flow_pipeline().run(ctx, feed).cell_values()
 
 
 # ---------------------------------------------------------------------------
