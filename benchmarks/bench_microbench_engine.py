@@ -250,6 +250,73 @@ def test_micro_event_raster_fused(benchmark, tmp_path):
     assert fused.selector.last_load_stats.rows_decoded == 0
 
 
+def test_micro_stream_write_path(benchmark, tmp_path, monkeypatch):
+    """20 micro-batches × 500 events through ``StDataset.ingest`` with a
+    compaction every 8 blocks — the write path's counted work, no timing gate.
+
+    Fails unless every ingested record was asked for its extent exactly
+    once, no compaction decoded a row, and the long-lived handle parsed its
+    metadata at most once per ingest.
+    """
+    from repro.instances import Event
+    from repro.instances.base import Instance
+    from repro.partitioners import TSTRPartitioner
+    from repro.stio import DatasetMetadata, StDataset, blockv2
+
+    rng = random.Random(23)
+    batches = [
+        [
+            Event.of_point(
+                rng.uniform(0, 8), rng.uniform(0, 8), 3_600.0 * (b + rng.random()), data=i
+            )
+            for i in range(500)
+        ]
+        for b in range(20)
+    ]
+    work = dict.fromkeys(
+        ("st_bounds", "rows_decoded", "metadata_parses", "ingests", "compactions"), 0
+    )
+
+    def counting(name, original):
+        def wrapper(*args, **kwargs):
+            work[name] += 1
+            return original(*args, **kwargs)
+
+        return wrapper
+
+    monkeypatch.setattr(Instance, "st_bounds", counting("st_bounds", Instance.st_bounds))
+    monkeypatch.setattr(
+        blockv2, "decode_record", counting("rows_decoded", blockv2.decode_record)
+    )
+    monkeypatch.setattr(
+        DatasetMetadata,
+        "load",
+        classmethod(counting("metadata_parses", DatasetMetadata.load.__func__)),
+    )
+    feeds = iter(range(1_000))
+
+    def run():
+        dataset = StDataset(tmp_path / f"feed-{next(feeds)}")
+        for batch in batches:
+            report = dataset.ingest(
+                batch, TSTRPartitioner(1, 2), rebalance_threshold=8, instance_type="event"
+            )
+            work["ingests"] += 1
+            work["compactions"] += report.compacted
+
+    benchmark.pedantic(run, rounds=3, iterations=1)
+    ingests = work["ingests"]
+    print(
+        f"\nwrite path: {work['st_bounds'] / (ingests * 500):.2f} st_bounds/record, "
+        f"{work['rows_decoded']} rows decoded by {work['compactions']} compactions, "
+        f"{work['metadata_parses'] / ingests:.2f} metadata parses/ingest"
+    )
+    assert work["compactions"] > 0
+    assert work["st_bounds"] == ingests * 500
+    assert work["rows_decoded"] == 0
+    assert work["metadata_parses"] <= ingests
+
+
 def test_micro_report(benchmark, boxes, queries):
     """Pruning factor summary: counted intersection tests per query."""
 

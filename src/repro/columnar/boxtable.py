@@ -11,6 +11,11 @@ instead of a Python loop over ``STBox`` objects.
 box-intersection hit is already the exact selection predicate, so the
 per-instance refinement pass skips them entirely: exact geometry tests run
 only on the vectorized candidate set, and only for rows that need them.
+
+The table is also the currency of the *write* path: :meth:`from_instances`
+is the one pass that asks a record for its extent; partitioner fits and
+routing (:meth:`centers`), per-block slices (:meth:`extents`), the block
+encoder's columns and the metadata MBR (:meth:`bounds`) read the columns.
 """
 
 from __future__ import annotations
@@ -32,6 +37,11 @@ class BoxTable:
         "xmin", "ymin", "tmin", "xmax", "ymax", "tmax", "rows", "box_exact"
     )
 
+    @property
+    def columns(self) -> tuple:
+        """The six extent columns, in on-disk order."""
+        return (self.xmin, self.ymin, self.tmin, self.xmax, self.ymax, self.tmax)
+
     def __init__(self, xmin, ymin, tmin, xmax, ymax, tmax, rows, box_exact):
         self.xmin = xmin
         self.ymin = ymin
@@ -39,14 +49,15 @@ class BoxTable:
         self.xmax = xmax
         self.ymax = ymax
         self.tmax = tmax
-        #: Row → instance indirection (row i's columns describe rows[i]).
+        #: Row → instance indirection (row i's columns describe rows[i]);
+        #: ``None`` on a table of extents alone (see :meth:`extents`).
         self.rows = rows
         #: True where the instance's MBR equals its shape, so the box test
         #: is exact and no scalar refinement is needed.
         self.box_exact = box_exact
 
     def __len__(self) -> int:
-        return len(self.rows)
+        return len(self.xmin)
 
     @property
     def nbytes(self) -> int:
@@ -58,8 +69,8 @@ class BoxTable:
         outlives the table.  This is what byte-budgeted caches charge per
         entry.
         """
-        columns = (self.xmin, self.ymin, self.tmin, self.xmax, self.ymax, self.tmax)
-        return sum(int(c.nbytes) for c in columns) + int(self.box_exact.nbytes) + 8 * len(self.rows)
+        columns = sum(int(c.nbytes) for c in self.columns)
+        return columns + int(self.box_exact.nbytes) + 8 * len(self.rows)
 
     @classmethod
     def from_instances(cls, instances: Sequence[Instance]) -> "BoxTable":
@@ -80,6 +91,46 @@ class BoxTable:
                 entries[0].spatial, (Point, Envelope)
             )
         return cls(xmin, ymin, tmin, xmax, ymax, tmax, rows, box_exact)
+
+    @classmethod
+    def concat(cls, tables: Sequence["BoxTable"], rows) -> "BoxTable":
+        """``tables`` stacked in order, with ``rows`` as the new indirection."""
+        return cls(
+            *(np.concatenate(cs) for cs in zip(*(t.columns for t in tables))),
+            rows,
+            np.concatenate([t.box_exact for t in tables]),
+        )
+
+    def extents(self, idx) -> "BoxTable":
+        """Rows ``idx`` (an index array), in that order, as a new table of
+        extents alone — no row indirection, so none of ``rows`` is touched."""
+        return BoxTable(*(c[idx] for c in self.columns), None, self.box_exact[idx])
+
+    def take(self, idx) -> "BoxTable":
+        """:meth:`extents` of ``idx`` with their ``rows`` alongside."""
+        table = self.extents(idx)
+        table.rows = [self.rows[i] for i in idx.tolist()]
+        return table
+
+    def centers(self):
+        """Per-row ``(x, y, t)`` midpoints — ``(min + max) / 2.0``, the exact
+        arithmetic of ``Envelope.centroid`` / ``Duration.center``, so a cut
+        fitted or a row routed on them agrees bit for bit with the scalar path."""
+        return (
+            (self.xmin + self.xmax) / 2.0,
+            (self.ymin + self.ymax) / 2.0,
+            (self.tmin + self.tmax) / 2.0,
+        )
+
+    def bounds(self) -> STBox:
+        """The MBR of every row (the table must not be empty).
+
+        Python's ``min``/``max`` over each column, not numpy's: they keep the
+        first of equal values, as the left fold of ``STBox.merge_all`` over
+        the rows' boxes does, so even the sign of a zero bound matches.
+        """
+        columns = [c.tolist() for c in self.columns]
+        return STBox([min(c) for c in columns[:3]], [max(c) for c in columns[3:]])
 
     # -- kernels ------------------------------------------------------------------
 

@@ -35,6 +35,14 @@ K = TypeVar("K")
 V = TypeVar("V")
 
 
+def sampled_positions(split: int, n: int, fraction: float, seed: int) -> list[int]:
+    """Positions :meth:`RDD.sample` keeps of partition ``split``'s ``n`` items —
+    a function of position alone, so a caller holding the items in another
+    form (the dataset writer's extent table) can draw the identical sample."""
+    rng = random.Random(seed * 1_000_003 + split)
+    return [i for i in range(n) if rng.random() < fraction]
+
+
 def _identity_key(x: Any) -> Any:
     """Shuffle key for :meth:`RDD.distinct`: the element, or its bytes.
 
@@ -226,8 +234,7 @@ class RDD(Generic[T]):
             raise ValueError("fraction must be in [0, 1]")
 
         def sampler(split: int, items: list) -> list:
-            rng = random.Random(seed * 1_000_003 + split)
-            return [x for x in items if rng.random() < fraction]
+            return [items[i] for i in sampled_positions(split, len(items), fraction, seed)]
 
         return _MapPartitionsRDD(self, sampler)
 

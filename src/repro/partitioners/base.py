@@ -5,6 +5,7 @@ from __future__ import annotations
 from abc import ABC, abstractmethod
 from typing import TYPE_CHECKING, Sequence
 
+from repro.columnar.boxtable import BoxTable
 from repro.index.boxes import STBox
 from repro.instances.base import Instance
 
@@ -15,6 +16,26 @@ if TYPE_CHECKING:  # pragma: no cover
 #: (e.g. the temporal extent of a purely spatial partitioner).  Finite so
 #: boxes stay JSON-serializable and index-safe.
 UNBOUNDED = 1.0e18
+
+#: Seed of the fit sample :meth:`STPartitioner.partition` draws by default.
+SAMPLE_SEED = 17
+
+
+def as_table(instances: BoxTable | Sequence[Instance]) -> BoxTable:
+    """``instances`` as their extent table — the door every ``fit`` and
+    ``assign_batch`` enters by: a sequence is extracted here, once; a table
+    (the write path's batch, a compaction's mmapped columns) passes through."""
+    if isinstance(instances, BoxTable):
+        return instances
+    return BoxTable.from_instances(instances)
+
+
+def fit_table(sample: BoxTable | Sequence[Instance]) -> BoxTable:
+    """:func:`as_table` for a ``fit``: an empty sample has no cuts to offer."""
+    table = as_table(sample)
+    if not len(table):
+        raise ValueError("cannot fit on an empty sample")
+    return table
 
 
 def _fan_out_batch(
@@ -61,6 +82,13 @@ class STPartitioner(ABC):
 
     After fitting, ``boundaries()`` exposes one ST box per partition; the
     on-disk metadata writer (Section 4.1) persists these next to the data.
+
+    ``fit`` and ``assign_batch`` consume *extents*: a
+    :class:`~repro.columnar.boxtable.BoxTable`, or a sequence of instances
+    :func:`as_table` converts, whose centre columns carry the arithmetic of
+    ``Envelope.centroid`` / ``Duration.center`` — cuts and routing match the
+    scalar :meth:`assign` bit for bit.  A partitioner that needs more than
+    extents (a record hash, a custom key) reads ``table.rows``.
     """
 
     def __init__(self) -> None:
@@ -69,8 +97,8 @@ class STPartitioner(ABC):
     # -- fitting ------------------------------------------------------------------
 
     @abstractmethod
-    def fit(self, sample: Sequence[Instance]) -> None:
-        """Compute partition boundaries from a sample of instances."""
+    def fit(self, sample: BoxTable | Sequence[Instance]) -> None:
+        """Compute partition boundaries from a sample (a table or instances)."""
 
     @property
     def is_fitted(self) -> bool:
@@ -117,15 +145,16 @@ class STPartitioner(ABC):
         hits.add(primary)
         return sorted(hits)
 
-    def assign_batch(self, instances: Sequence[Instance]) -> list[int]:
-        """Partition ids for many instances at once.
+    def assign_batch(self, instances: BoxTable | Sequence[Instance]) -> list[int]:
+        """Partition ids for many instances (or a table's rows) at once.
 
         Contract: elementwise identical to :meth:`assign` —
         ``assign_batch(xs) == [assign(x) for x in xs]`` for every input.
         Subclasses override with vectorized kernels; this default is the
         scalar loop, so overriding is purely a performance choice.
         """
-        return [self.assign(inst) for inst in instances]
+        rows = instances.rows if isinstance(instances, BoxTable) else instances
+        return [self.assign(inst) for inst in rows]
 
     @abstractmethod
     def boundaries(self) -> list[STBox]:
@@ -138,7 +167,7 @@ class STPartitioner(ABC):
         rdd: "RDD[Instance]",
         sample_fraction: float = 0.1,
         duplicate: bool = False,
-        seed: int = 17,
+        seed: int = SAMPLE_SEED,
     ) -> "RDD[Instance]":
         """Fit on a sample of ``rdd`` and shuffle it into balanced partitions.
 
@@ -196,7 +225,7 @@ class STPartitioner(ABC):
         rdd: "RDD[Instance]",
         sample_fraction: float = 0.1,
         duplicate: bool = False,
-        seed: int = 17,
+        seed: int = SAMPLE_SEED,
     ) -> tuple["RDD[Instance]", list[STBox]]:
         """Like :meth:`partition` but also return the partition boundaries —
         the ``stPartitionWithInfo`` of Section 4.1's code example."""

@@ -32,7 +32,9 @@ class HashPartitioner(STPartitioner):
     randomness and load balance at the data record level" — the right
     choice when the extraction logic needs no ST proximity.  Every
     partition's boundary is the full ST space, so the OV metric (Table 5)
-    is maximal by construction.
+    is maximal by construction.  Batched routing is the inherited scalar
+    loop on purpose: ``stable_hash`` digests a canonical key per record, and
+    an array form would silently change every record's placement.
     """
 
     def __init__(
@@ -60,20 +62,6 @@ class HashPartitioner(STPartitioner):
         """Partition id for an instance (see STPartitioner)."""
         self._require_fitted()
         return stable_hash(self._key_func(instance)) % self._n
-
-    def assign_batch(self, instances: Sequence[Instance]) -> list[int]:
-        """Batched :meth:`assign` — intentionally the scalar loop.
-
-        ``stable_hash`` digests a pickled canonical key per record; there
-        is no array form of that, and inventing one would silently change
-        every record's placement.  The override exists to document the
-        choice: hash routing gains nothing from the columnar path but must
-        stay bit-identical to the scalar one.
-        """
-        self._require_fitted()
-        key_func = self._key_func
-        n = self._n
-        return [stable_hash(key_func(inst)) % n for inst in instances]
 
     def assign_all(self, instance: Instance) -> list[int]:
         # Hash placement has no spatial boundaries to straddle.

@@ -11,9 +11,10 @@ from __future__ import annotations
 import math
 from typing import Sequence
 
+from repro.columnar.boxtable import BoxTable
 from repro.index.boxes import STBox
 from repro.instances.base import Instance
-from repro.partitioners.base import STPartitioner, UNBOUNDED
+from repro.partitioners.base import STPartitioner, UNBOUNDED, fit_table
 
 
 class _KDNode:
@@ -43,13 +44,10 @@ class KDBPartitioner(STPartitioner):
         self._root: _KDNode | None = None
         self._bounds: list[tuple[float, float, float, float]] | None = None
 
-    def fit(self, sample: Sequence[Instance]) -> None:
+    def fit(self, sample: BoxTable | Sequence[Instance]) -> None:
         """Learn partition boundaries from a sample (see STPartitioner)."""
-        if not sample:
-            raise ValueError("cannot fit on an empty sample")
-        centers = [
-            (c.x, c.y) for c in (inst.spatial_extent.centroid() for inst in sample)
-        ]
+        xs, ys, _ = fit_table(sample).centers()
+        centers = list(zip(xs.tolist(), ys.tolist()))
         depth = max(0, math.ceil(math.log2(self._target)))
         self._bounds = []
         self._root = self._build(centers, 0, depth)

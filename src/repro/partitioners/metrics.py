@@ -16,6 +16,7 @@ from __future__ import annotations
 
 from typing import Sequence
 
+from repro.columnar.boxtable import BoxTable
 from repro.engine.metrics import coefficient_of_variation
 from repro.index.boxes import STBox
 from repro.instances.base import Instance
@@ -28,10 +29,9 @@ def load_cv(partition_sizes: Sequence[int]) -> float:
 
 def partition_mbr(instances: Sequence[Instance]) -> STBox | None:
     """The ST MBR of a partition's actual contents (None when empty)."""
-    boxes = [inst.st_box() for inst in instances]
-    if not boxes:
+    if not instances:
         return None
-    return STBox.merge_all(boxes)
+    return BoxTable.from_instances(instances).bounds()
 
 
 def _normalized_volume(box: STBox, global_box: STBox) -> float:

@@ -5,11 +5,12 @@ from __future__ import annotations
 import math
 from typing import Sequence
 
+from repro.columnar.boxtable import BoxTable
 from repro.geometry.envelope import Envelope
 from repro.index.boxes import STBox
 from repro.index.quadtree import QuadTree
 from repro.instances.base import Instance
-from repro.partitioners.base import STPartitioner, UNBOUNDED
+from repro.partitioners.base import STPartitioner, UNBOUNDED, fit_table
 
 
 class QuadTreePartitioner(STPartitioner):
@@ -29,13 +30,10 @@ class QuadTreePartitioner(STPartitioner):
         self._leaf_index: dict[Envelope, int] | None = None
         self._tree: QuadTree | None = None
 
-    def fit(self, sample: Sequence[Instance]) -> None:
+    def fit(self, sample: BoxTable | Sequence[Instance]) -> None:
         """Learn partition boundaries from a sample (see STPartitioner)."""
-        if not sample:
-            raise ValueError("cannot fit on an empty sample")
-        centers = [
-            (c.x, c.y) for c in (inst.spatial_extent.centroid() for inst in sample)
-        ]
+        xs, ys, _ = fit_table(sample).centers()
+        centers = list(zip(xs.tolist(), ys.tolist()))
         # A leaf splits at > capacity points, and a split produces 4 leaves;
         # sizing capacity this way lands the leaf count near the target.
         capacity = max(1, math.ceil(len(centers) / self._target))

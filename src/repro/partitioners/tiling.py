@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 from bisect import bisect_right
 from typing import Sequence
 
@@ -11,7 +12,7 @@ from repro.geometry.envelope import Envelope
 from repro.partitioners.base import UNBOUNDED
 
 
-def equal_count_cuts(values: Sequence[float], k: int) -> list[float]:
+def equal_count_cuts(values, k: int) -> list[float]:
     """``k - 1`` cut points splitting sorted ``values`` into equal-count runs.
 
     The cuts are sample quantiles; duplicates are allowed (heavily skewed
@@ -20,10 +21,10 @@ def equal_count_cuts(values: Sequence[float], k: int) -> list[float]:
     """
     if k < 1:
         raise ValueError("cut count k must be at least 1")
-    ordered = sorted(values)
-    if not ordered or k == 1:
+    ordered = np.sort(np.asarray(values, dtype=np.float64), kind="stable")
+    if not len(ordered) or k == 1:
         return []
-    return [ordered[i * len(ordered) // k] for i in range(1, k)]
+    return ordered[[i * len(ordered) // k for i in range(1, k)]].tolist()
 
 
 def bucket_of(cuts: Sequence[float], value: float) -> int:
@@ -77,29 +78,23 @@ class Str2D:
     UNBOUNDED) so assignment is total.
     """
 
-    def __init__(self, points: Sequence[tuple[float, float]], n: int):
+    def __init__(self, xs, ys, n: int):
         if n < 1:
             raise ValueError("target partition count must be positive")
-        if not points:
+        if not len(xs):
             raise ValueError("cannot fit STR tiling on an empty sample")
-        import math
-
         kx = max(1, math.ceil(math.sqrt(n)))
         ky = max(1, math.ceil(n / kx))
-        self.x_cuts = equal_count_cuts([p[0] for p in points], kx)
-        xs_sorted = sorted(points, key=lambda p: p[0])
-        self.y_cuts_per_slab: list[list[float]] = []
-        slab_count = len(self.x_cuts) + 1
-        # Re-derive slab membership from the cuts (not from even slicing) so
+        xs = np.asarray(xs, dtype=np.float64)
+        ys = np.asarray(ys, dtype=np.float64)
+        self.x_cuts = equal_count_cuts(xs, kx)
+        # Slab membership comes from the cuts (not from even slicing) so
         # assignment and fitting agree exactly at duplicated cut values.
-        slabs: list[list[float]] = [[] for _ in range(slab_count)]
-        for x, y in xs_sorted:
-            slabs[bucket_of(self.x_cuts, x)].append(y)
-        for slab_ys in slabs:
-            if slab_ys:
-                self.y_cuts_per_slab.append(equal_count_cuts(slab_ys, ky))
-            else:
-                self.y_cuts_per_slab.append([])
+        slabs = bucket_of_batch(self.x_cuts, xs)
+        self.y_cuts_per_slab: list[list[float]] = [
+            equal_count_cuts(ys[slabs == slab], ky)
+            for slab in range(len(self.x_cuts) + 1)
+        ]
         self._offsets = [0]
         for cuts in self.y_cuts_per_slab:
             self._offsets.append(self._offsets[-1] + len(cuts) + 1)

@@ -21,6 +21,10 @@ Layout (all little-endian, section offsets recorded in the header)::
 The ``filterable`` header flag is cleared when any record refuses
 ``st_bounds()`` (pickle-codec checkpoint payloads): such blocks decode
 whole — pushdown is an optimization, never a semantics change.
+Writing is two steps so they can be split: :func:`encode_rows` is the one
+pass over records (extent table + payload bytes), :func:`layout_v2_block`
+lays out whatever columns and bytes it is handed — a slice of a batch's
+table, or rows gathered verbatim out of the blocks a compaction replaces.
 :class:`V2Block` pickles as its *path* and re-opens (re-mmaps) on the
 other side, so shipping a block handle to a process worker moves a
 filename, not megabytes; ndarray views taken from it ride pickle protocol
@@ -36,6 +40,7 @@ from typing import Sequence
 
 import numpy as np
 
+from repro.columnar.boxtable import BoxTable
 from repro.index.boxes import STBox
 from repro.stio.formats import decode_record, encode_record
 
@@ -52,60 +57,41 @@ def _align8(offset: int) -> int:
     return (offset + 7) & ~7
 
 
-def _row_extent(record) -> tuple[float, float, float, float, float, float, bool]:
-    """One record's ``(xmin, ymin, tmin, xmax, ymax, tmax, box_exact)``."""
-    from repro.geometry.envelope import Envelope
-    from repro.geometry.point import Point
-
-    bounds = record.st_bounds()
-    entries = record.entries
-    exact = len(entries) == 1 and isinstance(entries[0].spatial, (Point, Envelope))
-    return (*bounds, exact)
-
-
-def encode_v2_block(records: Sequence, codec: str) -> bytes:
-    """Serialize one partition into the v2 on-disk layout.
+def encode_rows(records: Sequence, codec: str) -> tuple[BoxTable | None, list[bytes]]:
+    """The write path's one pass over records: ``(extent table, row payloads)``.
 
     ``codec`` names how each row's payload encodes: ``"tuple"`` routes it
     through :func:`~repro.stio.formats.encode_record` (compact,
     schema-checked); ``"pickle"`` stores it verbatim — lossless for anything
     picklable, which is what checkpoints need (replica flags, partial
-    collective instances).
+    collective instances).  The table is ``None`` when some record has no ST
+    extent (such a checkpoint payload): one row without columns poisons
+    pushdown for its whole block, which is then laid out unfilterable.
     """
     if codec not in ("pickle", "tuple"):
         raise ValueError(f"unknown block codec {codec!r}")
-    n = len(records)
-    xmin = np.zeros(n, dtype=np.float64)
-    ymin = np.zeros(n, dtype=np.float64)
-    tmin = np.zeros(n, dtype=np.float64)
-    xmax = np.zeros(n, dtype=np.float64)
-    ymax = np.zeros(n, dtype=np.float64)
-    tmax = np.zeros(n, dtype=np.float64)
-    box_exact = np.zeros(n, dtype=np.uint8)
+    rows = records if codec == "pickle" else [encode_record(r) for r in records]
+    payloads = [pickle.dumps(row, protocol=pickle.HIGHEST_PROTOCOL) for row in rows]
+    try:
+        table = BoxTable.from_instances(records)
+    except Exception:
+        table = None
+    return table, payloads
+
+
+def layout_v2_block(table: BoxTable | None, payloads: Sequence) -> bytes:
+    """Lay rows out as one v2 block: the columns of ``table`` as handed in
+    (zeroed, filterable flag cleared, for ``None``) and ``payloads`` — any
+    bytes-like, so a compaction passes slices of the blocks it replaces."""
+    n = len(payloads)
+    if table is None:
+        columns = np.zeros(6 * n, dtype=np.float64)
+        box_exact = np.zeros(n, dtype=np.uint8)
+    else:
+        columns = np.concatenate(table.columns)
+        box_exact = table.box_exact.astype(np.uint8)
     offsets = np.zeros(n + 1, dtype=np.int64)
-    payloads = []
-    filterable = True
-    for i, record in enumerate(records):
-        row = encode_record(record) if codec == "tuple" else record
-        data = pickle.dumps(row, protocol=pickle.HIGHEST_PROTOCOL)
-        payloads.append(data)
-        offsets[i + 1] = offsets[i] + len(data)
-        if filterable:
-            try:
-                (
-                    xmin[i], ymin[i], tmin[i],
-                    xmax[i], ymax[i], tmax[i],
-                    box_exact[i],
-                ) = _row_extent(record)
-            except Exception:
-                # A payload without an ST extent (partial collective
-                # checkpoint state) poisons pushdown for the whole block:
-                # a zeroed row would be wrongly masked out.
-                filterable = False
-    if not filterable:
-        for column in (xmin, ymin, tmin, xmax, ymax, tmax):
-            column.fill(0.0)
-        box_exact.fill(0)
+    np.cumsum([len(p) for p in payloads], out=offsets[1:])
 
     columns_off = HEADER_SIZE
     exact_off = columns_off + 6 * n * 8
@@ -114,21 +100,49 @@ def encode_v2_block(records: Sequence, codec: str) -> bytes:
     header = _HEADER.pack(
         MAGIC,
         BLOCK_VERSION,
-        FLAG_FILTERABLE if filterable else 0,
+        FLAG_FILTERABLE if table is not None else 0,
         n,
         columns_off,
         exact_off,
         index_off,
         payload_off,
     )
-    parts = [header, b"\x00" * (HEADER_SIZE - len(header))]
-    for column in (xmin, ymin, tmin, xmax, ymax, tmax):
-        parts.append(column.tobytes())
-    parts.append(box_exact.tobytes())
-    parts.append(b"\x00" * (index_off - exact_off - n))
-    parts.append(offsets.tobytes())
-    parts.extend(payloads)
-    return b"".join(parts)
+    return b"".join(
+        (
+            header,
+            b"\x00" * (HEADER_SIZE - len(header)),
+            columns.tobytes(),
+            box_exact.tobytes(),
+            b"\x00" * (index_off - exact_off - n),
+            offsets.tobytes(),
+            *payloads,
+        )
+    )
+
+
+def encode_v2_block(records: Sequence, codec: str) -> bytes:
+    """Serialize one partition into the v2 on-disk layout."""
+    return layout_v2_block(*encode_rows(records, codec))
+
+
+class PayloadRows(Sequence):
+    """Rows known only by their payload bytes; indexing one decodes it.
+
+    The row indirection of a table built over block files: a consumer of
+    extents never touches it, one that needs the record pays for exactly
+    the rows it reads.
+    """
+
+    def __init__(self, payloads: list, codec: str):
+        self.payloads = payloads
+        self.codec = codec
+
+    def __len__(self) -> int:
+        return len(self.payloads)
+
+    def __getitem__(self, i: int):
+        value = pickle.loads(self.payloads[i])
+        return decode_record(value) if self.codec == "tuple" else value
 
 
 class V2Block:
@@ -181,17 +195,11 @@ class V2Block:
         # through pickle protocol 5's out-of-band buffers when a stage
         # closure captures a BoxTable built over these columns — a memmap
         # subclass would serialize in-band instead.
-        def f64(offset: int):
-            return buf[offset : offset + self.n * 8].view(
-                dtype=np.float64, type=np.ndarray
-            )
-
-        self.xmin = f64(columns_off)
-        self.ymin = f64(columns_off + self.n * 8)
-        self.tmin = f64(columns_off + 2 * self.n * 8)
-        self.xmax = f64(columns_off + 3 * self.n * 8)
-        self.ymax = f64(columns_off + 4 * self.n * 8)
-        self.tmax = f64(columns_off + 5 * self.n * 8)
+        self.xmin, self.ymin, self.tmin, self.xmax, self.ymax, self.tmax = (
+            buf[columns_off : columns_off + 6 * self.n * 8]
+            .view(dtype=np.float64, type=np.ndarray)
+            .reshape(6, self.n)
+        )
         self.box_exact = buf[exact_off : exact_off + self.n].view(
             dtype=np.bool_, type=np.ndarray
         )
@@ -214,21 +222,10 @@ class V2Block:
 
     # -- extent kernels (straight off the mmap) ------------------------------------
 
-    def intersects_box(self, box: STBox):
-        """Vectorized closed-interval ST-range mask, one bool per row."""
-        (qx0, qy0, qt0), (qx1, qy1, qt1) = box.mins, box.maxs
-        return (
-            (self.xmin <= qx1)
-            & (self.xmax >= qx0)
-            & (self.ymin <= qy1)
-            & (self.ymax >= qy0)
-            & (self.tmin <= qt1)
-            & (self.tmax >= qt0)
-        )
-
     def candidate_rows(self, box: STBox):
-        """Sorted row indices whose extents intersect ``box``."""
-        return np.nonzero(self.intersects_box(box))[0]
+        """Sorted row indices whose extents intersect ``box`` — the BoxTable
+        kernel, straight off the mmap (filterable blocks only)."""
+        return self.boxtable(None).candidate_rows(box)
 
     def boxtable(self, records: list):
         """A :class:`~repro.columnar.boxtable.BoxTable` over the mmapped
@@ -236,8 +233,6 @@ class V2Block:
         row indirection — ``None`` when the block is not filterable."""
         if not self.filterable:
             return None
-        from repro.columnar.boxtable import BoxTable
-
         return BoxTable(
             self.xmin, self.ymin, self.tmin,
             self.xmax, self.ymax, self.tmax,
@@ -246,10 +241,16 @@ class V2Block:
 
     # -- payload decode -------------------------------------------------------------
 
+    def payloads(self) -> list[memoryview]:
+        """Every row's payload bytes, as zero-copy slices of the block."""
+        # One memoryview of the payload region and one list of the offsets
+        # up front: slicing the memmap per row costs more than an unpickle.
+        payload = memoryview(self._buf)[self._payload_off :]
+        offsets = self._offsets.tolist()
+        return [payload[a:b] for a, b in zip(offsets, offsets[1:])]
+
     def decode_rows(self, rows, codec: str) -> list:
         """Unpickle only the given rows (the pruned-load payload path)."""
-        # One memoryview of the payload region and one list of the offsets
-        # up front: slicing the memmap per row costs more than the unpickle.
         payload = memoryview(self._buf)[self._payload_off :]
         offsets = self._offsets.tolist()
         rows = np.asarray(rows).tolist()

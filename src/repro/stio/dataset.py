@@ -2,18 +2,28 @@
 
 from __future__ import annotations
 
+import os
 import pickle
 import threading
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import TYPE_CHECKING, Sequence
 
+import numpy as np
+
 from repro.engine.context import EngineContext
-from repro.engine.rdd import RDD
+from repro.engine.rdd import RDD, sampled_positions
 from repro.geometry.envelope import Envelope
 from repro.index.boxes import STBox, st_query_box
 from repro.instances.base import Instance
-from repro.stio.blockv2 import V2Block, encode_v2_block, open_v2_block, scan_v2_block
+from repro.partitioners.base import SAMPLE_SEED
+from repro.stio.blockv2 import (
+    V2Block,
+    encode_rows,
+    layout_v2_block,
+    open_v2_block,
+    scan_v2_block,
+)
 from repro.stio.formats import decode_record
 from repro.stio.metadata import METADATA_FILENAME, DatasetMetadata, PartitionMeta
 from repro.temporal.duration import Duration
@@ -141,6 +151,65 @@ def _load_block(
     rows, nbytes = block.pushdown(query_box)
     records = block.decode_all(codec) if rows is None else block.decode_rows(rows, codec)
     return block, records, nbytes
+
+
+#: Recorded for a block with no bounds: no rows and no partitioner cell, or no ST extents.
+_NO_BOUNDS = STBox((0.0, 0.0, 0.0), (0.0, 0.0, 0.0))
+
+
+def split_rows(
+    table, payloads: list, partitioner: "STPartitioner", sample=None
+) -> tuple[list[tuple], list[STBox]]:
+    """Fit ``partitioner`` and cut encoded rows into one block per partition.
+
+    The driver-side partitioning every writer shares: fit on ``table`` (or
+    its ``sample`` rows), one ``assign_batch`` over the whole table, and
+    block ``i`` is ``(table slice, payloads)`` of the rows routed to
+    partition ``i`` in input order — what a shuffle of the instances
+    produces.  Returns the blocks (empty ones included) and ``boundaries()``.
+    """
+    if table is None:
+        raise ValueError("rows without an ST extent cannot be ST-partitioned")
+    partitioner.fit(table if sample is None else table.take(sample))
+    n = partitioner.num_partitions
+    pids = np.asarray(partitioner.assign_batch(table), dtype=np.int64) % n  # as the shuffle wraps
+    counts = np.bincount(pids, minlength=n)
+    order = np.argsort(pids, kind="stable")
+    blocks = [
+        (table.extents(rows), [payloads[r] for r in rows.tolist()])
+        for rows in np.split(order, np.cumsum(counts)[:-1])
+    ]
+    return blocks, partitioner.boundaries()
+
+
+def _rdd_blocks(
+    rdd: RDD, partitioner: "STPartitioner | None", sample_fraction: float, codec: str
+):
+    """``(blocks, boundaries)`` of an RDD's records, optionally ST-partitioned.
+
+    ``stPartitionWithInfo`` done where the write happens: records are
+    collected and encoded once, and the fit sees the rows
+    ``STPartitioner.partition`` would have sampled (the same Bernoulli draws
+    per input partition, the same first-1000 fallback).
+    """
+    parts = rdd._collect_partitions()
+    if partitioner is None:
+        return (encode_rows(p, codec) for p in parts), None
+    table, payloads = encode_rows([r for p in parts for r in p], codec)
+    picks = [
+        np.asarray(sampled_positions(split, len(p), sample_fraction, SAMPLE_SEED), dtype=np.int64)
+        for split, p in enumerate(parts)
+    ]
+    starts = np.cumsum([0] + [len(p) for p in parts])
+    sample = np.concatenate([start + pick for start, pick in zip(starts, picks)])
+    if not len(sample):
+        sample = np.arange(min(len(payloads), 1000))
+    blocks, boundaries = split_rows(table, payloads, partitioner, sample)
+    if getattr(rdd.ctx, "strict", False):
+        from repro.engine.sanitizer import validate_partitioner
+
+        validate_partitioner(partitioner, table.take(sample).rows)
+    return blocks, boundaries
 
 
 class _DiskPartitionRDD(RDD):
@@ -290,36 +359,50 @@ class StDataset:
 
     # -- writing ------------------------------------------------------------------
 
-    @staticmethod
-    def _block_bounds(
-        records: Sequence,
-        boundaries: Sequence[STBox] | None,
-        index: int,
-        codec: str,
-    ) -> STBox:
-        if records:
-            if codec == "pickle":
-                # Checkpoint payloads may not expose st_box (partial
-                # collective instances); pruning is off for them anyway.
-                try:
-                    return STBox.merge_all([r.st_box() for r in records])
-                except Exception:
-                    return STBox((0.0, 0.0, 0.0), (0.0, 0.0, 0.0))
-            return STBox.merge_all([r.st_box() for r in records])
-        if boundaries is not None and index < len(boundaries):
-            return boundaries[index]
-        return STBox((0.0, 0.0, 0.0), (0.0, 0.0, 0.0))
+    def _publish_blocks(self, first: int, blocks, boundaries) -> list[PartitionMeta]:
+        """Write ``blocks`` as files ``first``, ``first + 1``, … and return
+        their metadata entries — the one place a block file is written.
+
+        A block's recorded bounds are its table's min/max, the MBR of the
+        *actual* rows (``boundaries[i]``, the partitioner's cell, stands in
+        for a block with no rows).  Each file is published by temp file +
+        ``os.replace``: a rewrite reuses ``part-00000.stb…`` while readers
+        may hold the old file mapped, and a rename leaves their inode
+        intact where a truncating write would SIGBUS them.
+        """
+        metas = []
+        for i, (table, payloads) in enumerate(blocks):
+            filename = self.BLOCK_PATTERN.format(first + i)
+            path = self.directory / filename
+            tmp = path.with_name(filename + ".tmp")
+            tmp.write_bytes(layout_v2_block(table, payloads))
+            os.replace(tmp, path)
+            if payloads:
+                bounds = table.bounds() if table is not None else _NO_BOUNDS
+            elif boundaries is not None and i < len(boundaries):
+                bounds = boundaries[i]
+            else:
+                bounds = _NO_BOUNDS
+            metas.append(PartitionMeta(filename=filename, count=len(payloads), bounds=bounds))
+        return metas
+
+    def _save_metadata(self, meta: DatasetMetadata) -> None:
+        """Commit ``meta`` and remember it: this handle's next
+        :meth:`cached_metadata` is a stat, not a parse of its own write."""
+        stat = meta.save(self.directory).stat()
+        self._meta_cache = ((stat.st_mtime_ns, stat.st_size), meta)
 
     @staticmethod
     def _remove_orphan_blocks(directory: Path, keep: set[str]) -> None:
         """Delete ``part-*`` block files the new metadata doesn't name.
 
         An in-place rewrite with fewer partitions (or a conversion, which
-        leaves the v1 ``.pkl`` files behind) must not leave stale blocks:
+        leaves the v1 ``.pkl`` files behind; or a crashed writer's
+        ``.stb.tmp``) must not leave stale blocks:
         they waste disk and poison glob-based tooling that enumerates
         ``part-*`` files instead of reading the metadata.
         """
-        for pattern in ("part-*.stb", "part-*.pkl"):
+        for pattern in ("part-*.stb", "part-*.pkl", "part-*.stb.tmp"):
             for stale in directory.glob(pattern):
                 if stale.name not in keep:
                     stale.unlink()
@@ -341,8 +424,27 @@ class StDataset:
         partitioner cells — are accepted for API parity but only used for
         partitions that hold no records.
         """
-        directory = Path(directory)
-        directory.mkdir(parents=True, exist_ok=True)
+        return cls(directory).write_blocks(
+            (encode_rows(records, codec) for records in partitions),
+            instance_type, boundaries, codec, watermark,
+        )
+
+    def write_blocks(
+        self,
+        blocks,
+        instance_type: str,
+        boundaries: Sequence[STBox] | None = None,
+        codec: str = "tuple",
+        watermark: float | None = None,
+    ) -> "StDataset":
+        """:meth:`write` of already-encoded rows — the block-level writer.
+
+        Each of ``blocks`` is ``(extent table | None, row payloads)`` as
+        :func:`~repro.stio.blockv2.encode_rows` returns it (``None``: rows
+        without an ST extent, laid out unfilterable) — or as a compaction
+        slices them out of blocks it never decoded.
+        """
+        self.directory.mkdir(parents=True, exist_ok=True)
         # Rewriting an existing dataset in place (re-index / repartition /
         # conversion) is an edit like any other: continue its generation
         # counter so long-lived readers keyed on it (the serve
@@ -351,31 +453,28 @@ class StDataset:
         # rewrites the same way — compaction reshuffles blocks, it does not
         # change what has been ingested.
         generation = epoch = 0
-        if (directory / METADATA_FILENAME).exists():
+        if (self.directory / METADATA_FILENAME).exists():
             try:
-                existing = DatasetMetadata.load(directory)
+                existing = self._parsed_metadata()
                 generation = existing.generation + 1
                 epoch = existing.epoch + 1
                 if watermark is None:
                     watermark = existing.watermark
             except (ValueError, FileNotFoundError):
                 generation = epoch = 1
-        metas = []
-        for i, records in enumerate(partitions):
-            filename = cls.BLOCK_PATTERN.format(i)
-            (directory / filename).write_bytes(encode_v2_block(records, codec))
-            bounds = cls._block_bounds(records, boundaries, i, codec)
-            metas.append(PartitionMeta(filename=filename, count=len(records), bounds=bounds))
-        DatasetMetadata(
-            instance_type=instance_type,
-            partitions=metas,
-            codec=codec,
-            generation=generation,
-            epoch=epoch,
-            watermark=watermark,
-        ).save(directory)
-        cls._remove_orphan_blocks(directory, {m.filename for m in metas})
-        return cls(directory)
+        metas = self._publish_blocks(0, blocks, boundaries)
+        self._save_metadata(
+            DatasetMetadata(
+                instance_type=instance_type,
+                partitions=metas,
+                codec=codec,
+                generation=generation,
+                epoch=epoch,
+                watermark=watermark,
+            )
+        )
+        self._remove_orphan_blocks(self.directory, {m.filename for m in metas})
+        return self
 
     @classmethod
     def write_rdd(
@@ -392,12 +491,8 @@ class StDataset:
         ``write_rdd`` together implement the ``stPartitionWithInfo`` /
         ``toDisk`` code of Section 4.1.
         """
-        boundaries = None
-        if partitioner is not None:
-            rdd, boundaries = partitioner.partition_with_info(
-                rdd, sample_fraction=sample_fraction
-            )
-        return cls.write(directory, rdd._collect_partitions(), instance_type, boundaries)
+        blocks, boundaries = _rdd_blocks(rdd, partitioner, sample_fraction, "tuple")
+        return cls(directory).write_blocks(blocks, instance_type, boundaries)
 
     def append(
         self,
@@ -418,25 +513,25 @@ class StDataset:
         mark, and the whole commit (partitions + generation + watermark)
         is one atomic metadata replace.
         """
-        existing = self.metadata()
-        offset = len(existing.partitions)
-        new_metas = []
-        for i, records in enumerate(partitions):
-            filename = self.BLOCK_PATTERN.format(offset + i)
-            (self.directory / filename).write_bytes(encode_v2_block(records, existing.codec))
-            bounds = self._block_bounds(records, boundaries, i, existing.codec)
-            new_metas.append(
-                PartitionMeta(filename=filename, count=len(records), bounds=bounds)
-            )
-        merged = existing.merged_with(
-            DatasetMetadata(
-                instance_type=existing.instance_type,
-                partitions=new_metas,
-                codec=existing.codec,
-                watermark=watermark,
+        codec = self.cached_metadata().codec
+        return self.append_blocks(
+            (encode_rows(records, codec) for records in partitions), boundaries, watermark
+        )
+
+    def append_blocks(self, blocks, boundaries=None, watermark: float | None = None) -> "StDataset":
+        """:meth:`append` of already-encoded rows (blocks as for :meth:`write_blocks`)."""
+        existing = self.cached_metadata()
+        new_metas = self._publish_blocks(len(existing.partitions), blocks, boundaries)
+        self._save_metadata(
+            existing.merged_with(
+                DatasetMetadata(
+                    instance_type=existing.instance_type,
+                    partitions=new_metas,
+                    codec=existing.codec,
+                    watermark=watermark,
+                )
             )
         )
-        merged.save(self.directory)
         return self
 
     def append_rdd(
@@ -446,12 +541,8 @@ class StDataset:
         sample_fraction: float = 0.1,
     ) -> "StDataset":
         """Partition (optionally) and append an RDD batch; see :meth:`append`."""
-        boundaries = None
-        if partitioner is not None:
-            rdd, boundaries = partitioner.partition_with_info(
-                rdd, sample_fraction=sample_fraction
-            )
-        return self.append(rdd._collect_partitions(), boundaries)
+        codec = self.cached_metadata().codec
+        return self.append_blocks(*_rdd_blocks(rdd, partitioner, sample_fraction, codec))
 
     def convert(self, *, out: str | Path | None = None) -> "StDataset":
         """Upgrade a v1 directory to the current block format; returns the result.
@@ -467,17 +558,17 @@ class StDataset:
         """
         meta = DatasetMetadata.load(self.directory)
         if meta.block_format == "v1":
-            partitions = [
-                _read_v1_block(self.directory / m.filename, meta.codec)
+            blocks = (
+                encode_rows(_read_v1_block(self.directory / m.filename, meta.codec), meta.codec)
                 for m in meta.partitions
-            ]
+            )
         elif out is None:
             return self
-        else:
-            partitions = [self.read_block(m, codec=meta.codec) for m in meta.partitions]
-        return StDataset.write(
-            out if out is not None else self.directory,
-            partitions,
+        else:  # a copy: the rows' columns and payload bytes, verbatim
+            opened = (open_v2_block(self.directory / m.filename) for m in meta.partitions)
+            blocks = ((block.boxtable(None), block.payloads()) for block in opened)
+        return StDataset(out if out is not None else self.directory).write_blocks(
+            blocks,
             meta.instance_type,
             boundaries=[m.bounds for m in meta.partitions],
             codec=meta.codec,
@@ -526,35 +617,39 @@ class StDataset:
 
     # -- reading -------------------------------------------------------------------
 
-    def _current(self, meta: DatasetMetadata) -> DatasetMetadata:
-        """``meta`` — unless it names v1 blocks, which only :meth:`convert` reads."""
-        if meta.block_format == "v1":
-            raise LegacyBlockFormatError(self.directory)
-        return meta
-
     def metadata(self) -> DatasetMetadata:
         """Load the dataset's metadata file (always re-read from disk).
 
         Every reader and writer of blocks starts from this or
-        :meth:`cached_metadata`, so they are where a v1 directory is turned
-        away (``repro info`` uses :meth:`DatasetMetadata.load` directly).
+        :meth:`cached_metadata`, so they are where a v1 directory — which
+        only :meth:`convert` reads — is turned away (``repro info`` uses
+        :meth:`DatasetMetadata.load` directly).
         """
-        return self._current(DatasetMetadata.load(self.directory))
+        self._meta_cache = None
+        return self.cached_metadata()
 
     def cached_metadata(self) -> DatasetMetadata:
         """The parsed metadata, memoized on the file's stat signature.
 
         One ``os.stat`` per call instead of a full read + JSON parse: the
-        hot paths (``read_block`` per block, the serve daemon per query)
-        re-validate cheaply and re-parse only when an append or rewrite
-        actually changed the file.  Handing out the same object on a hit
-        is safe — ``DatasetMetadata`` is treated as immutable everywhere.
+        hot paths (``read_block`` per block, the serve daemon per query, an
+        ingest's watermark and append) re-validate cheaply and re-parse only
+        when another handle's append or rewrite changed the file — this
+        handle's own commits seed the cache.  Handing out the same object on
+        a hit is safe — ``DatasetMetadata`` is treated as immutable everywhere.
         """
+        meta = self._parsed_metadata()
+        if meta.block_format == "v1":
+            raise LegacyBlockFormatError(self.directory)
+        return meta
+
+    def _parsed_metadata(self) -> DatasetMetadata:
+        """:meth:`cached_metadata` before the v1 check (a rewrite may replace a v1 directory)."""
         stat = (self.directory / METADATA_FILENAME).stat()
         signature = (stat.st_mtime_ns, stat.st_size)
         cached = self._meta_cache
         if cached is None or cached[0] != signature:
-            cached = (signature, self._current(DatasetMetadata.load(self.directory)))
+            cached = (signature, DatasetMetadata.load(self.directory))
             self._meta_cache = cached
         return cached[1]
 

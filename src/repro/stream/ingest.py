@@ -8,17 +8,27 @@ metadata file".  This module is the streaming front door built on it:
   the batch — new temporal slices get new cells; resident blocks are
   never touched), appends the resulting blocks, and advances the
   persisted **watermark** in the same atomic metadata commit that
-  publishes the new partitions and generation;
+  publishes the new partitions and generation.  The batch's records are
+  visited once (:func:`~repro.stio.blockv2.encode_rows`: extent table +
+  payload bytes); watermark, late count, fit, routing, block columns and
+  metadata bounds are all read off that table;
 * when the block count crosses an explicit ``rebalance_threshold``,
   :func:`compact_dataset` rewrites the whole dataset under one fresh
   partition fit — the safety valve that keeps a long-lived feed from
-  accumulating thousands of sliver blocks.
+  accumulating thousands of sliver blocks.  It is a byte permutation: the
+  resident blocks' mmapped extent columns are fitted and routed, and each
+  new block gathers its rows' payload slices verbatim — no row is decoded.
 
-Crash safety is write-ordering, not locking: block files land first,
-metadata last, and :meth:`~repro.stio.metadata.DatasetMetadata.save` is
-an atomic replace — a crashed ingest leaves at worst orphan blocks the
-metadata never names (invisible to every reader, reclaimed by the next
-compaction's orphan sweep).
+Crash safety of an *append* is write-ordering, not locking: block files
+land first, metadata last, and every file is published by an atomic
+replace — a crashed ingest leaves at worst orphan blocks the metadata
+never names (invisible to every reader, reclaimed by the next
+compaction's orphan sweep).  An in-place *rewrite* (compaction) is weaker:
+it reuses the block names the live metadata still points at, so a crash
+between its first block and its metadata commit leaves new blocks under
+old metadata (ROADMAP item 7).  What the per-file replace does guarantee
+is that a reader which already mapped a block keeps its old inode — it
+finishes on the pre-compaction rows instead of dying on a truncated file.
 """
 
 from __future__ import annotations
@@ -27,7 +37,13 @@ import math
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Sequence
 
+import numpy as np
+
+from repro.columnar.boxtable import BoxTable
 from repro.obs.tracer import current_tracer
+from repro.partitioners.tstr import TSTRPartitioner
+from repro.stio.blockv2 import PayloadRows, encode_rows, open_v2_block
+from repro.stio.dataset import split_rows
 from repro.stio.metadata import METADATA_FILENAME
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -68,31 +84,22 @@ class IngestReport:
         return self.watermark > self.previous_watermark
 
 
-def _batch_partitions(
-    batch: Sequence["Instance"],
-    partitioner: "STPartitioner | None",
-) -> tuple[list[list], list | None]:
-    """Split one micro-batch into its own blocks, driver-side.
+def _batch_blocks(
+    table, payloads: list, partitioner: "STPartitioner | None"
+) -> tuple[list[tuple], list | None]:
+    """Split one micro-batch's encoded rows into its own blocks, driver-side.
 
-    With a partitioner the fit runs on the batch alone — this is the
-    incremental T-STR maintenance: the batch's temporal extent gets its
-    own fresh slices/cells, and nothing resident moves.  Without one the
-    batch becomes a single block.  Empty cells are dropped (a feed's
-    batch rarely tiles its fit grid fully; zero-count blocks would only
-    be pruned on every read anyway).
+    With a partitioner the fit runs on the batch alone — the incremental
+    T-STR maintenance: the batch's temporal extent gets its own fresh
+    slices/cells, and nothing resident moves.  Without one the batch is a
+    single block.  Empty cells are dropped (a batch rarely tiles its fit
+    grid fully; zero-count blocks would only be pruned on every read).
     """
     if partitioner is None:
-        return [list(batch)], None
-    partitioner.fit(list(batch))
-    assignments = partitioner.assign_batch(list(batch))
-    cells: list[list] = [[] for _ in range(partitioner.num_partitions)]
-    for inst, pid in zip(batch, assignments):
-        cells[pid].append(inst)
-    boundaries = partitioner.boundaries()
-    kept = [(c, b) for c, b in zip(cells, boundaries) if c]
-    if not kept:
-        return [list(batch)], None
-    return [c for c, _ in kept], [b for _, b in kept]
+        return [(table, payloads)], None
+    blocks, boundaries = split_rows(table, payloads, partitioner)
+    kept = [(blk, bound) for blk, bound in zip(blocks, boundaries) if blk[1]]
+    return [blk for blk, _ in kept], [bound for _, bound in kept]
 
 
 def ingest_batch(
@@ -113,16 +120,14 @@ def ingest_batch(
     ``ingest_records``, ``ingest_late_records``, ``watermark_lag``
     (cumulative event-time lag, seconds), and ``blocks_compacted``.
     """
-    from repro.stio.dataset import StDataset
-
     exists = (dataset.directory / METADATA_FILENAME).exists()
-    previous_watermark = dataset.cached_metadata().watermark if exists else None
+    meta = dataset.cached_metadata() if exists else None
+    previous_watermark = meta.watermark if exists else None
     if not batch:
-        meta = dataset.cached_metadata() if exists else None
         return IngestReport(
             records=0,
             blocks_added=0,
-            generation=meta.generation if meta else 0,
+            generation=meta.generation if exists else 0,
             watermark=previous_watermark,
             previous_watermark=previous_watermark,
             late_records=0,
@@ -130,37 +135,26 @@ def ingest_batch(
             compacted=False,
             blocks_compacted=0,
         )
+    if not exists and instance_type is None:
+        raise ValueError("first ingest into a fresh dataset needs instance_type")
 
-    ends = [inst.temporal_extent.end for inst in batch]
-    batch_high = max(ends)
-    batch_low = min(ends)
-    late = (
-        sum(1 for e in ends if e <= previous_watermark)
-        if previous_watermark is not None
-        else 0
-    )
-    watermark = (
-        batch_high
-        if previous_watermark is None
-        else max(previous_watermark, batch_high)
-    )
-    lag = max(0.0, watermark - batch_low)
+    # The one pass over the batch's records: watermark, fit, routing, block
+    # columns and metadata bounds all read the table from here on.
+    table, payloads = encode_rows(batch, meta.codec if exists else "tuple")
+    if table is None:
+        raise ValueError("cannot ingest records without an ST extent")
+    ends = table.tmax
+    late, watermark = 0, float(ends.max())
+    if previous_watermark is not None:
+        late = int(np.count_nonzero(ends <= previous_watermark))
+        watermark = max(previous_watermark, watermark)
+    lag = max(0.0, watermark - float(ends.min()))
 
-    partitions, boundaries = _batch_partitions(batch, partitioner)
+    blocks, boundaries = _batch_blocks(table, payloads, partitioner)
     if exists:
-        dataset.append(partitions, boundaries, watermark=watermark)
+        dataset.append_blocks(blocks, boundaries, watermark=watermark)
     else:
-        if instance_type is None:
-            raise ValueError(
-                "first ingest into a fresh dataset needs instance_type"
-            )
-        StDataset.write(
-            dataset.directory,
-            partitions,
-            instance_type,
-            boundaries=boundaries,
-            watermark=watermark,
-        )
+        dataset.write_blocks(blocks, instance_type, boundaries, watermark=watermark)
     meta = dataset.cached_metadata()
 
     compacted_blocks = 0
@@ -182,7 +176,7 @@ def ingest_batch(
 
     return IngestReport(
         records=len(batch),
-        blocks_added=len(partitions),
+        blocks_added=len(blocks),
         generation=meta.generation,
         watermark=meta.watermark,
         previous_watermark=previous_watermark,
@@ -199,35 +193,36 @@ def compact_dataset(
 ) -> int:
     """Rewrite the whole dataset under one fresh partition fit.
 
-    The rebalance arm of ingestion: reads every block, refits the
-    partitioner on the *full* resident population (a default
-    ``TSTRPartitioner(≈√blocks, 1)`` when none is given), and rewrites
-    in place.  Codec and — crucially — the watermark are preserved; the
-    generation bumps (an in-place rewrite is an edit) and
-    orphan blocks from the old layout are removed.  Returns the number
-    of blocks the rewrite replaced.
+    The rebalance arm of ingestion: refits the partitioner on the *full*
+    resident population (a default ``TSTRPartitioner(≈√blocks, 1)`` when
+    none is given) and rewrites in place, off the blocks' extent columns
+    and raw payload bytes — the codec is preserved, so the bytes are valid
+    verbatim, and rows decode only for a partitioner that reads
+    ``table.rows``.  The watermark is preserved; the generation bumps (an
+    in-place rewrite is an edit) and orphan blocks from the old layout are
+    removed.  Returns the number of blocks the rewrite replaced; raises
+    ``ValueError``, before writing anything, over a block whose rows have
+    no ST extent.
     """
-    from repro.partitioners.tstr import TSTRPartitioner
-    from repro.stio.dataset import StDataset
-
-    meta = dataset.metadata()
+    meta = dataset.cached_metadata()
     replaced = len(meta.partitions)
-    records: list = []
-    for part in meta.partitions:
-        records.extend(dataset.read_block(part, codec=meta.codec))
-    if not records:
+    resident = [open_v2_block(dataset.directory / p.filename) for p in meta.partitions]
+    for block in resident:
+        if not block.filterable:
+            raise ValueError(
+                f"cannot compact {dataset.directory}: {block.path.name} holds rows "
+                f"without an ST extent, which no partitioner can place"
+            )
+    payloads = [payload for block in resident for payload in block.payloads()]
+    if not payloads:
         return 0
     if partitioner is None:
         partitioner = TSTRPartitioner(max(1, math.isqrt(replaced)), 1)
-    partitions, boundaries = _batch_partitions(records, partitioner)
-    StDataset.write(
-        dataset.directory,
-        partitions,
-        meta.instance_type,
-        boundaries=boundaries,
-        codec=meta.codec,
-        watermark=meta.watermark,
+    table = BoxTable.concat(
+        [block.boxtable(None) for block in resident], PayloadRows(payloads, meta.codec)
     )
+    blocks, boundaries = _batch_blocks(table, payloads, partitioner)
+    dataset.write_blocks(blocks, meta.instance_type, boundaries, meta.codec, meta.watermark)
     tracer = current_tracer()
     if tracer is not None:
         tracer.counter("blocks_compacted", replaced)

@@ -293,7 +293,7 @@ class TestAssignBatchParity:
         p.fit(events)
         extras = [
             Event.of_point(5.0, 5.0, cut, data=1000 + i)
-            for i, cut in enumerate(p._t_cuts)
+            for i, cut in enumerate(p._cuts)
         ]
         for tiling in p._tilings:
             for cut in tiling.x_cuts:

@@ -5,15 +5,21 @@ from collections import Counter
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.columnar import BoxTable
 from repro.instances import Event
 from repro.partitioners import (
     HashPartitioner,
+    KDBPartitioner,
+    KeyedSTRPartitioner,
+    QuadTreePartitioner,
     STRPartitioner,
+    TBalancePartitioner,
     TSTRPartitioner,
     evaluate_partitioning,
     load_cv,
     load_ov,
 )
+from . import reference
 
 coord = st.floats(min_value=-50, max_value=50, allow_nan=False)
 timestamp = st.floats(min_value=0, max_value=1e5, allow_nan=False)
@@ -114,3 +120,53 @@ class TestMetricsProperties:
     def test_empty_layout(self):
         assert load_ov([]) == 0.0
         assert load_ov([[], []]) == 0.0
+
+
+# -- fit / assign_batch consume extents ---------------------------------------------
+#
+# A lattice of few distinct values: centres sit exactly on cuts and cuts repeat.
+
+lattice_events = st.lists(
+    st.tuples(st.integers(0, 6), st.integers(0, 6), st.integers(0, 8)), min_size=1, max_size=60
+).map(
+    lambda cells: [
+        Event.of_point(x / 2.0, y / 2.0, t * 10.0, data=i) for i, (x, y, t) in enumerate(cells)
+    ]
+)
+
+
+def _ordinal(inst) -> float:
+    return float(inst.data % 4)
+
+
+EXTENT_PARTITIONERS = [
+    lambda: HashPartitioner(3),
+    lambda: STRPartitioner(5),
+    lambda: TSTRPartitioner(3, 3),
+    lambda: QuadTreePartitioner(4),
+    lambda: TBalancePartitioner(4),
+    lambda: KDBPartitioner(4),
+    lambda: KeyedSTRPartitioner(_ordinal, 2, 3),
+]
+
+
+class TestExtentContract:
+    @given(lattice_events, lattice_events, st.sampled_from(EXTENT_PARTITIONERS))
+    @settings(max_examples=120, deadline=None)
+    def test_table_form_equals_instance_form_equals_scalar_assign(self, sample, events, make):
+        by_instances, by_table = make(), make()
+        by_instances.fit(sample)
+        by_table.fit(BoxTable.from_instances(sample))
+        assert by_table.boundaries() == by_instances.boundaries()
+        routed = reference.assign(by_instances, events)
+        assert by_instances.assign_batch(events) == routed
+        assert by_table.assign_batch(BoxTable.from_instances(events)) == routed
+
+    @given(lattice_events, st.integers(1, 4), st.integers(1, 5))
+    @settings(max_examples=80, deadline=None)
+    def test_tstr_cuts_equal_the_centroid_and_sorted_oracle(self, sample, gt, gs):
+        p = TSTRPartitioner(gt, gs)
+        p.fit(sample)
+        t_cuts, tilings = reference.tstr_cuts(sample, gt, gs)
+        assert p._cuts == t_cuts
+        assert [(t.x_cuts, t.y_cuts_per_slab) for t in p._tilings] == tilings
