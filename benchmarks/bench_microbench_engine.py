@@ -130,23 +130,54 @@ def test_micro_engine_reduce_by_key(benchmark):
 
 
 def test_micro_selection_indexing(benchmark, bench_events):
-    """Per-partition R-tree selection over in-memory events."""
-    from repro.columnar.cache import invalidate_partition_indexes
-
+    """Per-partition R-tree selection over in-memory events (every call
+    builds its indexes, as §3.1 does)."""
     ctx = fresh_ctx()
     rdd = ctx.parallelize(bench_events, 8).persist()
     rdd.count()
     spatial = Envelope(-74.0, 40.7, -73.95, 40.75)
     temporal = Duration(EPOCH_2013, EPOCH_2013 + 5 * 86_400.0)
     selector = Selector(spatial, temporal)
+    benchmark(lambda: selector.select(ctx, rdd).count())
 
-    def run():
-        # Cold each round: the cache satellite would otherwise hide the
-        # index build this microbench exists to time.
-        invalidate_partition_indexes()
-        return selector.select(ctx, rdd).count()
 
-    benchmark(run)
+def test_micro_serve_resident_selection(benchmark, bench_dirs, monkeypatch):
+    """The serve daemon's selection over warm resident blocks of the T-STR
+    event dataset — its counted work, no timing gate.
+
+    Fails unless the resident blocks answer with zero rows decoded and no
+    block loaded again, and the answer equals the oracle's
+    (``tests/reference.select`` over every record in block order).
+    """
+    from repro.serve import DatasetState
+    from repro.stio import StDataset, blockv2
+    from tests import reference
+
+    path = bench_dirs / "events_st4ml"
+    spatial = Envelope(-74.0, 40.7, -73.95, 40.75)
+    temporal = Duration(EPOCH_2013, EPOCH_2013 + 5 * 86_400.0)
+    ctx = fresh_ctx()
+    everything, _ = StDataset(path).read(ctx)
+    expected = reference.select(everything.collect(), spatial, temporal)
+    state = DatasetState(path)
+    state.select(spatial, temporal)  # cold: the selected blocks become resident
+    loaded = state.blocks_loaded
+    decoded = [0]
+    decode = blockv2.decode_record
+
+    def counting(value):
+        decoded[0] += 1
+        return decode(value)
+
+    monkeypatch.setattr(blockv2, "decode_record", counting)
+    records, scanned, total = benchmark(state.select, spatial, temporal)
+    print(
+        f"\nserve resident selection: {len(records):,} records from {scanned}/{total} "
+        f"blocks, {decoded[0]} rows decoded"
+    )
+    assert decoded[0] == 0
+    assert state.blocks_loaded == loaded == scanned
+    assert records == expected
 
 
 def test_micro_traj_raster_allocate(benchmark):

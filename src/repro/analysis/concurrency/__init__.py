@@ -1,8 +1,8 @@
 """Concurrency-correctness lint rules (the REPRO2xx family).
 
 The serve daemon made the reproduction a long-lived multi-threaded
-system: decoded blocks, selection indexes, the result cache, and the
-admission buckets are all mutated concurrently by request threads.  This
+system: resident blocks, the result cache, and the admission buckets
+are all mutated concurrently by request threads.  This
 package is the static half of the concurrency-correctness layer — AST
 rules over the lock discipline those modules rely on:
 

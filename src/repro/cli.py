@@ -15,7 +15,7 @@ surface a data engineer needs without writing code:
   pruning statistics (``--format json`` emits the canonical result
   document the serve protocol also uses);
 * ``serve``    — long-lived query daemon over a dataset: resident
-  metadata/blocks/indexes, a server-wide result cache, per-tenant
+  metadata/blocks, a server-wide result cache, per-tenant
   admission control with explicit load shedding (see :mod:`repro.serve`);
 * ``query``    — thin client for a running daemon (also ``--stats`` /
   ``--ping`` / ``--shutdown``);
@@ -194,20 +194,18 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         queue_depth=args.queue_depth,
         request_timeout=args.request_timeout,
         cache_bytes=args.cache_bytes,
-        index_cache_bytes=args.index_cache_bytes,
         default_tenant=default,
         tenants=tenants,
         allow_shutdown=not args.no_remote_shutdown,
     )
-    ctx = _make_ctx(args)
-    server = QueryServer(args.path, config, ctx=ctx)
+    server = QueryServer(args.path, config)
     host, port = server.start()
     meta = server.state.meta
     print(
         f"serving {args.path} ({meta.total_records:,} {meta.instance_type} "
         f"records, {len(meta.partitions)} partitions, generation "
         f"{meta.generation}) on {host}:{port} "
-        f"({args.backend} backend, {args.workers} query workers)",
+        f"({args.workers} query workers)",
         flush=True,
     )
     try:
@@ -634,9 +632,9 @@ def build_parser() -> argparse.ArgumentParser:
     serve = sub.add_parser(
         "serve",
         help="long-lived query daemon with admission control and caching",
-        description="Keeps the dataset's metadata, decoded blocks, "
-        "selection indexes, result cache, and execution workers resident, "
-        "answering concurrent ST-range queries over line-delimited JSON. "
+        description="Keeps the dataset's metadata, mmapped and decoded "
+        "blocks, and a result cache resident, answering concurrent "
+        "ST-range queries over line-delimited JSON. "
         "Overloaded tenants receive explicit SHED responses (token-bucket "
         "rate limits, in-flight caps, bounded queue) — never silent drops. "
         "--profile records every request as a span in the trace exports.",
@@ -661,10 +659,6 @@ def build_parser() -> argparse.ArgumentParser:
     serve.add_argument(
         "--cache-bytes", type=int, default=64 << 20,
         help="result-cache byte budget (default 64 MiB)",
-    )
-    serve.add_argument(
-        "--index-cache-bytes", type=int, default=256 << 20,
-        help="selection-index cache byte budget (default 256 MiB)",
     )
     serve.add_argument(
         "--tenant",

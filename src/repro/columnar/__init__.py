@@ -32,12 +32,10 @@ the input, and is exact by construction:
   envelopes; LineString/Polygon and multi-entry instances) run one scalar
   call per candidate — the kernels only shrink the candidate set they run
   on, and rows whose MBR *is* their shape skip them entirely;
-* an extractor that declares no ``agg_spec()``, and any partition whose
-  ``spec.build()`` returns ``None`` (interval-valued entry durations,
-  non-envelope transit cells), folds through the extractor's own
-  ``local``/``merge``/``finalize``; where such a partial meets a
-  :class:`CellTable` in the tree reduce, the table is demoted through
-  ``AggSpec.partials`` bit-exactly.
+* an extractor that declares no ``agg_spec()`` folds every partition
+  through its own ``local``/``merge``/``finalize``.  ``spec.build()``
+  never declines, so a partial's kind — a :class:`CellTable` or the folded
+  collective instance — is a function of the extractor alone.
 
 ``tests/reference.py`` holds the brute-force oracle (linear scans, per-
 instance loops) the parity suites compare these kernels against.
@@ -55,29 +53,8 @@ from repro.columnar.aggregate import (
     WholeTrajSpeedSpec,
 )
 from repro.columnar.boxtable import BoxTable, intersects_box
-from repro.columnar.cache import (
-    PartitionIndexCache,
-    configure_selection_cache,
-    invalidate_partition_indexes,
-    partition_boxtable,
-    partition_packed_tree,
-    seed_partition_boxtable,
-    selection_cache,
-)
 from repro.columnar.packed_rtree import PackedRTree, packed_tree_from_boxes
 from repro.columnar.pointstable import PointsTable
-
-
-def selection_index(partition: list, with_tree: bool, capacity: int = 32):
-    """The partition's cached columnar selection index.
-
-    Returns ``(table, tree, was_cached)``; ``tree`` is ``None`` when
-    ``with_tree`` is false (plain BoxTable scan selection).
-    """
-    if with_tree:
-        return partition_packed_tree(partition, capacity=capacity)
-    table, hit = partition_boxtable(partition)
-    return table, None, hit
 
 
 __all__ = [
@@ -87,18 +64,10 @@ __all__ = [
     "CountSpec",
     "FieldMeanSpec",
     "PackedRTree",
-    "PartitionIndexCache",
     "PointsTable",
     "PortionSpeedSpec",
     "TransitSpec",
     "WholeTrajSpeedSpec",
-    "configure_selection_cache",
     "intersects_box",
-    "invalidate_partition_indexes",
     "packed_tree_from_boxes",
-    "partition_boxtable",
-    "partition_packed_tree",
-    "seed_partition_boxtable",
-    "selection_cache",
-    "selection_index",
 ]

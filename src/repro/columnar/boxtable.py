@@ -59,19 +59,6 @@ class BoxTable:
     def __len__(self) -> int:
         return len(self.xmin)
 
-    @property
-    def nbytes(self) -> int:
-        """Memory footprint of the table's own storage, in bytes.
-
-        Counts the six extent columns, the ``box_exact`` mask, and the
-        ``rows`` indirection list (8 bytes per reference).  The instances
-        themselves are *not* counted: they belong to the partition, which
-        outlives the table.  This is what byte-budgeted caches charge per
-        entry.
-        """
-        columns = sum(int(c.nbytes) for c in self.columns)
-        return columns + int(self.box_exact.nbytes) + 8 * len(self.rows)
-
     @classmethod
     def from_instances(cls, instances: Sequence[Instance]) -> "BoxTable":
         """Extract the six extent columns in one pass over the partition."""

@@ -193,23 +193,6 @@ class PackedRTree:
         """Number of levels; 0 for an empty tree."""
         return len(self._levels)
 
-    @property
-    def nbytes(self) -> int:
-        """Memory footprint of the packed arrays, in bytes.
-
-        Sums the entry arrays (reordered mins/maxs plus the row-order
-        permutation) and every level's MBR + child-range arrays — the
-        whole tree is arrays, so this is exact, and it is the per-entry
-        charge byte-budgeted index caches account for.
-        """
-        total = int(self._order.nbytes) + int(self._emins.nbytes) + int(self._emaxs.nbytes)
-        for level in self._levels:
-            total += sum(
-                int(a.nbytes)
-                for a in (level.mins, level.maxs, level.starts, level.ends)
-            )
-        return total
-
     # -- queries ------------------------------------------------------------------
 
     def query_rows(self, box: STBox):
@@ -252,10 +235,6 @@ class PackedRTree:
         rows.sort()
         self.stats.candidates += len(rows)
         return rows
-
-    def query_batch(self, boxes: Sequence[STBox]) -> list:
-        """``query_rows`` for many boxes (one row-index array per box)."""
-        return [self.query_rows(box) for box in boxes]
 
     def __repr__(self) -> str:
         return (

@@ -27,7 +27,7 @@ from typing import Any, NamedTuple
 import numpy as np
 
 from repro.columnar.aggregate import CellTable, ScanWork
-from repro.core.selector import _refine
+from repro.core.selector import select_candidates
 from repro.core.structures import TimeSeriesStructure
 from repro.engine.context import EngineContext
 from repro.engine.rdd import RDD
@@ -90,7 +90,8 @@ class _BlockScan:
     ``_needs_exact`` is false: point rows on a regular raster / spatial
     map, ``box_exact`` rows on a time series).  A block holding any
     candidate the columns cannot decide decodes its candidate rows — only
-    those — and runs the Selector's refine and ``allocate`` instead; both
+    those — and runs ``select_candidates`` (the selection every path
+    shares, the serve daemon's included) and ``allocate`` instead; both
     ways end in ``spec.from_cells``, so the reduce sees no difference.
     """
 
@@ -103,12 +104,12 @@ class _BlockScan:
         self.structure = structure  # the broadcast handle
 
     def __call__(self, block, codec: str) -> CellTable:
-        # (imported here: ``repro.cli`` / the serve daemon load this module
-        # but never the converter and extractor packages)
+        # (imported here: ``repro.cli`` loads this module but never the
+        # converter and extractor packages)
         from repro.core.converters.base import AllocationStats, _candidate_pairs, allocate
 
         structure = self.structure.value
-        rows = block.candidate_rows(self.box) if block.filterable else np.arange(block.n)
+        rows = block.candidate_rows(self.box)
         columns = (block.xmin, block.ymin, block.tmin, block.xmax, block.ymax, block.tmax)
         extents = np.stack([column[rows] for column in columns])
         exact = block.box_exact[rows] & block.filterable
@@ -126,11 +127,7 @@ class _BlockScan:
         else:
             candidates = block.decode_rows(rows, codec)
             decoded, nbytes = len(rows), block.payload_nbytes(rows)
-            inexact = np.flatnonzero(~exact)
-            exact[inexact] = _refine(
-                [candidates[k] for k in inexact.tolist()], self.spatial, self.temporal
-            )
-            selected = [candidates[k] for k in np.flatnonzero(exact).tolist()]
+            selected = select_candidates(candidates, exact, self.spatial, self.temporal)
             members = allocate(selected, structure, self.method, stats)
             cells = np.repeat(np.arange(structure.n_cells), [len(m) for m in members])
         work = ScanWork(
@@ -273,8 +270,7 @@ class Pipeline:
                     data = converter.convert(data)
             with _phase_span("Extraction", tracer):
                 return [p[0] for p in self.extractor.premerged(data)._collect_partitions() if p]
-        for probes in (sel.rtree_probes, sel.index_cache_hits, sel.index_cache_misses):
-            probes.reset()  # a column scan builds and probes no R-tree
+        sel.rtree_probes.reset()  # a column scan builds and probes no R-tree
         with _phase_span("FusedScan", tracer) as span:
             structure = converter.broadcast_structure(ctx)
             scan = _BlockScan(sel, converter, self.extractor.agg_spec(), structure)

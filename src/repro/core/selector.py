@@ -25,6 +25,8 @@ from typing import TYPE_CHECKING, Sequence
 
 import numpy as np
 
+from repro.columnar.boxtable import BoxTable
+from repro.columnar.packed_rtree import PackedRTree
 from repro.columnar.pointstable import PointsTable
 from repro.engine.accumulators import Accumulator, counter
 from repro.engine.context import EngineContext
@@ -40,29 +42,38 @@ if TYPE_CHECKING:  # pragma: no cover
     from repro.partitioners.base import STPartitioner
 
 
-def _refine(candidates: list, spatial, temporal):
-    """Exact ST-range verdict for candidates whose MBR is not their shape.
+def select_candidates(candidates: list, exact, spatial, temporal) -> list:
+    """The box-test ``candidates`` that lie in the ST range, in order.
 
-    One point-in-range pass over the point columns of the trajectories,
-    ``Instance.intersects`` per instance for the rest; an unconstrained
-    dimension is unbounded (every instance lies in its own extent).
+    ``exact`` marks the candidates the box test already decided (their MBR
+    is their shape); the rest get the exact verdict — one point-in-range
+    pass over the point columns of the trajectories, ``Instance.intersects``
+    per instance for the other shapes, an unconstrained dimension being
+    unbounded.  Every selection ends here: the Selector's per-partition
+    filter, a fused scan's decoding fallback and the serve daemon's
+    resident blocks.
     """
-    inf = math.inf
-    x0, y0, x1, y1 = (
-        (spatial.min_x, spatial.min_y, spatial.max_x, spatial.max_y)
-        if spatial is not None
-        else (-inf, -inf, inf, inf)
-    )
-    t0, t1 = (temporal.start, temporal.end) if temporal is not None else (-inf, inf)
-    points = PointsTable.from_instances(candidates)
-    keep = points.rows_with_point_in(x0, y0, t0, x1, y1, t1)
-    for k in np.flatnonzero(~points.is_trajectory).tolist():
-        inst = candidates[k]
-        keep[k] = inst.intersects(
-            spatial if spatial is not None else inst.spatial_extent,
-            temporal if temporal is not None else inst.temporal_extent,
+    keep = np.array(exact, dtype=bool)
+    inexact = np.flatnonzero(~keep)
+    if len(inexact):
+        rest = [candidates[k] for k in inexact.tolist()]
+        inf = math.inf
+        x0, y0, x1, y1 = (
+            (spatial.min_x, spatial.min_y, spatial.max_x, spatial.max_y)
+            if spatial is not None
+            else (-inf, -inf, inf, inf)
         )
-    return keep
+        t0, t1 = (temporal.start, temporal.end) if temporal is not None else (-inf, inf)
+        points = PointsTable.from_instances(rest)
+        verdict = points.rows_with_point_in(x0, y0, t0, x1, y1, t1)
+        for k in np.flatnonzero(~points.is_trajectory).tolist():
+            inst = rest[k]
+            verdict[k] = inst.intersects(
+                spatial if spatial is not None else inst.spatial_extent,
+                temporal if temporal is not None else inst.temporal_extent,
+            )
+        keep[inexact] = verdict
+    return [candidates[k] for k in np.flatnonzero(keep).tolist()]
 
 
 class Selector:
@@ -134,10 +145,6 @@ class Selector:
         #: additions cannot reach this driver-side cell, so the total is a
         #: lower bound there (exact on sequential/thread backends).
         self.rtree_probes: Accumulator[int] = counter("rtree_probes")
-        #: Per-partition selection-index cache traffic of the last
-        #: ``select`` (same process-backend caveat as ``rtree_probes``).
-        self.index_cache_hits: Accumulator[int] = counter("selection_index_hits")
-        self.index_cache_misses: Accumulator[int] = counter("selection_index_misses")
 
     # -- filtering ------------------------------------------------------------------
 
@@ -152,42 +159,25 @@ class Selector:
         box = self._query_box()
         use_index = self.index
         probes = self.rtree_probes
-        cache_hits = self.index_cache_hits
-        cache_misses = self.index_cache_misses
 
         def filter_partition(partition: list) -> list:
             if not partition:
                 return []
-            # The per-partition index cache lives in its own module and is
-            # reached by import so it stays out of the closure's captures
-            # (worker-local on the process backend; invalidated by the
-            # driver on repartition).
-            from repro.columnar import selection_index
-
-            table, tree, was_cached = selection_index(
-                partition, with_tree=use_index, capacity=32
-            )
-            (cache_hits if was_cached else cache_misses).add(1)
+            table = BoxTable.from_instances(partition)
             if use_index:
-                # Cached trees accumulate stats across queries, so the
-                # probe counter gets this query's delta, not the total.
-                before = tree.stats.node_tests + tree.stats.entry_tests
+                # Built on the fly per partition and call (§3.1).
+                tree = PackedRTree(*table.coords(), capacity=32)
                 rows = tree.query_rows(box)
-                probes.add(tree.stats.node_tests + tree.stats.entry_tests - before)
+                probes.add(tree.stats.node_tests + tree.stats.entry_tests)
             else:
                 rows = table.candidate_rows(box)
             # Rows come back in partition order (downstream sampling —
             # e.g. partitioner fitting — is order-sensitive).  The exact
             # predicate runs only on the vectorized candidate set, and is
             # skipped entirely where the MBR *is* the shape.
-            instances = table.rows
-            keep = table.box_exact[rows]
-            inexact = np.flatnonzero(~keep)
-            if len(inexact):
-                keep[inexact] = _refine(
-                    [instances[r] for r in rows[inexact].tolist()], spatial, temporal
-                )
-            return [instances[r] for r in rows[keep].tolist()]
+            return select_candidates(
+                [partition[r] for r in rows.tolist()], table.box_exact[rows], spatial, temporal
+            )
 
         return rdd.map_partitions(filter_partition)
 
@@ -241,8 +231,6 @@ class Selector:
         """
         with _phase_span("Selection", ctx.tracer) as span:
             self.rtree_probes.reset()
-            self.index_cache_hits.reset()
-            self.index_cache_misses.reset()
             if stats is not None:
                 self.last_load_stats = stats
             selected = self._filter(loaded)
@@ -255,11 +243,6 @@ class Selector:
                 and self.num_partitions != selected.num_partitions
             ):
                 selected = selected.repartition(self.num_partitions)
-                # Repartitioning produces new partition lists; drop the
-                # per-partition selection indexes keyed on the old ones.
-                from repro.columnar.cache import invalidate_partition_indexes
-
-                invalidate_partition_indexes()
             if self.backend is not None:
                 # Dedicated-backend selection is eager: the override is
                 # scoped to this call, so the scan must run now, not at a
@@ -277,9 +260,9 @@ class Selector:
         tracer = ctx.tracer
         if tracer is None:  # pragma: no cover - span implies a tracer
             return
-        for probes in (self.rtree_probes, self.index_cache_hits, self.index_cache_misses):
-            tracer.counter(probes.name, probes.value)
-            span.args[probes.name] = probes.value
+        probes = self.rtree_probes
+        tracer.counter(probes.name, probes.value)
+        span.args[probes.name] = probes.value
         stats = self.last_load_stats if from_disk else None
         if stats is not None:
             pruned = stats.partitions_total - stats.partitions_selected

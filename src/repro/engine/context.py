@@ -221,10 +221,9 @@ class EngineContext:
 
         Used by the on-disk reader, where the partition layout on disk *is*
         the layout in memory (the point of Section 4.1).  ``copy=False``
-        adopts the caller's list objects as the partitions — for owners of
-        long-lived resident partitions (the serve daemon's block cache),
-        whose identity keys the per-partition selection-index cache; such
-        callers must not mutate the lists afterwards.
+        adopts the caller's list objects as the partitions, saving a copy
+        of lists the caller has just built (``RDD._pairwise_rounds``);
+        such callers must not mutate the lists afterwards.
         """
         from repro.engine.rdd import RDD
 

@@ -231,15 +231,6 @@ class Backend(ABC):
         salvaged outcomes (process backend only).
         """
 
-    def prestart(self) -> None:
-        """Spawn the backend's workers now rather than at the first stage.
-
-        Pool-based backends create their pools lazily, so in batch runs
-        the first stage pays the spawn cost.  Long-lived processes — the
-        ``repro serve`` daemon — call this once at startup so *no* query
-        ever pays it.  Default: nothing to warm.
-        """
-
     def stop(self) -> None:
         """Release pools/processes. Idempotent; the backend may be reused."""
 

@@ -327,9 +327,6 @@ class ProcessBackend(Backend):
                 wait([self._pool.submit(_noop) for _ in range(self.max_workers)])
         return self._pool
 
-    def prestart(self) -> None:
-        self._ensure_pool()
-
     def stop(self) -> None:
         if self._pool is not None:
             self._pool.shutdown(wait=False, cancel_futures=True)

@@ -51,9 +51,6 @@ class ThreadBackend(Backend):
             )
         return self._pool
 
-    def prestart(self) -> None:
-        self._ensure_pool()
-
     def run_stage(self, spec: StageSpec) -> StageResult:
         pool = self._ensure_pool()
         started = time.time()

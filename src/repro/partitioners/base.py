@@ -185,8 +185,6 @@ class STPartitioner(ABC):
         boundary, so there the lineage runs for the sample and again for
         the shuffle, as on any unpersisted RDD.
         """
-        from repro.columnar.cache import invalidate_partition_indexes
-
         source = rdd
         if not rdd.is_cached and not rdd.ctx.backend.requires_serializable_tasks:
             rdd = rdd.map_partitions(_same_partition).persist()
@@ -200,9 +198,6 @@ class STPartitioner(ABC):
             from repro.engine.sanitizer import validate_partitioner
 
             validate_partitioner(self, sample)
-        # The shuffle replaces every partition list; cached per-partition
-        # selection indexes keyed on the old lists are released eagerly.
-        invalidate_partition_indexes()
         if not duplicate:
             return rdd.shuffle_by_batch(self.num_partitions, self.assign_batch)
         # Duplicate mode (Algorithm 1's ``duplicate`` flag): the copy that

@@ -1,13 +1,11 @@
 """``repro.serve`` — the long-lived query daemon.
 
-ST4ML's batch pipeline pays dataset open, metadata parse, block decode,
-index build, and worker-pool spawn on *every* invocation.  This package
-keeps all of that resident behind a socket: a
-:class:`~repro.serve.server.QueryServer` holds the dataset handle, the
-decoded partition blocks, the per-partition selection indexes, the
-server-wide result cache, and a warm execution backend, answering
-concurrent ST-range queries over a line-delimited-JSON protocol with
-per-tenant admission control and explicit load shedding.
+ST4ML's batch pipeline pays dataset open, metadata parse and block
+decode on *every* invocation.  This package keeps that resident behind a
+socket: a :class:`~repro.serve.server.QueryServer` holds the dataset
+handle, the mmapped and decoded blocks and the server-wide result cache,
+answering concurrent ST-range queries over a line-delimited-JSON
+protocol with per-tenant admission control and explicit load shedding.
 
 Modules:
 

@@ -1,10 +1,9 @@
 """The server-wide, byte-bounded LRU result cache.
 
-This is the second cache tier of the serve daemon.  The first — the
-per-partition selection-index cache in :mod:`repro.columnar.cache` —
-amortizes *index construction* across queries that touch the same
-resident partition; this one amortizes the *whole answer* across repeats
-of the same canonical query.  Entries are keyed on
+The serve daemon's answer tier, above its resident blocks
+(:class:`~repro.serve.server.DatasetState`): the blocks amortize open
+and decode across queries that touch them, this cache the *whole answer*
+across repeats of the same canonical query.  Entries are keyed on
 :func:`repro.serve.protocol.query_cache_key` (canonical ``st_query_box``
 + dataset generation), so invalidation on append/repartition is free: the
 generation bump changes every future key, and the stale entries age out
@@ -23,6 +22,7 @@ from __future__ import annotations
 from collections import OrderedDict
 from dataclasses import dataclass
 from threading import Lock
+from typing import Hashable
 
 
 @dataclass
@@ -38,10 +38,10 @@ class CachedResult:
 class ResultCache:
     """Memory-bounded LRU over canonical-query keys; thread-safe.
 
-    ``max_bytes`` bounds the summed byte charge of cached values.  Like
-    the selection-index tier, the most recent entry survives even when it
-    alone exceeds the budget; unlike it, there is no entry-count knob —
-    results vary wildly in size, so bytes are the only honest bound.
+    ``max_bytes`` bounds the summed byte charge of cached values.  The
+    most recent entry survives even when it alone exceeds the budget, and
+    there is no entry-count knob — results vary wildly in size, so bytes
+    are the only honest bound.
     """
 
     def __init__(self, max_bytes: int = 64 << 20):
@@ -49,14 +49,14 @@ class ResultCache:
             raise ValueError("max_bytes must be positive")
         self.max_bytes = max_bytes
         self._lock = Lock()
-        self._entries: "OrderedDict[str, CachedResult]" = OrderedDict()
+        self._entries: "OrderedDict[Hashable, CachedResult]" = OrderedDict()
         self.bytes = 0
         self.hits = 0
         self.misses = 0
         self.evictions = 0
         self.invalidations = 0
 
-    def get(self, key: str) -> CachedResult | None:
+    def get(self, key: Hashable) -> CachedResult | None:
         """The entry for ``key`` (refreshing its recency), or ``None``."""
         with self._lock:
             entry = self._entries.get(key)
@@ -67,7 +67,7 @@ class ResultCache:
             self.hits += 1
             return entry
 
-    def put(self, key: str, entry: CachedResult) -> None:
+    def put(self, key: Hashable, entry: CachedResult) -> None:
         """Store ``entry``, evicting LRU entries past the byte budget."""
         with self._lock:
             previous = self._entries.pop(key, None)

@@ -112,20 +112,21 @@ def parse_query_range(
 
 def query_cache_key(
     spatial: Envelope | None, temporal: Duration | None, generation: int
-) -> str:
-    """Canonical result-cache key: ``st_query_box`` + dataset generation.
+) -> tuple:
+    """Canonical result-cache key: ``(generation, mins, maxs)`` of the
+    ``st_query_box``.
 
     Built on :func:`~repro.index.boxes.st_query_box` — the same canonical
     box metadata pruning and in-memory filtering share — so two requests
     that mean the same range (e.g. one passes the dataset's full time span
     explicitly, another passes the equivalent box) hit the same entry, and
     a generation bump (append / repartition) makes every old key
-    unreachable without any eager sweep.
+    unreachable without any eager sweep.  A tuple of floats, not JSON: an
+    unbounded range (``1e999`` parses to ``inf``) is a valid query and a
+    valid key.
     """
     box: STBox = st_query_box(spatial, temporal)
-    return canonical_dumps(
-        {"gen": generation, "mins": list(box.mins), "maxs": list(box.maxs)}
-    )
+    return (generation, tuple(box.mins), tuple(box.maxs))
 
 
 def parse_request(line: str) -> dict:

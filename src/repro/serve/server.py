@@ -3,12 +3,12 @@
 Architecture (one dataset per server)::
 
     client ── TCP line ──▶ handler thread (socketserver.ThreadingMixIn)
-                             │  parse → admission control (token bucket,
-                             │  in-flight cap) → bounded priority queue
-                             ▼                    │ SHED on any rejection
+                             │  bounded read → parse → admission control
+                             │  (token bucket, in-flight cap) → bounded
+                             ▼  priority queue     │ SHED on any rejection
                        query workers (N threads) ◀┘
-                             │  result cache → resident partitions →
-                             │  Selector (same filter path as batch)
+                             │  result cache → resident blocks →
+                             │  extent-column selection (select_candidates)
                              ▼
                        response line back through the handler
 
@@ -17,19 +17,21 @@ versus the one-shot CLI that pays all of this per invocation:
 
 * the :class:`~repro.stio.StDataset` handle and its parsed
   :class:`~repro.stio.metadata.DatasetMetadata`;
-* decoded partition block lists (:class:`DatasetState`), whose stable
-  object identity is what lets the per-partition selection-index cache of
-  :mod:`repro.columnar.cache` hit across queries;
-* the :class:`~repro.serve.cache.ResultCache`, keyed on canonical
-  ``st_query_box`` + dataset generation;
-* the engine backend's worker pool (``Backend.prestart()`` at startup).
+* the blocks (:class:`DatasetState`): each one's mmapped
+  :class:`~repro.stio.blockv2.V2Block`, whose extent columns a query
+  masks, and its decoded rows, which the surviving row indices pick;
+* the :class:`~repro.serve.cache.ResultCache`, keyed on the canonical
+  ``st_query_box`` + dataset generation.
+
+A query runs on its worker thread: no engine context, stage or R-tree,
+the same kernel and refinement a fused scan and a pushdown read use.
 
 Invalidation: every query round-trips an ``os.stat`` of the metadata file
 (:meth:`DatasetState.refresh`); when an append or re-index bumped the
-dataset generation, the resident blocks and selection indexes are dropped
-and the result cache's stale generations are swept.  Every request is
-metered through :mod:`repro.obs` when a tracer is installed — the same
-span/counter machinery batch runs profile with.
+dataset generation, the resident blocks are dropped and the result
+cache's stale generations are swept.  Every request is metered through
+:mod:`repro.obs` when a tracer is installed — the same span/counter
+machinery batch runs profile with.
 """
 
 from __future__ import annotations
@@ -37,18 +39,14 @@ from __future__ import annotations
 import socketserver
 import threading
 import time
+from collections import OrderedDict
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any
 
-from repro.columnar.cache import (
-    configure_selection_cache,
-    invalidate_partition_indexes,
-    seed_partition_boxtable,
-    selection_cache,
-)
-from repro.core.selector import Selector
-from repro.engine.context import EngineContext
+from repro.core.selector import select_candidates
+from repro.index.boxes import st_query_box
+from repro.obs.tracer import current_tracer
 from repro.serve.admission import AdmissionController, TenantPolicy
 from repro.serve.cache import CachedResult, ResultCache
 from repro.serve.protocol import (
@@ -70,6 +68,11 @@ from repro.stio.metadata import METADATA_FILENAME, DatasetMetadata
 #: Queue-pressure shed reason (admission reasons live in serve.admission).
 REASON_QUEUE_FULL = "queue_full"
 
+#: Longest request line a connection may send, newline included; a longer
+#: one is answered with an error and the connection closed, so no client
+#: makes the daemon buffer more than this.
+MAX_REQUEST_LINE_BYTES = 1 << 20
+
 
 @dataclass
 class ServeConfig:
@@ -81,12 +84,9 @@ class ServeConfig:
     queue_depth: int = 64
     request_timeout: float = 60.0
     cache_bytes: int = 64 << 20
-    index_cache_bytes: int | None = 256 << 20
-    index_cache_entries: int = 1024
     max_resident_blocks: int = 4096
     default_tenant: TenantPolicy = field(default_factory=TenantPolicy)
     tenants: dict[str, TenantPolicy] = field(default_factory=dict)
-    index: bool = True
     allow_shutdown: bool = True
     #: "raise" answers queries over an undecodable block with an error;
     #: "quarantine" skips the block (partial answers, counted in stats).
@@ -96,13 +96,12 @@ class ServeConfig:
 class DatasetState:
     """Resident handles for the served dataset; thread-safe.
 
-    Holds the dataset handle, its parsed metadata, and an LRU of decoded
-    partition blocks keyed on filename.  :meth:`refresh` is the
-    invalidation edge: a changed metadata file (append bumped the
-    generation, a re-index rewrote the directory) drops the resident
-    blocks and the process-wide selection-index cache — the block lists'
-    identities are about to change, so the old indexes can never hit
-    again and would only squat on the byte budget.
+    Holds the dataset handle, its parsed metadata, and an LRU of resident
+    blocks keyed on filename: each one's mmapped
+    :class:`~repro.stio.blockv2.V2Block` and its decoded rows.
+    :meth:`refresh` is the invalidation edge: a changed metadata file
+    (append bumped the generation, a re-index rewrote the directory)
+    drops every resident block.
     """
 
     def __init__(
@@ -115,8 +114,7 @@ class DatasetState:
         self.max_resident_blocks = max_resident_blocks
         self.on_corrupt = on_corrupt
         self._lock = threading.Lock()
-        self._blocks: dict[str, list] = {}
-        self._block_order: list[str] = []
+        self._blocks: OrderedDict[str, tuple] = OrderedDict()
         self.blocks_loaded = 0
         self.block_evictions = 0
         self.blocks_quarantined = 0
@@ -149,71 +147,51 @@ class DatasetState:
             self.meta = self.dataset.metadata()
             self._meta_sig = signature
             self._blocks.clear()
-            self._block_order.clear()
             self.invalidations += 1
-            invalidate_partition_indexes()
             return True
 
-    def partitions_for(self, spatial, temporal) -> tuple[list[list], int, int]:
-        """Resident partition lists overlapping the query range.
+    def resident(self, spatial, temporal) -> tuple[list[tuple], int, int]:
+        """``(blocks, scanned, total)``: the resident ``(V2Block, rows)`` of
+        every partition metadata pruning keeps for the range, in metadata
+        order, loading the missing ones.
 
-        Returns ``(partitions, scanned, total)`` where ``scanned`` is the
-        number of partitions surviving metadata pruning — the same
-        shortlist a one-shot :meth:`StDataset.read` would deserialize,
-        except here previously loaded blocks come from residency.
-
-        Disk reads and block decode happen *outside* the lock (REPRO203:
-        a decode can take tens of milliseconds, and every other request
-        thread would stall on the lock for the duration).  Two threads
-        missing on the same block may both decode it; the second store is
-        dropped so all callers share one resident object per filename.
-
-        Each decode also yields a BoxTable whose extent columns are views
-        into the mmapped block file; it is seeded into the
-        selection-index cache against the *adopted* resident list, so
-        the first query over a fresh block already hits the columnar
-        index.  Under ``on_corrupt="quarantine"`` an undecodable block
-        answers as empty (and is counted, never cached, so a repaired
-        file is picked up on the next query).
+        ``scanned`` counts the partitions surviving the pruning — the same
+        shortlist a one-shot :meth:`StDataset.read` would open — and
+        ``total`` all of them.  Disk reads and decode happen *outside* the
+        lock (REPRO203: a decode can take tens of milliseconds, and every
+        other request thread would stall on the lock for the duration).
+        Two threads missing on the same block may both decode it; the
+        second store is dropped so all callers share one resident entry
+        per filename.  Under ``on_corrupt="quarantine"`` an undecodable
+        block is left out (counted, never cached, so a repaired file is
+        picked up on the next query).
         """
         with self._lock:
             meta_snapshot = self.meta
-            codec = meta_snapshot.codec
             selected = meta_snapshot.select_partitions(spatial, temporal)
             total = len(meta_snapshot.partitions)
-            blocks: dict[str, list] = {}
+            found: dict[str, tuple] = {}
             misses = []
             for meta in selected:
-                block = self._blocks.get(meta.filename)
-                if block is None:
+                entry = self._blocks.get(meta.filename)
+                if entry is None:
                     misses.append(meta)
                 else:
-                    # Touch for LRU recency.
-                    self._block_order.remove(meta.filename)
-                    self._block_order.append(meta.filename)
-                    blocks[meta.filename] = block
-        decoded = {
-            meta.filename: self.dataset.read_block_indexed(
-                meta, codec=codec, on_corrupt=self.on_corrupt
+                    self._blocks.move_to_end(meta.filename)
+                    found[meta.filename] = entry
+        loaded = {
+            meta.filename: self.dataset.read_block(
+                meta, codec=meta_snapshot.codec, on_corrupt=self.on_corrupt
             )
             for meta in misses
         }
-        quarantined = {
-            meta.filename
-            for meta in misses
-            if meta.count > 0 and not decoded[meta.filename][0]
-        }
-        if decoded:
+        if loaded:
             with self._lock:
-                for filename, (block, table) in decoded.items():
-                    blocks[filename] = block
-                    if filename in quarantined:
-                        # Selected partitions always have count > 0, so an
-                        # empty decode means the block was quarantined:
-                        # answer without it, never cache it — a repaired
-                        # file must be re-read next query.
+                for filename, entry in loaded.items():
+                    if entry[0] is None:
                         self.blocks_quarantined += 1
                         continue
+                    found[filename] = entry
                     if self.meta is not meta_snapshot:
                         # A refresh() swapped the dataset mid-decode; the
                         # answer (built from the old snapshot) is still
@@ -223,26 +201,41 @@ class DatasetState:
                     resident = self._blocks.get(filename)
                     if resident is not None:
                         # A concurrent miss decoded it first; keep the
-                        # resident object so every caller shares one copy.
-                        blocks[filename] = resident
+                        # resident entry so every caller shares one copy.
+                        found[filename] = resident
                         continue
-                    self._blocks[filename] = block
-                    self._block_order.append(filename)
+                    self._blocks[filename] = entry
                     self.blocks_loaded += 1
-                    if table is not None:
-                        # Key the mmapped BoxTable on the list object that
-                        # just became resident — exactly the identity the
-                        # Selector will probe the cache with.
-                        seed_partition_boxtable(block, table)
-                    while len(self._block_order) > self.max_resident_blocks:
-                        evicted = self._block_order.pop(0)
-                        self._blocks.pop(evicted, None)
+                    while len(self._blocks) > self.max_resident_blocks:
+                        self._blocks.popitem(last=False)
                         self.block_evictions += 1
-        partitions = [blocks[meta.filename] for meta in selected]
-        return partitions, len(selected), total
+        blocks = [found[m.filename] for m in selected if m.filename in found]
+        return blocks, len(selected), total
+
+    def select(self, spatial, temporal) -> tuple[list, int, int]:
+        """``(records, scanned, total)`` of an ST-range query.
+
+        Record for record and in order what ``Selector.select`` returns
+        from the directory with no partitioner: per resident block (in
+        metadata order) ``candidate_rows`` on the mmapped extent columns,
+        then :func:`~repro.core.selector.select_candidates` over those
+        rows, picked out of the decoded ones by index.
+        """
+        blocks, scanned, total = self.resident(spatial, temporal)
+        box = st_query_box(spatial, temporal)
+        records: list = []
+        for block, rows in blocks:
+            candidates = block.candidate_rows(box)
+            records += select_candidates(
+                [rows[r] for r in candidates.tolist()],
+                block.box_exact[candidates] & block.filterable,
+                spatial,
+                temporal,
+            )
+        return records, scanned, total
 
     def resident_blocks(self) -> int:
-        """Number of currently resident decoded blocks."""
+        """Number of currently resident blocks."""
         with self._lock:
             return len(self._blocks)
 
@@ -269,15 +262,9 @@ class _Pending:
 class QueryServer:
     """The daemon: resident dataset state + admission + workers + cache."""
 
-    def __init__(
-        self,
-        directory: str | Path,
-        config: ServeConfig | None = None,
-        ctx: EngineContext | None = None,
-    ):
+    def __init__(self, directory: str | Path, config: ServeConfig | None = None):
         self.config = config or ServeConfig()
         self.directory = Path(directory)
-        self.ctx = ctx or EngineContext()
         self.state = DatasetState(
             self.directory,
             max_resident_blocks=self.config.max_resident_blocks,
@@ -288,10 +275,6 @@ class QueryServer:
             default=self.config.default_tenant, tenants=self.config.tenants
         )
         self.queue = BoundedPriorityQueue(depth=self.config.queue_depth)
-        configure_selection_cache(
-            capacity=self.config.index_cache_entries,
-            max_bytes=self.config.index_cache_bytes,
-        )
         self.started = time.time()
         self._counters_lock = threading.Lock()
         self.counters: dict[str, float] = {}
@@ -306,14 +289,14 @@ class QueryServer:
         """Bump a server counter, mirrored to the installed tracer."""
         with self._counters_lock:
             self.counters[name] = self.counters.get(name, 0) + value
-        tracer = self.ctx.tracer
+        tracer = current_tracer()
         if tracer is not None:
             tracer.counter(name, value)
 
     def _trace_request(
         self, pending: _Pending, status: str, queue_wait: float, **args: Any
     ) -> None:
-        tracer = self.ctx.tracer
+        tracer = current_tracer()
         if tracer is not None:
             tracer.add_span(
                 "request",
@@ -330,16 +313,13 @@ class QueryServer:
     # -- lifecycle ----------------------------------------------------------------
 
     def start(self) -> tuple[str, int]:
-        """Bind the socket, warm the backend, start the query workers.
+        """Bind the socket, start the query workers.
 
         Returns the bound ``(host, port)`` — with ``port=0`` this is how
         the caller learns the ephemeral port.
         """
         if self._tcp is not None:
             raise RuntimeError("server already started")
-        # Warm worker residency: spawn the execution pool now so the first
-        # query doesn't pay process/thread startup.
-        self.ctx.backend.prestart()
         for i in range(self.config.workers):
             thread = threading.Thread(
                 target=self._worker_loop, name=f"serve-query-{i}", daemon=True
@@ -360,7 +340,7 @@ class QueryServer:
             self.stop()
 
     def stop(self) -> None:
-        """Shut down the transport, the workers, and the engine backend."""
+        """Shut down the transport and the workers."""
         if self._stopped:
             return
         self._stopped = True
@@ -371,7 +351,6 @@ class QueryServer:
         self.queue.close()
         for thread in self._workers:
             thread.join(timeout=2.0)
-        self.ctx.stop()
 
     def __enter__(self) -> "QueryServer":
         self.start()
@@ -487,20 +466,9 @@ class QueryServer:
             )
             return self._ok(pending, cached, generation, queue_wait, started, True)
         self._count("serve_cache_misses")
-        partitions, scanned, total = self.state.partitions_for(
-            pending.spatial, pending.temporal
-        )
+        instances, scanned, total = self.state.select(pending.spatial, pending.temporal)
         self._count("serve_partitions_scanned", scanned)
         self._count("serve_partitions_pruned", total - scanned)
-        selector = Selector(
-            pending.spatial,
-            pending.temporal,
-            index=self.config.index,
-        )
-        # copy=False keeps the resident lists' identity, so the
-        # per-partition selection-index cache hits on repeat visits.
-        rdd = self.ctx.from_partitions(partitions, copy=False)
-        instances = selector.select(self.ctx, rdd).collect()
         records = encode_records(instances)
         entry = CachedResult(
             records=records,
@@ -553,7 +521,6 @@ class QueryServer:
         }
 
     def _handle_stats(self, request_id: Any) -> dict:
-        index_cache = selection_cache()
         with self._counters_lock:
             counters = {
                 k: v for k, v in self.counters.items() if "[" not in k
@@ -562,17 +529,8 @@ class QueryServer:
             "id": request_id,
             "status": STATUS_OK,
             "uptime_seconds": round(time.time() - self.started, 3),
-            "backend": self.ctx.backend_name,
             "counters": counters,
             "result_cache": self.result_cache.snapshot(),
-            "index_cache": {
-                "entries": len(index_cache),
-                "bytes": index_cache.bytes,
-                "max_bytes": index_cache.max_bytes,
-                "hits": index_cache.hits,
-                "misses": index_cache.misses,
-                "evictions": index_cache.evictions,
-            },
             "tenants": self.admission.snapshot(),
             "queue": {
                 "depth": len(self.queue),
@@ -620,21 +578,28 @@ class _TCPServer(socketserver.ThreadingTCPServer):
 
 
 class _Handler(socketserver.StreamRequestHandler):
-    """One connection: loop reading request lines until EOF."""
+    """One connection: loop reading request lines until EOF (or until a
+    line longer than :data:`MAX_REQUEST_LINE_BYTES`, which is answered with
+    an error and ends the connection)."""
 
     def handle(self) -> None:
         server: QueryServer = self.server.query_server
         while True:
             try:
-                raw = self.rfile.readline()
+                raw = self.rfile.readline(MAX_REQUEST_LINE_BYTES + 1)
             except (ConnectionError, OSError):
                 return
             if not raw:
                 return
-            line = raw.decode("utf-8", errors="replace").strip()
-            if not line:
-                continue
-            response_line, keep_open = server.handle_line(line)
+            if len(raw) > MAX_REQUEST_LINE_BYTES:
+                server._count("serve_errors")
+                message = f"request line longer than {MAX_REQUEST_LINE_BYTES} bytes"
+                response_line, keep_open = canonical_dumps(error_response(None, message)), False
+            else:
+                line = raw.decode("utf-8", errors="replace").strip()
+                if not line:
+                    continue
+                response_line, keep_open = server.handle_line(line)
             try:
                 self.wfile.write(response_line.encode("utf-8") + b"\n")
                 self.wfile.flush()

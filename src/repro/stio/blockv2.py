@@ -148,13 +148,11 @@ class PayloadRows(Sequence):
 class V2Block:
     """A zero-copy read handle over one v2 block file.
 
-    The whole file is mapped once (``mmap=True``, the default) and every
-    column is an 8-aligned ndarray view into that single map — opening a
-    block reads 64 header bytes and touches nothing else until a kernel
-    or a row decode faults the pages it actually needs.  ``mmap=False``
-    reads the file into memory instead (used for in-memory round-trip
-    checks).  Pickling a block ships only its path; the receiving process
-    re-opens (re-maps) it locally.
+    The whole file is mapped once and every column is an 8-aligned
+    ndarray view into that single map — opening a block reads 64 header
+    bytes and touches nothing else until a kernel or a row decode faults
+    the pages it actually needs.  Pickling a block ships only its path;
+    the receiving process re-opens (re-maps) it locally.
     """
 
     __slots__ = (
@@ -163,7 +161,7 @@ class V2Block:
         "box_exact", "_buf", "_offsets", "_payload_off",
     )
 
-    def __init__(self, path: str | Path, mmap: bool = True):
+    def __init__(self, path: str | Path):
         self.path = Path(path)
         with open(self.path, "rb") as f:
             raw_header = f.read(HEADER_SIZE)
@@ -179,11 +177,8 @@ class V2Block:
                 f"{self.path.name}: v2 block version {version} is newer than "
                 f"supported ({BLOCK_VERSION})"
             )
-        if mmap:
-            # As a str: np.memmap ``resolve()``s a Path, a syscall per part.
-            buf = np.memmap(str(self.path), dtype=np.uint8, mode="r")
-        else:
-            buf = np.frombuffer(self.path.read_bytes(), dtype=np.uint8)
+        # As a str: np.memmap ``resolve()``s a Path, a syscall per part.
+        buf = np.memmap(str(self.path), dtype=np.uint8, mode="r")
         if payload_off > len(buf):
             raise ValueError(f"{self.path.name}: truncated v2 block body")
         self.n = int(n)
@@ -224,19 +219,21 @@ class V2Block:
 
     def candidate_rows(self, box: STBox):
         """Sorted row indices whose extents intersect ``box`` — the BoxTable
-        kernel, straight off the mmap (filterable blocks only)."""
-        return self.boxtable(None).candidate_rows(box)
+        kernel, straight off the mmap; every row of a block without columns."""
+        if not self.filterable:
+            return np.arange(self.n)
+        return self.boxtable().candidate_rows(box)
 
-    def boxtable(self, records: list):
-        """A :class:`~repro.columnar.boxtable.BoxTable` over the mmapped
-        columns, with ``records`` (the fully decoded partition) as the
-        row indirection — ``None`` when the block is not filterable."""
+    def boxtable(self):
+        """The mmapped columns as a table of extents (a
+        :class:`~repro.columnar.boxtable.BoxTable` with no row
+        indirection) — ``None`` when the block is not filterable."""
         if not self.filterable:
             return None
         return BoxTable(
             self.xmin, self.ymin, self.tmin,
             self.xmax, self.ymax, self.tmax,
-            records, self.box_exact,
+            None, self.box_exact,
         )
 
     # -- payload decode -------------------------------------------------------------
@@ -287,9 +284,9 @@ class V2Block:
         return int((ends[rows] - starts[rows]).sum())
 
 
-def open_v2_block(path: str | Path, mmap: bool = True) -> V2Block:
+def open_v2_block(path: str | Path) -> V2Block:
     """Open one v2 block file for zero-copy reading."""
-    return V2Block(path, mmap=mmap)
+    return V2Block(path)
 
 
 def scan_v2_block(path: str | Path, query_box: STBox | None) -> tuple[int, int]:

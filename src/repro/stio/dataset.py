@@ -566,7 +566,7 @@ class StDataset:
             return self
         else:  # a copy: the rows' columns and payload bytes, verbatim
             opened = (open_v2_block(self.directory / m.filename) for m in meta.partitions)
-            blocks = ((block.boxtable(None), block.payloads()) for block in opened)
+            blocks = ((block.boxtable(), block.payloads()) for block in opened)
         return StDataset(out if out is not None else self.directory).write_blocks(
             blocks,
             meta.instance_type,
@@ -658,50 +658,32 @@ class StDataset:
         meta: PartitionMeta,
         codec: str | None = None,
         on_corrupt: str = "raise",
-    ) -> list:
-        """Eagerly read and decode one partition's block file.
+    ) -> tuple[V2Block | None, list]:
+        """Eagerly open one partition's block file and decode every row.
 
         The resident-block path of the ``repro serve`` daemon: unlike
         :meth:`read` (a lazy RDD that re-reads and re-decodes per
-        evaluation), this returns a plain list the caller can keep — the
-        stable list identity is what lets the per-partition
-        selection-index cache hit across queries.  ``codec`` defaults to
-        the dataset's metadata value via :meth:`cached_metadata` (a stat,
-        not a re-parse, per call); callers holding the metadata should
-        pass it.  An undecodable
-        block honors the same corruption contract as the lazy reader:
+        evaluation), this returns ``(block, records)`` — the mmapped
+        :class:`~repro.stio.blockv2.V2Block` whose extent columns a query
+        masks, and the rows it indexes — for the caller to keep.  ``codec``
+        defaults to the dataset's metadata value via :meth:`cached_metadata`
+        (a stat, not a re-parse, per call); callers holding the metadata
+        should pass it.  An undecodable block honors the same corruption
+        contract as the lazy reader:
         :class:`~repro.engine.errors.CorruptPartitionError` naming the
-        file, or an empty list under ``on_corrupt="quarantine"``.
-        """
-        records, _ = self.read_block_indexed(meta, codec=codec, on_corrupt=on_corrupt)
-        return records
-
-    def read_block_indexed(
-        self,
-        meta: PartitionMeta,
-        codec: str | None = None,
-        on_corrupt: str = "raise",
-    ) -> tuple[list, object | None]:
-        """:meth:`read_block`, plus the block's columnar selection index.
-
-        The second element is a
-        :class:`~repro.columnar.boxtable.BoxTable` whose extent columns
-        are *views into the mmapped file* — the serve daemon seeds the
-        selection-index cache with it, so resident partitions never
-        re-extract bounds instance-by-instance.  ``None`` for
-        non-filterable blocks.
+        file, or ``(None, [])`` under ``on_corrupt="quarantine"``.
         """
         if codec is None:
             codec = self.cached_metadata().codec
-        from repro.engine.errors import CorruptPartitionError
-
         try:
             block, records, _ = _load_block(self.directory / meta.filename, codec)
-            return records, block.boxtable(records)
         except Exception as exc:
             if on_corrupt == "quarantine":
-                return [], None
+                return None, []
+            from repro.engine.errors import CorruptPartitionError
+
             raise CorruptPartitionError(meta.filename, repr(exc)) from exc
+        return block, records
 
     def read(
         self,

@@ -219,7 +219,7 @@ def compact_dataset(
     if partitioner is None:
         partitioner = TSTRPartitioner(max(1, math.isqrt(replaced)), 1)
     table = BoxTable.concat(
-        [block.boxtable(None) for block in resident], PayloadRows(payloads, meta.codec)
+        [block.boxtable() for block in resident], PayloadRows(payloads, meta.codec)
     )
     blocks, boundaries = _batch_blocks(table, payloads, partitioner)
     dataset.write_blocks(blocks, meta.instance_type, boundaries, meta.codec, meta.watermark)

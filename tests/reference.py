@@ -295,7 +295,9 @@ def compact(directory, partitioner=None) -> None:
     old = json.loads((Path(directory) / "metadata.json").read_text())
     dataset = StDataset(directory)
     records = [
-        r for m in dataset.metadata().partitions for r in dataset.read_block(m, codec=old["codec"])
+        r
+        for m in dataset.metadata().partitions
+        for r in dataset.read_block(m, codec=old["codec"])[1]
     ]
     if partitioner is None:
         partitioner = TSTRPartitioner(max(1, math.isqrt(len(old["partitions"]))), 1)

@@ -33,7 +33,6 @@ from repro.core.structures import (
     TimeSeriesStructure,
 )
 from repro.columnar import BoxTable, PointsTable, packed_tree_from_boxes, pointstable
-from repro.columnar.cache import PartitionIndexCache, selection_cache
 from repro.engine import EngineContext
 from repro.geometry import Envelope, LineString, Point, Polygon
 from repro.index.boxes import STBox
@@ -125,19 +124,13 @@ class TestPackedRTreeParity:
         assert packed.stats.candidates == candidates
         assert packed.stats.queries == len(queries)
 
-    def test_batch_matches_singles_and_tiny_trees(self):
+    def test_tiny_trees_match_linear_scan(self):
         for n in (0, 1, 2, 5, 100):
             events = make_events(n)
             boxes = [e.st_box() for e in events]
             packed = packed_tree_from_boxes(boxes, capacity=4)
-            queries = [
-                STBox((0, 0, 0), (5, 5, 50_000)),
-                STBox((90, 90, 0), (91, 91, 1)),
-            ]
-            batch = packed.query_batch(queries)
-            for box, rows in zip(queries, batch):
-                assert rows.tolist() == packed.query_rows(box).tolist()
-                assert rows.tolist() == reference.box_query(boxes, box)
+            for box in (STBox((0, 0, 0), (5, 5, 50_000)), STBox((90, 90, 0), (91, 91, 1))):
+                assert packed.query_rows(box).tolist() == reference.box_query(boxes, box)
 
     def test_packed_tree_pickles(self):
         import pickle
@@ -301,38 +294,6 @@ class TestAssignBatchParity:
         assert p.assign_batch(extras) == reference.assign(p, extras)
 
 
-class TestPartitionIndexCache:
-    def test_identity_keyed_hits_and_lru(self):
-        cache = PartitionIndexCache(capacity=2)
-        p1, p2, p3 = [1], [2], [3]
-        v1, hit = cache.get_or_build(p1, "k", lambda p: object())
-        assert not hit
-        v1b, hit = cache.get_or_build(p1, "k", lambda p: object())
-        assert hit and v1b is v1
-        cache.get_or_build(p2, "k", lambda p: object())
-        cache.get_or_build(p3, "k", lambda p: object())  # evicts p1
-        _, hit = cache.get_or_build(p1, "k", lambda p: object())
-        assert not hit
-        assert cache.hits == 1 and cache.misses == 4
-
-    def test_selection_reuses_partition_index(self):
-        cache = selection_cache()
-        cache.clear()
-        before = (cache.hits, cache.misses)
-        ctx = EngineContext(default_parallelism=2)
-        events = make_events(200)
-        rdd = ctx.parallelize(events, 2)
-        sel = Selector(spatial=Envelope(0, 0, 5, 5), temporal=Duration(0, 50_000))
-        first = sel.select(ctx, rdd).collect()
-        assert sel.index_cache_misses.value == 2
-        assert sel.index_cache_hits.value == 0
-        second = sel.select(ctx, rdd).collect()
-        assert sel.index_cache_hits.value == 2
-        assert sel.index_cache_misses.value == 0
-        assert _identities(first) == _identities(second)
-        assert cache.hits > before[0]
-
-
 class TestSelectionParityAcrossBackends:
     SPATIAL = Envelope(2.0, 2.0, 6.0, 6.0)
     TEMPORAL = Duration(10_000.0, 60_000.0)
@@ -403,6 +364,17 @@ class TestSelectionParityAcrossBackends:
         sel = Selector(spatial=Envelope(0, 0, 5, 5), temporal=Duration(0, 50_000))
         sel.select(ctx, ctx.parallelize(make_events(200), 2)).collect()
         assert sel.rtree_probes.value > 0
+
+    def test_probe_counter_is_per_call(self):
+        # Each call builds its trees afresh (§3.1), so a repeat of the same
+        # selection reports the same probe work, not a running total.
+        ctx = EngineContext(default_parallelism=2)
+        rdd = ctx.parallelize(make_events(200), 2)
+        sel = Selector(spatial=Envelope(0, 0, 5, 5), temporal=Duration(0, 50_000))
+        first = sel.select(ctx, rdd).collect()
+        probes = sel.rtree_probes.value
+        assert sel.select(ctx, rdd).collect() == first
+        assert sel.rtree_probes.value == probes > 0
 
 
 class TestConversionParityAcrossBackends:

@@ -2,29 +2,31 @@
 
 from __future__ import annotations
 
+import json
+import os
+import socket
 import statistics
+import tempfile
 import threading
 import time
+import tracemalloc
 from contextlib import contextmanager
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.cli import main as cli_main
-from repro.columnar.boxtable import BoxTable
-from repro.columnar.cache import (
-    PartitionIndexCache,
-    configure_selection_cache,
-    selection_cache,
-)
-from repro.columnar.packed_rtree import PackedRTree
 from repro.core import Selector
 from repro.engine import EngineContext
 from repro.geometry import Envelope
-from repro.instances import Event
+from repro.instances import Event, Trajectory
 from repro.serve import (
     AdmissionController,
     BoundedPriorityQueue,
     CachedResult,
+    DatasetState,
     QueryServer,
     ResultCache,
     ServeClient,
@@ -40,18 +42,12 @@ from repro.serve.protocol import (
     records_document,
     result_document,
 )
+from repro.serve.server import MAX_REQUEST_LINE_BYTES
 from repro.stio import StDataset
 from repro.stio.metadata import DatasetMetadata
 from repro.temporal import Duration
-from tests.conftest import make_events
-
-
-@pytest.fixture(autouse=True)
-def _restore_selection_cache():
-    """QueryServer reconfigures the process-wide index cache; restore it."""
-    yield
-    cache = configure_selection_cache(capacity=64, max_bytes=None)
-    cache.clear()
+from tests import reference
+from tests.conftest import make_events, make_trajectories
 
 
 @contextmanager
@@ -223,49 +219,6 @@ class TestResultCache:
         assert cache.drop_stale_generations(1) == 2
         assert cache.get("new") is not None and cache.bytes == 10
         assert cache.snapshot()["invalidations"] == 2
-
-
-# ---------------------------------------------------------------------------
-# Selection-index cache byte accounting (satellite: max_bytes + nbytes)
-
-
-class _Sized:
-    def __init__(self, nbytes):
-        self.nbytes = nbytes
-
-
-class TestIndexCacheBytes:
-    def test_max_bytes_evicts_lru(self):
-        cache = PartitionIndexCache(capacity=64, max_bytes=100)
-        p1, p2 = [1], [2]
-        cache.get_or_build(p1, "k", lambda p: _Sized(70))
-        cache.get_or_build(p2, "k", lambda p: _Sized(70))
-        assert cache.bytes == 70 and cache.evictions == 1
-        _, hit = cache.get_or_build(p1, "k", lambda p: _Sized(70))
-        assert not hit  # p1 was the evicted one
-
-    def test_newest_survives_even_over_budget(self):
-        cache = PartitionIndexCache(capacity=64, max_bytes=10)
-        cache.get_or_build([1], "k", lambda p: _Sized(500))
-        assert len(cache) == 1 and cache.bytes == 500
-
-    def test_configure_rebounds_in_place(self):
-        cache = PartitionIndexCache(capacity=64)
-        for i in range(4):
-            cache.get_or_build([i], "k", lambda p: _Sized(50))
-        assert cache.bytes == 200
-        cache.configure(max_bytes=100)
-        assert cache.bytes <= 100 and cache.evictions == 2
-        assert cache.max_bytes == 100 and cache.capacity == 64
-
-    def test_real_indexes_report_nbytes(self):
-        events = make_events(200)
-        table = BoxTable.from_instances(events)
-        mins, maxs = table.coords()
-        tree = PackedRTree(mins, maxs, capacity=16)
-        assert table.nbytes > 0
-        # Exact: at least the reordered entry arrays plus the row order.
-        assert tree.nbytes >= mins.nbytes + maxs.nbytes + 200 * 8
 
 
 # ---------------------------------------------------------------------------
@@ -500,8 +453,8 @@ class TestInvalidation:
                 first = client.query(bbox=bbox)
                 again = client.query(bbox=bbox)
                 assert again["cached"] is True
-                index_entries_before = len(selection_cache())
-                assert index_entries_before > 0
+                resident_before = server.state.resident_blocks()
+                assert resident_before > 0
                 # Edit the dataset behind the server's back.
                 StDataset(tmp_path / "ds").append(
                     [[Event.of_point(5.0, 5.0, 1_000.0, data="fresh")]]
@@ -510,6 +463,10 @@ class TestInvalidation:
                 assert after["generation"] == first["generation"] + 1
                 assert after["cached"] is False
                 assert after["count"] == first["count"] + 1
+                # The refresh dropped every resident block; the query after
+                # it reloaded what it selects — the new block included.
+                assert server.state.resident_blocks() == resident_before + 1
+                assert server.state.blocks_loaded == 2 * resident_before + 1
             assert server.state.invalidations == 1
             assert server.result_cache.snapshot()["invalidations"] >= 1
 
@@ -581,3 +538,175 @@ class TestInvalidation:
                 assert stats["dataset"]["generation"] == after["generation"]
             assert server.state.invalidations == 1
             assert server.result_cache.snapshot()["invalidations"] >= 1
+
+
+# ---------------------------------------------------------------------------
+# Hostile and unusual request lines (the daemon's input, not its protocol)
+
+
+def _raw_lines(host, port, *lines: bytes) -> list:
+    """Send ``lines`` on one raw connection; the decoded response lines."""
+    with socket.create_connection((host, port), timeout=10) as sock:
+        reader = sock.makefile("rb")
+        responses = []
+        for line in lines:
+            sock.sendall(line + b"\n")
+            responses.append(json.loads(reader.readline()))
+        return responses
+
+
+class TestRequestInput:
+    def test_overlong_line_is_refused_without_buffering_it(self, tmp_path):
+        write_dataset(tmp_path / "ds", n=200, partitions=2)
+        flood = b"x" * (32 * MAX_REQUEST_LINE_BYTES)  # allocated before tracing
+        with running_server(tmp_path / "ds", workers=1) as (_, host, port):
+            tracemalloc.start()
+            try:
+                with socket.create_connection((host, port), timeout=10) as sock:
+
+                    def send():
+                        try:
+                            sock.sendall(flood)  # no newline, ever
+                        except OSError:
+                            pass  # the daemon hung up mid-line, as it should
+
+                    sender = threading.Thread(target=send, daemon=True)
+                    sender.start()
+                    reader = sock.makefile("rb")
+                    response = json.loads(reader.readline())
+                    try:
+                        rest = reader.readline()
+                    except ConnectionResetError:
+                        rest = b""
+                    sender.join(timeout=10)
+                _, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+            assert response["status"] == "error"
+            assert f"longer than {MAX_REQUEST_LINE_BYTES} bytes" in response["error"]
+            assert rest == b""  # the daemon closed the connection
+            # What the daemon buffered is bounded by the cap, not the line.
+            assert peak < 4 * MAX_REQUEST_LINE_BYTES
+            with ServeClient(host, port) as client:
+                other = client.query(bbox=BBOXES[0], time_range=WINDOW)
+            assert result_document(other) == one_shot_document(tmp_path / "ds", BBOXES[0])
+
+    def test_line_at_the_cap_is_answered(self, tmp_path):
+        write_dataset(tmp_path / "ds", n=200, partitions=2)
+        ping = b'{"op":"ping"}'
+        padded = ping + b" " * (MAX_REQUEST_LINE_BYTES - len(ping) - 1)
+        with running_server(tmp_path / "ds", workers=1) as (_, host, port):
+            [response] = _raw_lines(host, port, padded)
+        assert response["status"] == "ok" and response["protocol"] >= 1
+
+    def test_unbounded_range_answers_like_one_shot(self, tmp_path, capsys):
+        """``1e999`` is standard JSON for ``inf``; the daemon answers it as
+        ``repro select --time 0 1e999`` does, and caches it."""
+        write_dataset(tmp_path / "ds", n=400, partitions=4)
+        argv = ["select", str(tmp_path / "ds"), "--time", "0", "1e999", "--format", "json"]
+        assert cli_main(argv) == 0
+        cli_doc = capsys.readouterr().out.strip()
+        line = b'{"op":"query","id":1,"time":[0,1e999]}'
+        with running_server(tmp_path / "ds", workers=1) as (_, host, port):
+            first, again = _raw_lines(host, port, line, line)
+        assert first["status"] == "ok" and first["count"] == 400
+        assert result_document(first) == cli_doc
+        assert again["cached"] is True and result_document(again) == cli_doc
+
+
+# ---------------------------------------------------------------------------
+# The daemon's selection: resident blocks vs the oracle
+
+
+def test_trajectory_parity_with_selector(tmp_path):
+    """Trajectories take the exact refinement on the daemon too: served bytes
+    equal ``records_document(Selector.select(...))``."""
+    trajs = make_trajectories(120)
+    StDataset.write(tmp_path / "ds", [trajs[i::4] for i in range(4)], "trajectory")
+    bbox, window = (2.0, 2.0, 6.0, 6.0), (10_000.0, 60_000.0)
+    expected = one_shot_document(tmp_path / "ds", bbox, window)
+    assert 0 < json.loads(expected)["count"] < len(trajs)
+    with running_server(tmp_path / "ds", workers=2) as (_, host, port):
+        with ServeClient(host, port) as client:
+            response = client.query(bbox=bbox, time_range=window)
+    assert result_document(response) == expected
+
+
+#: Binary-exact lattice: every coordinate and bound is a multiple of 1/2,
+#: so boxes touch records' faces exactly.
+lattice = st.integers(0, 12).map(lambda k: k / 2)
+steps = st.integers(0, 4).map(lambda k: k / 2)
+
+
+@st.composite
+def lattice_record(draw):
+    """``data → record``: one record on the lattice, its payload left open."""
+    x, y, t = draw(lattice), draw(lattice), draw(lattice)
+    kind = draw(st.sampled_from(["point", "envelope", "trajectory"]))
+    if kind == "point":
+        return lambda i: Event.of_point(x, y, t, data=i)
+    if kind == "envelope":
+        dx, dy, dt = draw(steps), draw(steps), draw(steps)
+        return lambda i: Event(Envelope(x, y, x + dx, y + dy), Duration(t, t + dt), data=i)
+    points = [(x, y, t)]
+    for _ in range(draw(st.integers(1, 3))):
+        x, y, t = draw(lattice), draw(lattice), t + 0.5 + draw(steps)
+        points.append((x, y, t))
+    return lambda i: Trajectory.of_points(points, data=i)
+
+
+@st.composite
+def query_range(draw):
+    bounded = draw(st.sampled_from(["both", "spatial", "temporal"]))
+    spatial = temporal = None
+    if bounded != "temporal":
+        x, y = draw(lattice), draw(lattice)
+        spatial = Envelope(x, y, x + draw(lattice), y + draw(lattice))
+    if bounded != "spatial":
+        t = draw(lattice)
+        temporal = Duration(t, t + draw(lattice))
+    return spatial, temporal
+
+
+def _identity_list(records) -> list:
+    return [r.identity() for r in records]
+
+
+class TestResidentSelection:
+    """``DatasetState.select`` — the daemon's whole selection, no socket —
+    against ``tests/reference.select``, record for record and in order."""
+
+    @given(
+        st.lists(lattice_record(), min_size=1, max_size=24),
+        st.integers(1, 4),
+        st.data(),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_matches_reference_cold_resident_and_quarantined(self, makers, k, data):
+        records = [make(i) for i, make in enumerate(makers)]
+        owner = data.draw(st.lists(st.integers(0, k - 1), min_size=len(records), max_size=len(records)))
+        blocks = [[r for r, b in zip(records, owner) if b == j] for j in range(k)]
+        queries = data.draw(st.lists(query_range(), min_size=1, max_size=3))
+        lost = data.draw(st.integers(0, k - 1))
+        with tempfile.TemporaryDirectory() as tmp:
+            directory = Path(tmp) / "ds"
+            StDataset.write(directory, blocks, "event")
+            state = DatasetState(directory)
+            in_block_order = [r for block in blocks for r in block]
+            for spatial, temporal in queries:
+                expected = _identity_list(reference.select(in_block_order, spatial, temporal))
+                for _ in ("cold", "resident"):
+                    got, _, _ = state.select(spatial, temporal)
+                    assert _identity_list(got) == expected
+            # One block unreadable: a new file under its name (the first
+            # state's map keeps the old inode), answered without it.
+            path = directory / state.meta.partitions[lost].filename
+            path.with_name("bad.tmp").write_bytes(b"bad")
+            os.replace(path.with_name("bad.tmp"), path)
+            survivors = [r for j, block in enumerate(blocks) if j != lost for r in block]
+            quarantining = DatasetState(directory, on_corrupt="quarantine")
+            for spatial, temporal in queries:
+                expected = _identity_list(reference.select(survivors, spatial, temporal))
+                for _ in ("cold", "resident"):
+                    got, _, _ = quarantining.select(spatial, temporal)
+                    assert _identity_list(got) == expected

@@ -13,11 +13,6 @@ import threading
 
 import pytest
 
-from repro.columnar.cache import (
-    invalidate_partition_indexes,
-    partition_boxtable,
-    selection_cache,
-)
 from repro.core import Selector
 from repro.engine import EngineContext
 from repro.core.converters import Event2RasterConverter
@@ -44,13 +39,6 @@ from tests.conftest import make_events, make_trajectories
 
 QUERY_SPATIAL = Envelope(1.0, 1.0, 3.0, 3.0)
 QUERY_TEMPORAL = Duration(0.0, 40_000.0)
-
-
-@pytest.fixture(autouse=True)
-def _fresh_index_cache():
-    invalidate_partition_indexes()
-    yield
-    invalidate_partition_indexes()
 
 
 def _identities(instances) -> list:
@@ -108,6 +96,17 @@ class TestV2BlockRoundTrip:
         block = open_v2_block(path)
         assert not block.filterable
         assert block.decode_all("pickle") == [{"a": 1}, {"b": 2}]
+
+    def test_unfilterable_block_candidates_are_every_row(self, tmp_path):
+        from repro.index.boxes import st_query_box
+
+        path = tmp_path / "block.stb"
+        path.write_bytes(encode_v2_block([{"a": 1}, {"b": 2}, {"c": 3}], "pickle"))
+        block = open_v2_block(path)
+        # No columns to mask: every row is a candidate, none decided by its box.
+        box = st_query_box(QUERY_SPATIAL, QUERY_TEMPORAL)
+        assert block.candidate_rows(box).tolist() == [0, 1, 2]
+        assert block.boxtable() is None
 
     def test_pushdown_mask_matches_scalar_filter(self, tmp_path):
         from repro.index.boxes import st_query_box
@@ -186,7 +185,6 @@ class TestV2Dataset:
         expected = _identities(reference.select(data, QUERY_SPATIAL, QUERY_TEMPORAL))
         assert expected
         for name in ("upgraded", "v2"):
-            invalidate_partition_indexes()
             selector = Selector(QUERY_SPATIAL, QUERY_TEMPORAL)
             got = selector.select(ctx, tmp_path / name).collect()
             assert _identities(got) == expected
@@ -317,7 +315,7 @@ class TestConvert:
         ]
         assert all(m.filename.endswith(".stb") for m in meta.partitions)
         # Records equal the fixture's input, partition by partition, in order.
-        assert _rows(converted.read_block(m) for m in meta.partitions) == _rows(partitions)
+        assert _rows(converted.read_block(m)[1] for m in meta.partitions) == _rows(partitions)
         rdd, _ = converted.read(ctx)
         assert _rows([rdd.collect()]) == _rows([sum(partitions, [])])
         # A second convert is a no-op: nothing rewritten, generation unmoved.
@@ -338,10 +336,9 @@ class TestConvert:
         assert DatasetMetadata.load(tmp_path / "src").block_format == "v1"
         meta = converted.metadata()
         assert (meta.block_format, meta.generation, meta.watermark) == ("v2", 0, 9.0)
-        assert _rows(converted.read_block(m) for m in meta.partitions) == _rows(partitions)
+        assert _rows(converted.read_block(m)[1] for m in meta.partitions) == _rows(partitions)
         assert not list((tmp_path / "dst").glob("part-*.pkl"))
         if codec == "tuple":
-            invalidate_partition_indexes()
             events = sum(partitions, [])
             selector = Selector(QUERY_SPATIAL, QUERY_TEMPORAL)
             assert _identities(
@@ -406,7 +403,6 @@ class TestV1IsConvertOnly:
         entry_points = {
             "read": lambda: ds.read(ctx),
             "read_block": lambda: ds.read_block(part),
-            "read_block_indexed": lambda: ds.read_block_indexed(part),
             "select": lambda: Selector(QUERY_SPATIAL, QUERY_TEMPORAL).select(ctx, v1),
             "run": lambda: self._pipeline().run(ctx, v1),
             "explain": lambda: self._pipeline().explain(ctx, v1),
@@ -440,7 +436,6 @@ class TestV1IsConvertOnly:
             lambda **kw: StDataset(tmp_path / "i").ingest(events, instance_type="event", **kw),
             lambda **kw: ingest_batch(StDataset(tmp_path / "i"), events, instance_type="event", **kw),
             lambda **kw: ds.read_block(part, **kw),
-            lambda **kw: ds.read_block_indexed(part, **kw),
             lambda **kw: _DiskPartitionRDD(ctx, tmp_path / "ds", [part], None, **kw),
         ]
         for site in former_sites:
@@ -518,23 +513,7 @@ class TestReadBlockRegressions:
         with pytest.raises(CorruptPartitionError) as exc_info:
             handle.read_block(meta)
         assert meta.filename in str(exc_info.value)
-        assert handle.read_block(meta, on_corrupt="quarantine") == []
-
-    def test_read_block_indexed_returns_mmap_boxtable(self, tmp_path):
-        events = make_events(50)
-        ds = save_dataset(
-            tmp_path / "ds", events, "event", num_partitions=1
-        )
-        meta = ds.metadata().partitions[0]
-        records, table = ds.read_block_indexed(meta)
-        assert len(records) == len(events)
-        assert table is not None
-        assert len(table) == len(records)
-        # A block of extent-less payloads carries no columnar sidecar.
-        raw = StDataset.write(tmp_path / "raw", [_non_instance_rows(5)], "checkpoint", codec="pickle")
-        rows, no_table = raw.read_block_indexed(raw.metadata().partitions[0])
-        assert rows == _non_instance_rows(5)
-        assert no_table is None
+        assert handle.read_block(meta, on_corrupt="quarantine") == (None, [])
 
 
 class TestOrphanCleanup:
@@ -603,13 +582,13 @@ class TestZeroCopyShipping:
     def test_captured_mmap_boxtable_ships_out_of_band(self, tmp_path):
         from repro.engine.exec.base import StageSpec
         from repro.engine.exec.process import _serialize_stage
+        from repro.serve.server import DatasetState
 
         events = make_events(200)
-        ds = save_dataset(
-            tmp_path / "ds", events, "event", num_partitions=1
-        )
-        meta = ds.metadata().partitions[0]
-        records, table = ds.read_block_indexed(meta)
+        save_dataset(tmp_path / "ds", events, "event", num_partitions=1)
+        # The serve daemon's resident block: its columns view the mapped file.
+        [(block, records)], _, _ = DatasetState(tmp_path / "ds").resident(None, None)
+        table = block.boxtable()
         assert table is not None
 
         def task(split: int, t=table) -> list:
@@ -633,25 +612,29 @@ class TestServeOverV2:
         save_dataset(tmp_path / "ds", events, "event")
         return events, DatasetState(tmp_path / "ds", **kwargs)
 
-    def test_resident_blocks_seed_the_selection_cache(self, tmp_path):
-        _, state = self._state(tmp_path)
-        cache = selection_cache()
-        partitions, scanned, _ = state.partitions_for(QUERY_SPATIAL, QUERY_TEMPORAL)
-        assert scanned == len(partitions)
-        for partition in partitions:
-            before = cache.misses
-            table, hit = partition_boxtable(partition)
-            # The mmapped table was planted at decode time: first probe hits.
-            assert hit
-            assert cache.misses == before
-            assert len(table) == len(partition)
+    def test_resident_blocks_answer_without_decoding(self, tmp_path, monkeypatch):
+        events, state = self._state(tmp_path)
+        expected = reference.select(events, QUERY_SPATIAL, QUERY_TEMPORAL)
+        records, scanned, _ = state.select(QUERY_SPATIAL, QUERY_TEMPORAL)
+        assert _identities(records) == _identities(expected)
+        assert state.resident_blocks() == state.blocks_loaded == scanned
+        blocks, _, _ = state.resident(QUERY_SPATIAL, QUERY_TEMPORAL)
+        for block, rows in blocks:
+            # The unit of residency is the mapped block plus its rows.
+            assert isinstance(block, V2Block) and len(rows) == block.n
+            assert not block.xmin.flags.writeable  # a view of the read-only map
+        decoded = []
+        monkeypatch.setattr(V2Block, "decode_rows", lambda *a: decoded.append(a))
+        again, _, _ = state.select(QUERY_SPATIAL, QUERY_TEMPORAL)
+        assert again == records and not decoded
+        assert state.blocks_loaded == scanned
 
     def test_quarantined_block_answers_empty_and_is_not_cached(self, tmp_path):
         _, state = self._state(tmp_path, on_corrupt="quarantine")
         target = state.meta.partitions[0]
         (state.dataset.directory / target.filename).write_bytes(b"bad")
-        partitions, _, _ = state.partitions_for(None, None)
-        assert [] in partitions
+        blocks, scanned, _ = state.resident(None, None)
+        assert len(blocks) == scanned - 1
         assert state.blocks_quarantined == 1
         # Not resident: a repaired file is picked up on the next query.
         assert state.resident_blocks() == len(state.meta.partitions) - 1
