@@ -281,6 +281,90 @@ def test_micro_event_raster_fused(benchmark, tmp_path):
     assert fused.selector.last_load_stats.rows_decoded == 0
 
 
+def test_micro_fused_traj_scan(benchmark, tmp_path, monkeypatch):
+    """Trajectory→raster speed over 15 v2 blocks × 8×8×24 cells through
+    ``Pipeline.run`` — the fused trajectory scan's counted work, no timing
+    gate (sequential: the counters below are patched in this process).
+
+    Fails unless the scan built no ``Trajectory`` and no ``Entry`` (the one
+    raster ``instance_of`` builds on the driver aside), unpickled exactly the
+    candidate rows, called ``haversine_distance`` at most once per distinct
+    segment a portion uses, and answered as the staged operator chain does.
+    """
+    import repro.columnar.aggregate as aggregate
+    from repro.core import Pipeline, RasterStructure
+    from repro.core.converters import Traj2RasterConverter
+    from repro.core.extractors import RasterSpeedExtractor
+    from repro.instances import Trajectory
+    from repro.instances.base import Entry
+    from repro.stio import StDataset
+
+    rng = random.Random(29)
+    trips = []
+    for i in range(300):
+        x, y, t = rng.uniform(0, 8), rng.uniform(0, 8), rng.uniform(0, 80_000)
+        points = []
+        for _ in range(rng.randint(12, 30)):
+            points.append((x, y, t))
+            x = min(max(x + rng.uniform(-0.4, 0.4), 0.0), 8.0)
+            y = min(max(y + rng.uniform(-0.4, 0.4), 0.0), 8.0)
+            t += rng.uniform(20.0, 200.0)
+        trips.append(Trajectory.of_points(points, data=i))
+    path = str(tmp_path / "trips")
+    StDataset.write(path, [trips[b : b + 20] for b in range(0, 300, 20)], "trajectory")
+    spatial = Envelope(1.0, 1.0, 7.0, 7.0)
+    temporal = Duration(10_000.0, 70_000.0)
+    structure = RasterStructure.regular(spatial, temporal, 8, 8, 24)
+
+    def pipeline():
+        return Pipeline(
+            Selector(spatial, temporal), Traj2RasterConverter(structure), RasterSpeedExtractor()
+        )
+
+    ctx = fresh_ctx("sequential")
+    fused = pipeline()
+    assert fused.explain(ctx, path)["path"] == "fused"
+    speeds = benchmark(lambda: fused.run(ctx, path).cell_values())
+
+    built = {Trajectory: 0, Entry: 0, "haversine": 0}
+    for cls in (Trajectory, Entry):
+        monkeypatch.setattr(cls, "__init__", _counted(cls.__init__, built, cls))
+    monkeypatch.setattr(
+        aggregate, "haversine_distance", _counted(aggregate.haversine_distance, built, "haversine")
+    )
+    counted = pipeline()
+    assert counted.run(ctx, path).cell_values() == speeds
+    monkeypatch.undo()
+    assert (built[Trajectory], built[Entry]) == (0, structure.n_cells)
+    stats = counted.selector.last_load_stats
+    assert stats.rows_decoded == stats.records_loaded > 0
+
+    staged = pipeline()
+    converted = staged.converter.convert(staged.selector.select(ctx, path))
+    assert staged.extractor.extract(converted).cell_values() == speeds
+    segments = set()
+    for raster in converted.collect():
+        for entry in raster.entries:
+            for trip in entry.value:
+                portion = trip.sub_trajectory(entry.temporal)
+                if portion is not None and len(portion.entries) >= 2:
+                    times = [e.temporal.start for e in portion.entries]
+                    segments.update((trip.data, a, b) for a, b in zip(times, times[1:]))
+    assert 0 < built["haversine"] <= len(segments)
+    print(f"\nfused traj scan: {stats.rows_decoded} rows decoded, "
+          f"{built['haversine']} haversine calls for {len(segments)} segments")
+
+
+def _counted(function, counts: dict, key):
+    """``function``, counting its calls into ``counts[key]``."""
+
+    def wrapper(*args, **kwargs):
+        counts[key] += 1
+        return function(*args, **kwargs)
+
+    return wrapper
+
+
 def test_micro_stream_write_path(benchmark, tmp_path, monkeypatch):
     """20 micro-batches × 500 events through ``StDataset.ingest`` with a
     compaction every 8 blocks — the write path's counted work, no timing gate.

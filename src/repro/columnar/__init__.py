@@ -21,9 +21,11 @@ indirection) and what is built over it:
 * extraction aggregation (:mod:`repro.columnar.aggregate`) — per-partition
   :class:`CellTable` partials built with scatter-add kernels and an
   :class:`AggSpec` per extractor, merged through ``RDD.tree_reduce``.  A
-  spec with ``from_cells`` (counts) also builds its table from cell ids alone:
-  what ``Pipeline``'s fused scan feeds it straight from a v2 block's
-  mmapped extent columns, the scan's ``ScanWork`` counters riding along.
+  spec with ``from_cells`` (counts) also builds its table from cell ids
+  alone, one with ``from_points`` (trajectory speeds) from a PointsTable and
+  the allocated pairs: what ``Pipeline``'s fused scan feeds them straight
+  from a v2 block's extent columns and encoded rows, its ``ScanWork``
+  counters riding along.
 
 No flag selects any of this.  What does *not* run on arrays is decided by
 the input, and is exact by construction:

@@ -1,46 +1,33 @@
 """Columnar extraction kernels: SoA cell aggregation for CellAggExtractor.
 
-The scalar extraction path walks every cell of every per-partition partial
-collective instance in Python — one ``local`` call, one ``Entry`` rebuild,
-and (at merge time) two structure-equality checks per cell.  This module
-replaces those loops with a :class:`CellTable`: a structure-of-arrays
-partial holding dense numpy value/count columns keyed by cell id, built
-with scatter-add kernels (``np.bincount`` for sums and counts) and merged
-with elementwise column ops.
+A :class:`CellTable` is a partial as dense numpy columns keyed by cell id,
+built with scatter-add kernels (``np.bincount``) and merged with
+elementwise column ops; an :class:`AggSpec` compiles one extractor's
+``local``/``merge``/``finalize`` to it — :meth:`AggSpec.build` (one
+partition's partial instance → its table, never declining),
+:meth:`CellTable.merge`, :meth:`AggSpec.finalize`.  A spec with a column
+kernel also builds its table without any instance: ``from_cells`` (counts,
+from allocated cell ids) and ``from_points`` (trajectory speeds, from a
+:class:`~repro.columnar.pointstable.PointsTable` and the allocated pairs) —
+what a fused block scan calls.
 
-An :class:`AggSpec` is the columnar compilation of one extractor's
-``local``/``merge``/``finalize`` triple:
-
-* :meth:`AggSpec.build` — one partition-partial instance → its CellTable
-  (the vectorized ``local`` + within-partition ``merge``);
-* :meth:`CellTable.merge` — the vectorized cross-partition ``merge``;
-* :meth:`AggSpec.finalize` — merged CellTable → per-cell feature list.
-
-``build`` never declines, so an extractor with a spec reduces CellTables
-and nothing else: a ``(cell, trajectory)`` pair the array kernel cannot
-decide — an interval-valued entry time, a non-envelope transit cell — is
-computed inside the kernel with the scalar helpers the extractor's
-``local`` calls and scattered with the rest.
-
-Exactness contract: every kernel reproduces the scalar path bit-for-bit,
-not just approximately.  The load-bearing facts: ``np.bincount``
-accumulates its weights *sequentially in input order* (pairs are emitted
-cell-major, so within-cell order equals the scalar value-scan order);
-per-trajectory segment distances are computed with the same scalar
-``haversine_distance`` calls, once per trajectory; and portion lengths
-are summed with Python's sequential ``sum`` per *unique* portion (numpy's
-pairwise-summation reductions — including ``reduceat`` — associate
-differently and are deliberately avoided); a scalar-computed pair keeps
-its position in that order.
+Exactness contract: every kernel reproduces the scalar path bit for bit.
+``np.bincount`` accumulates its weights *sequentially in input order*, so
+a cell's values add up in pair order; a segment's length is one scalar
+``haversine_distance`` call; a portion's length is Python's ``sum`` of
+its segments (numpy's pairwise reductions — ``reduceat`` included —
+associate differently and are avoided).
 """
 
 from __future__ import annotations
 
 from abc import ABC, abstractmethod
-from typing import Any, NamedTuple, Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
+from repro.columnar.packed_rtree import _concat_ranges
+from repro.columnar.pointstable import PointsTable
 from repro.geometry.distance import haversine_distance
 from repro.geometry.envelope import Envelope
 from repro.instances.event import Event
@@ -216,52 +203,59 @@ class AggSpec(ABC):
         """Merged CellTable → per-cell features, in cell order."""
 
 
-def _pair_layout(entries, type_check) -> tuple[list[int], dict]:
-    """Cell-major (cell, value) pair layout plus a per-value grouping.
-
-    Returns ``(pair_cells, groups)`` where ``pair_cells[p]`` is the cell
-    of pair ``p`` (pairs enumerate cells in order, values in cell order —
-    the exact scan order of the scalar path) and ``groups`` maps
-    ``id(value)`` to ``(value, positions)`` for per-trajectory vectorized
-    computation scattered back by pair position.
+def _pair_layout(entries, type_check) -> tuple:
+    """``(cells, rows, values)`` of a collective instance's (cell, value)
+    pairs: pair ``p`` puts ``values[rows[p]]`` in cell ``cells[p]``, pairs
+    cell-major and values in cell order — the scalar path's scan order.  A
+    value held by several cells (one object) is one row; each is checked
+    with ``type_check``.
     """
-    pair_cells: list[int] = []
-    groups: dict[int, tuple[Any, list[int]]] = {}
+    cells, rows, values, row_of = [], [], [], {}
     for cell, entry in enumerate(entries):
         for value in entry.value:
-            type_check(value)
-            group = groups.get(id(value))
-            if group is None:
-                groups[id(value)] = (value, [len(pair_cells)])
-            else:
-                group[1].append(len(pair_cells))
-            pair_cells.append(cell)
-    return pair_cells, groups
+            row = row_of.get(id(value))
+            if row is None:
+                type_check(value)
+                row = row_of[id(value)] = len(values)
+                values.append(value)
+            cells.append(cell)
+            rows.append(row)
+    return np.asarray(cells, dtype=np.int64), np.asarray(rows, dtype=np.int64), values
 
 
-def _is_instant(traj: Trajectory) -> bool:
-    """Whether every entry time of the trajectory is an instant.
+def _portion_speeds(table: PointsTable, rows, t0, t1, kmh: bool):
+    """``(speeds, points)`` of the portion of trajectory row ``rows[k]``
+    inside ``[t0[k], t1[k]]``: ``sub_trajectory`` then ``average_speed_*``.
 
-    The searchsorted window trick below models entry durations as points;
-    interval-valued entries would make closed-interval ``intersects``
-    membership non-contiguous in general, so the kernels compute such a
-    trajectory's pairs one by one.
+    The float steps are the scalar ones: a ``haversine_distance`` call per
+    distinct segment between consecutive kept points, Python's ``sum`` of a
+    portion's segments, ``length / (max end - min start)`` (0 without
+    elapsed time), ``* 3.6``.
     """
-    return all(e.temporal.end == e.temporal.start for e in traj.entries)
-
-
-def _segment_meters(traj: Trajectory) -> list[float]:
-    """Per-consecutive-pair haversine distances, via the scalar function.
-
-    Computed once per trajectory and reused across every cell the
-    trajectory was allocated to — same floats as
-    ``Trajectory.length_meters`` summing them would see.
-    """
-    entries = traj.entries
-    return [
-        haversine_distance(a.spatial.x, a.spatial.y, b.spatial.x, b.spatial.y)
-        for a, b in zip(entries, entries[1:])
-    ]
+    n = len(rows)
+    lo, hi = table.offsets[rows], table.offsets[rows + 1]
+    pt = _concat_ranges(lo, hi)
+    portion = np.repeat(np.arange(n), hi - lo)
+    inside = table._in_slot(pt, t0[portion], t1[portion])
+    pt, portion = pt[inside], portion[inside]
+    points = np.bincount(portion, minlength=n)
+    seg = np.flatnonzero(portion[1:] == portion[:-1])
+    width = len(table.x)
+    keys, inverse = np.unique(pt[seg] * width + pt[seg + 1], return_inverse=True)
+    a, b = np.divmod(keys, width)
+    x, y = table.x, table.y
+    segments = (x[a].tolist(), y[a].tolist(), x[b].tolist(), y[b].tolist())
+    meters = np.array(list(map(haversine_distance, *segments)), dtype=float)[inverse].tolist()
+    ends = np.cumsum(np.bincount(portion[seg], minlength=n)).tolist()
+    lengths = np.array([sum(meters[i:j]) for i, j in zip([0] + ends, ends)], dtype=float)
+    elapsed = np.zeros(n)
+    some = np.flatnonzero(points)
+    if len(some):
+        first = (np.cumsum(points) - points)[some]
+        elapsed[some] = np.maximum.reduceat(table.t_end[pt], first)
+        elapsed[some] -= np.minimum.reduceat(table.t_start[pt], first)
+    speeds = np.divide(lengths, elapsed, out=np.zeros(n), where=elapsed > 0)
+    return (speeds * 3.6 if kmh else speeds), points
 
 
 class CountSpec(AggSpec):
@@ -293,13 +287,18 @@ class CountSpec(AggSpec):
         return table.columns["count"].tolist()
 
 
-class WholeTrajSpeedSpec(AggSpec):
-    """Vectorizes ``SmSpeedExtractor``: whole-trajectory mean speed.
+class _TrajSpeedSpec(AggSpec):
+    """The speed specs: per-cell mean of a per-(trajectory, cell) speed.
 
-    A trajectory's speed is cell-independent, so it is computed once (with
-    the same ``average_speed_*`` call the scalar path makes per cell) and
-    scattered to every cell holding the trajectory.
+    :meth:`from_points` is the one kernel, over trajectory point columns and
+    the allocated ``(row, cell)`` pairs: what a fused block scan feeds it
+    straight from encoded rows, and what :meth:`build` lays a converted
+    instance out as.  Pairs scatter in input order, so a cell's speeds add
+    up in its allocation order on both paths.
     """
+
+    #: Also a ``vehicles`` column: the pairs per cell, portion or not.
+    count_vehicles = False
 
     def __init__(self, unit: str, type_error: str):
         self.unit = unit
@@ -311,24 +310,27 @@ class WholeTrajSpeedSpec(AggSpec):
 
     def build(self, instance) -> CellTable:
         entries = instance.entries
-        n = len(entries)
-        pair_cells, groups = _pair_layout(entries, self._check)
-        pair_cell = np.asarray(pair_cells, dtype=np.int64)
-        speeds = np.empty(len(pair_cells))
-        kmh = self.unit == "kmh"
-        for traj, positions in groups.values():
-            speed = traj.average_speed_kmh() if kmh else traj.average_speed_ms()
-            speeds[positions] = speed
-        return CellTable(
-            n,
-            {
-                "total": scatter_sum(pair_cell, speeds, n),
-                "count": scatter_count(pair_cell, n),
-            },
-            {"total": "sum", "count": "sum"},
-            type(instance).__name__,
-            rows=len(pair_cells),
-        )
+        cells, rows, values = _pair_layout(entries, self._check)
+        spans = np.array([(e.temporal.start, e.temporal.end) for e in entries]).T
+        table = PointsTable.from_instances(values)
+        return self.from_points(table, rows, cells, spans, type(instance).__name__)
+
+    def from_points(self, table: PointsTable, rows, cells, spans, kind: str, work=None):
+        """The partial of allocated pairs ``(rows[k], cells[k])`` over the
+        trajectories of ``table``; ``spans`` holds every cell's ``(start,
+        end)`` time columns."""
+        if not table.is_trajectory[rows].all():
+            raise TypeError(self.type_error)
+        n = spans.shape[1]
+        speeds, kept = self._speeds(table, rows, cells, spans)
+        columns = {
+            "total": scatter_sum(cells[kept], speeds[kept], n),
+            "count": scatter_count(cells[kept], n),
+        }
+        if self.count_vehicles:
+            columns["vehicles"] = scatter_count(cells, n)
+        ops = dict.fromkeys(columns, "sum")
+        return CellTable(n, columns, ops, kind, rows=len(cells), work=work)
 
     def finalize(self, table: CellTable) -> list:
         totals = table.columns["total"].tolist()
@@ -336,178 +338,102 @@ class WholeTrajSpeedSpec(AggSpec):
         return [t / c if c else None for t, c in zip(totals, counts)]
 
 
-class PortionSpeedSpec(AggSpec):
+class WholeTrajSpeedSpec(_TrajSpeedSpec):
+    """Vectorizes ``SmSpeedExtractor``: whole-trajectory mean speed.
+
+    A trajectory's speed is cell-independent: computed once per allocated
+    row and scattered to every cell holding it.
+    """
+
+    def _speeds(self, table, rows, cells, spans):
+        used, row_of_pair = np.unique(rows, return_inverse=True)
+        unbounded = np.full(len(used), np.inf)
+        speeds, _ = _portion_speeds(table, used, -unbounded, unbounded, self.unit == "kmh")
+        return speeds[row_of_pair], slice(None)
+
+
+class PortionSpeedSpec(_TrajSpeedSpec):
     """Vectorizes the sub-trajectory speed extractors (Ts / Raster).
 
     Per cell, each trajectory contributes the average speed of its portion
     inside the cell's duration, skipping portions with fewer than two
-    points.  Timestamps are sorted, so a closed time window keeps a
-    contiguous entry slice ``[i, j]``: ``i``/``j`` come from a vectorized
-    ``searchsorted`` over all of a trajectory's cells at once, and the
-    portion length is the sequential ``sum`` of precomputed per-segment
-    haversine distances — evaluated once per *unique* portion, since
-    e.g. every spatial cell of one raster time slot shares the slice.
+    points.  A portion is computed once per *distinct* ``(trajectory, cell
+    duration)`` — every spatial cell of one raster time slot shares it.
     """
 
     def __init__(self, unit: str, type_error: str, count_vehicles: bool = False):
-        self.unit = unit
-        self.type_error = type_error
+        super().__init__(unit, type_error)
         self.count_vehicles = count_vehicles
 
-    def _check(self, value) -> None:
-        if not isinstance(value, Trajectory):
-            raise TypeError(self.type_error)
-
-    def build(self, instance) -> CellTable:
-        entries = instance.entries
-        n = len(entries)
-        starts = np.fromiter((e.temporal.start for e in entries), float, count=n)
-        ends = np.fromiter((e.temporal.end for e in entries), float, count=n)
-        pair_cells, groups = _pair_layout(entries, self._check)
-        pair_cell = np.asarray(pair_cells, dtype=np.int64)
-        speeds = np.zeros(len(pair_cells))
-        kept = np.zeros(len(pair_cells), dtype=bool)
-        kmh = self.unit == "kmh"
-        for traj, positions in groups.values():
-            if not _is_instant(traj):
-                # Interval entry times: these pairs, and only these, take
-                # the scalar helpers ``local`` calls.
-                for p in positions:
-                    portion = traj.sub_trajectory(entries[pair_cells[p]].temporal)
-                    if portion is not None and len(portion.entries) >= 2:
-                        speeds[p] = (
-                            portion.average_speed_kmh() if kmh else portion.average_speed_ms()
-                        )
-                        kept[p] = True
-                continue
-            ts_list = [e.temporal.start for e in traj.entries]
-            ts = np.asarray(ts_list)
-            pos = np.asarray(positions, dtype=np.int64)
-            cells = pair_cell[pos]
-            lo = np.searchsorted(ts, starts[cells], side="left")
-            hi = np.searchsorted(ts, ends[cells], side="right") - 1
-            seg: list[float] | None = None
-            portion_speed: dict[tuple[int, int], float] = {}
-            for p, i, j in zip(positions, lo.tolist(), hi.tolist()):
-                if j - i < 1:
-                    continue  # portion missing or single-point: skipped
-                speed = portion_speed.get((i, j))
-                if speed is None:
-                    if seg is None:
-                        seg = _segment_meters(traj)
-                    elapsed = ts_list[j] - ts_list[i]
-                    speed = sum(seg[i:j]) / elapsed if elapsed > 0 else 0.0
-                    if kmh:
-                        speed = speed * 3.6
-                    portion_speed[(i, j)] = speed
-                speeds[p] = speed
-                kept[p] = True
-        in_cell = pair_cell[kept]
-        columns = {
-            "total": scatter_sum(in_cell, speeds[kept], n),
-            "count": scatter_count(in_cell, n),
-        }
-        ops = {"total": "sum", "count": "sum"}
-        if self.count_vehicles:
-            columns["vehicles"] = cell_counts(entries, n)
-            ops["vehicles"] = "sum"
-        return CellTable(
-            n, columns, ops, type(instance).__name__, rows=len(pair_cells)
+    def _speeds(self, table, rows, cells, spans):
+        t0, t1 = spans[:, cells]
+        (_, i0), (_, i1) = (np.unique(t, return_inverse=True) for t in (t0, t1))
+        n0, n1 = i0.max(initial=0) + 1, i1.max(initial=0) + 1
+        _, first, portion = np.unique(
+            (rows * n0 + i0) * n1 + i1, return_index=True, return_inverse=True
         )
+        speeds, points = _portion_speeds(
+            table, rows[first], t0[first], t1[first], self.unit == "kmh"
+        )
+        return speeds[portion], points[portion] >= 2
 
     def finalize(self, table: CellTable) -> list:
-        totals = table.columns["total"].tolist()
-        counts = table.columns["count"].tolist()
-        means = [t / c if c else None for t, c in zip(totals, counts)]
+        means = super().finalize(table)
         if not self.count_vehicles:
             return means
-        vehicles = table.columns["vehicles"].tolist()
-        return list(zip(vehicles, means))
+        return list(zip(table.columns["vehicles"].tolist(), means))
 
 
 class TransitSpec(AggSpec):
     """Vectorizes ``RasterTransitExtractor``: per-cell in/out flow.
 
-    Over an envelope spatial cell (the regular-raster case) the temporal
-    window gives a contiguous timestamp slice, and the in-cell test over
-    that slice is a vectorized closed-bounds containment — identical
-    comparisons to ``Envelope.contains_point``.  A pair with a
-    non-envelope cell, or an interval-valued trajectory, runs the
-    ``intersects`` tests of the extractor's ``local`` entry by entry.
+    One pass over the (pair, point) expansion of a partition's pairs: a
+    point is in its pair's cell when the cell's duration ``intersects`` its
+    time and — closed box containment, the comparisons of
+    ``Envelope.contains_point`` — its envelope holds it; a non-envelope
+    cell runs the scalar ``intersects`` of the extractor's ``local`` per
+    point.  The first and last in-cell times then decide the flows.
     """
 
     def __init__(self, type_error: str):
         self.type_error = type_error
 
+    def _check(self, value) -> None:
+        if not isinstance(value, (Event, Trajectory)):
+            raise TypeError(self.type_error)
+
     def build(self, instance) -> CellTable:
         entries = instance.entries
         n = len(entries)
-        is_box = [isinstance(e.spatial, Envelope) for e in entries]
-        boxes = [e.spatial.envelope for e in entries]
-        min_x = np.fromiter((b.min_x for b in boxes), float, count=n)
-        max_x = np.fromiter((b.max_x for b in boxes), float, count=n)
-        min_y = np.fromiter((b.min_y for b in boxes), float, count=n)
-        max_y = np.fromiter((b.max_y for b in boxes), float, count=n)
-        starts = np.fromiter((e.temporal.start for e in entries), float, count=n)
-        ends = np.fromiter((e.temporal.end for e in entries), float, count=n)
-
-        def check(value) -> None:
-            if not isinstance(value, (Event, Trajectory)):
-                raise TypeError(self.type_error)
-
-        pair_cells, groups = _pair_layout(entries, check)
-        inflow = np.zeros(n, dtype=np.int64)
-        outflow = np.zeros(n, dtype=np.int64)
-        pair_cell = np.asarray(pair_cells, dtype=np.int64)
-        rows = len(pair_cells)
-        for traj, positions in groups.values():
-            if isinstance(traj, Event):
-                continue  # events carry no motion (scalar path skips them too)
-            cells = pair_cell[np.asarray(positions, dtype=np.int64)]
-            instant = _is_instant(traj)
-            lo = hi = cells  # (an interval trajectory's pairs read no slice)
-            if instant:
-                ts_list = [e.temporal.start for e in traj.entries]
-                ts = np.asarray(ts_list)
-                xs = np.fromiter((e.spatial.x for e in traj.entries), float, count=len(ts))
-                ys = np.fromiter((e.spatial.y for e in traj.entries), float, count=len(ts))
-                lo = np.searchsorted(ts, starts[cells], side="left")
-                hi = np.searchsorted(ts, ends[cells], side="right") - 1
-            t_first = traj.entries[0].temporal.start
-            t_last = traj.entries[-1].temporal.start
-            for c, i, j in zip(cells.tolist(), lo.tolist(), hi.tolist()):
-                if instant and is_box[c]:
-                    if j < i:
-                        continue  # no points inside the cell's duration
-                    xw = xs[i : j + 1]
-                    yw = ys[i : j + 1]
-                    inside = (xw >= min_x[c]) & (xw <= max_x[c])
-                    inside &= (yw >= min_y[c]) & (yw <= max_y[c])
-                    if not inside.any():
-                        continue
-                    first_in = ts_list[i + int(inside.argmax())]
-                    last_in = ts_list[i + len(inside) - 1 - int(inside[::-1].argmax())]
-                else:
-                    cell = entries[c]
-                    inside_times = [
-                        e.temporal.start
-                        for e in traj.entries
-                        if cell.temporal.intersects(e.temporal)
-                        and cell.spatial.intersects(e.spatial)
-                    ]
-                    if not inside_times:
-                        continue
-                    first_in, last_in = min(inside_times), max(inside_times)
-                if first_in > t_first:
-                    inflow[c] += 1
-                if last_in < t_last:
-                    outflow[c] += 1
+        cells, rows, values = _pair_layout(entries, self._check)
+        table = PointsTable.from_instances(values)  # (an event owns no point)
+        lo, hi = table.offsets[rows], table.offsets[rows + 1]
+        pt = _concat_ranges(lo, hi)
+        pair = np.repeat(np.arange(len(rows)), hi - lo)
+        cell = cells[pair]
+        spans = np.array([(e.temporal.start, e.temporal.end) for e in entries]).T
+        inside = table._in_slot(pt, *spans[:, cell])
+        is_box = np.array([isinstance(e.spatial, Envelope) for e in entries])[cell]
+        envelopes = [e.spatial.envelope for e in entries]
+        boxes = np.array([(b.min_x, b.min_y, b.max_x, b.max_y) for b in envelopes]).T
+        inside[is_box] &= table._in_box(pt[is_box], *boxes[:, cell[is_box]])
+        for k in np.flatnonzero(inside & ~is_box).tolist():
+            row = rows[pair[k]]
+            point = values[row].entries[pt[k] - table.offsets[row]].spatial
+            inside[k] = entries[cell[k]].spatial.intersects(point)
+        pt, pair = pt[inside], pair[inside]
+        hit = np.flatnonzero(np.bincount(pair, minlength=len(rows)))
+        first = np.searchsorted(pair, hit)
+        times, row = table.t_start[pt], rows[hit]
+        entered = np.minimum.reduceat(times, first) > table.t_start[table.offsets[row]]
+        left = np.maximum.reduceat(times, first) < table.t_start[table.offsets[row + 1] - 1]
         return CellTable(
             n,
-            {"inflow": inflow, "outflow": outflow},
+            {"inflow": scatter_count(cells[hit[entered]], n),
+             "outflow": scatter_count(cells[hit[left]], n)},
             {"inflow": "sum", "outflow": "sum"},
             type(instance).__name__,
-            rows=rows,
+            rows=len(rows),
         )
 
     def finalize(self, table: CellTable) -> list:

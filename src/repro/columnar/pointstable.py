@@ -140,6 +140,14 @@ class PointsTable:
         x, y, t_start, t_end = (np.ascontiguousarray(c) for c in pts.T)
         return cls(x, y, t_start, t_end, offsets, extents)
 
+    def take(self, rows) -> "PointsTable":
+        """The table of ``rows`` only, in that order."""
+        lo, hi = self.offsets[rows], self.offsets[rows + 1]
+        pts = _concat_ranges(lo, hi)
+        offsets = np.concatenate(([0], np.cumsum(hi - lo)))
+        columns = (self.x[pts], self.y[pts], self.t_start[pts], self.t_end[pts])
+        return PointsTable(*columns, offsets, self.extents[:, rows])
+
     # -- kernels ------------------------------------------------------------------
 
     def _in_slot(self, idx, t0, t1):

@@ -191,41 +191,29 @@ def _candidate_pairs(structure: Structure, method: str, extents):
     return rows, cells, (n * structure.n_cells if method == "naive" else len(cells))
 
 
-def allocate(
-    instances: Sequence[Instance],
-    structure: Structure,
-    method: str = "auto",
-    stats: AllocationStats | None = None,
-) -> list[list[Instance]]:
-    """Assign each instance to every structure cell it intersects.
+def allocate_pairs(table: PointsTable, structure: Structure, method="auto", stats=None,
+                   instances: Sequence[Instance] | None = None):
+    """The ``(row, cell)`` pairs that intersect, row-major, over the rows of
+    ``table`` — :func:`allocate` before its group-by-cell.
 
-    Returns ``cells`` with ``cells[i]`` the list of instances allocated to
-    cell ``i``, in partition order.  One sequence whatever the ``method``:
-
-    1. extents — one pass over the partition, which also lays its
-       trajectories out as point columns (:class:`PointsTable`);
-    2. candidate ``(row, cell)`` pairs by ``method``
-       (:func:`_candidate_pairs`);
-    3. a keep verdict per pair: nothing to test where
-       :func:`_needs_exact` is false; the exact-refinement kernel
-       (:meth:`PointsTable.intersects_boxes`) for trajectories against box
-       cells; scalar :func:`_matches_cell` per pair only for what the
-       input forces — cells that are not envelopes, and non-trajectory
-       instances that need exactness;
-    4. a stable group-by-cell of the kept pairs.
+    Candidate pairs by ``method`` (:func:`_candidate_pairs`), then a keep
+    verdict per pair: nothing to test where :func:`_needs_exact` is false;
+    :meth:`PointsTable.intersects_boxes` for trajectories against box cells;
+    scalar :func:`_matches_cell` only for what the input forces — cells that
+    are not envelopes, non-trajectory instances that need exactness.
+    ``instances`` are the rows' instances; ``None`` says every row is a
+    trajectory with no object behind it (a fused scan's table).
     """
-    n_cells = structure.n_cells
-    cells: list[list[Instance]] = [[] for _ in range(n_cells)]
-    if not instances:
-        return cells
-    n = len(instances)
-    table = PointsTable.from_instances(instances)
+    n = table.extents.shape[1]
+    if not n:
+        return np.empty(0, dtype=np.int64), np.empty(0, dtype=np.int64)
     rows, found, candidate_tests = _candidate_pairs(structure, method, table.extents)
-
-    needs = np.fromiter(
-        (_needs_exact(inst, structure) for inst in instances), dtype=bool, count=n
-    )
-    exact = needs[rows]
+    exact = np.ones(len(rows), dtype=bool)
+    if instances is not None:
+        needs = np.fromiter(
+            (_needs_exact(inst, structure) for inst in instances), dtype=bool, count=n
+        )
+        exact = needs[rows]
     keep = ~exact
     if exact.any():
         boxes, is_box = structure._cell_st_boxes()
@@ -240,15 +228,35 @@ def allocate(
             geom, dur = _cell_bounds(structure, found[p])
             keep[p] = _matches_cell(instances[rows[p]], geom, dur)
         rows, found = rows[keep], found[keep]
+    if stats is not None:
+        stats.add(n, candidate_tests, int(exact.sum()), len(rows))
+    return rows, found
 
+
+def allocate(
+    instances: Sequence[Instance],
+    structure: Structure,
+    method: str = "auto",
+    stats: AllocationStats | None = None,
+) -> list[list[Instance]]:
+    """Assign each instance to every structure cell it intersects.
+
+    Returns ``cells`` with ``cells[i]`` the list of instances allocated to
+    cell ``i``, in partition order.  One sequence whatever the ``method``:
+    extents, which also lay the trajectories out as point columns
+    (:class:`PointsTable`); the intersecting pairs (:func:`allocate_pairs`);
+    a stable group-by-cell of them.
+    """
+    n_cells = structure.n_cells
+    cells: list[list[Instance]] = [[] for _ in range(n_cells)]
+    table = PointsTable.from_instances(instances)
+    rows, found = allocate_pairs(table, structure, method, stats, instances)
     order = np.argsort(found, kind="stable")
     members = [instances[r] for r in rows[order].tolist()]
     sizes = np.bincount(found, minlength=n_cells)
     starts = np.cumsum(sizes) - sizes
     for cell in np.flatnonzero(sizes).tolist():
         cells[cell] = members[starts[cell] : starts[cell] + sizes[cell]]
-    if stats is not None:
-        stats.add(n, candidate_tests, int(exact.sum()), len(rows))
     return cells
 
 

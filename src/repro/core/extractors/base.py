@@ -17,6 +17,7 @@ from repro.columnar.aggregate import CellTable
 from repro.engine.rdd import RDD
 from repro.geometry.base import Geometry
 from repro.instances.collective import CollectiveInstance
+from repro.instances.trajectory import Trajectory
 from repro.obs.tracer import phase as _phase_span
 from repro.temporal.duration import Duration
 
@@ -47,6 +48,21 @@ class CustomExtractor:
             if span is not None and isinstance(result, RDD):
                 result = rdd.ctx.from_partitions(result._collect_partitions())
         return result
+
+
+def portion_speed_sum(values: list, temporal: Duration, unit: str, error: str):
+    """``(sum, count)`` of the average speeds of each trajectory's portion
+    inside ``temporal`` that holds two points or more, added in ``values``
+    order: the sub-trajectory speed extractors' scalar ``local``."""
+    total, count = 0.0, 0
+    for traj in values:
+        if not isinstance(traj, Trajectory):
+            raise TypeError(error)
+        portion = traj.sub_trajectory(temporal)
+        if portion is not None and len(portion.entries) >= 2:
+            total += portion.average_speed_kmh() if unit == "kmh" else portion.average_speed_ms()
+            count += 1
+    return total, count
 
 
 def _folded(instances: list, build, merge):
@@ -105,7 +121,9 @@ class CellAggExtractor(ABC):
 
         Subclasses return an :class:`~repro.columnar.aggregate.AggSpec`
         to get vectorized partials; ``None`` (the default) means every
-        partition folds through ``local``/``merge``.
+        partition folds through ``local``/``merge``.  A spec with a column
+        kernel (``from_cells``, ``from_points``) lets a ``Pipeline`` over a
+        dataset directory lower to the fused block scan.
         """
         return None
 

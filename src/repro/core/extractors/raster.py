@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from repro.core.extractors.base import CellAggExtractor
+from repro.core.extractors.base import CellAggExtractor, portion_speed_sum
 from repro.geometry.base import Geometry
 from repro.instances.event import Event
 from repro.instances.trajectory import Trajectory
@@ -50,24 +50,9 @@ class RasterSpeedExtractor(CellAggExtractor):
         self, values: list, spatial: Geometry, temporal: Duration
     ) -> tuple[int, float, int]:
         """Per-cell partial aggregate (see CellAggExtractor)."""
-        vehicles = 0
-        speed_sum = 0.0
-        speed_count = 0
-        for traj in values:
-            if not isinstance(traj, Trajectory):
-                raise TypeError("RasterSpeedExtractor expects trajectory cell arrays")
-            vehicles += 1
-            portion = traj.sub_trajectory(temporal)
-            if portion is None or len(portion.entries) < 2:
-                continue
-            speed = (
-                portion.average_speed_kmh()
-                if self.unit == "kmh"
-                else portion.average_speed_ms()
-            )
-            speed_sum += speed
-            speed_count += 1
-        return (vehicles, speed_sum, speed_count)
+        error = "RasterSpeedExtractor expects trajectory cell arrays"
+        total, count = portion_speed_sum(values, temporal, self.unit, error)
+        return (len(values), total, count)
 
     def merge(self, a: tuple, b: tuple) -> tuple:
         """Combine two per-cell partial aggregates (see CellAggExtractor)."""

@@ -4,11 +4,10 @@ from __future__ import annotations
 
 from typing import Any
 
-from repro.core.extractors.base import CellAggExtractor
+from repro.core.extractors.base import CellAggExtractor, portion_speed_sum
 from repro.engine.rdd import RDD
 from repro.geometry.base import Geometry
 from repro.instances.timeseries import TimeSeries
-from repro.instances.trajectory import Trajectory
 from repro.temporal.duration import Duration
 
 
@@ -50,22 +49,8 @@ class TsSpeedExtractor(CellAggExtractor):
         self, values: list, spatial: Geometry, temporal: Duration
     ) -> tuple[float, int]:
         """Per-cell partial aggregate (see CellAggExtractor)."""
-        total = 0.0
-        count = 0
-        for traj in values:
-            if not isinstance(traj, Trajectory):
-                raise TypeError("TsSpeedExtractor expects trajectory cell arrays")
-            portion = traj.sub_trajectory(temporal)
-            if portion is None or len(portion.entries) < 2:
-                continue
-            speed = (
-                portion.average_speed_kmh()
-                if self.unit == "kmh"
-                else portion.average_speed_ms()
-            )
-            total += speed
-            count += 1
-        return (total, count)
+        error = "TsSpeedExtractor expects trajectory cell arrays"
+        return portion_speed_sum(values, temporal, self.unit, error)
 
     def merge(self, a: tuple[float, int], b: tuple[float, int]) -> tuple[float, int]:
         """Combine two per-cell partial aggregates (see CellAggExtractor)."""

@@ -5,9 +5,10 @@ converter, and an extractor are defined up front, then executed as a
 pipeline.  Purely a convenience — each operator remains usable on its own.
 
 A plan takes one of two physical paths — the *staged* operator chain over
-RDDs of instances, or, for count aggregates over a dataset directory, one
-*fused* column scan per block (:class:`_BlockScan`); :meth:`Pipeline.explain`
-says which and why, and docs/architecture.md §12 has the lowering rule.
+RDDs of instances, or, for count and trajectory speed aggregates over a
+dataset directory, one *fused* column scan per block (:class:`_BlockScan`);
+:meth:`Pipeline.explain` says which and why, and docs/architecture.md §12
+has the lowering rule.
 
 Every entry point lowers its request once, to a :class:`_Plan`:
 ``explain`` shows it, ``run`` executes it, ``run_incremental`` executes it
@@ -26,9 +27,9 @@ from typing import Any, NamedTuple
 
 import numpy as np
 
-from repro.columnar.aggregate import CellTable, ScanWork
+from repro.columnar.aggregate import CellTable, PortionSpeedSpec, ScanWork
 from repro.core.selector import select_candidates
-from repro.core.structures import TimeSeriesStructure
+from repro.core.structures import SpatialMapStructure, TimeSeriesStructure
 from repro.engine.context import EngineContext
 from repro.engine.rdd import RDD
 from repro.obs.tracer import phase as _phase_span
@@ -82,17 +83,19 @@ class _Plan(NamedTuple):
 
 
 class _BlockScan:
-    """One block → its ``CellTable`` partial: the whole fused stage.
+    """One block → its ``CellTable`` partial: the whole fused stage, in two
+    steps — ``__call__`` reads and allocates, :meth:`partial` aggregates.
 
-    ``candidate_rows`` on the extent columns is the selection (exact for
-    ``box_exact`` rows, as ``Selector._filter`` trusts) and
-    ``_candidate_pairs`` on those extents the allocation (exact wherever
-    ``_needs_exact`` is false: point rows on a regular raster / spatial
-    map, ``box_exact`` rows on a time series).  A block holding any
-    candidate the columns cannot decide decodes its candidate rows — only
-    those — and runs ``select_candidates`` (the selection every path
-    shares, the serve daemon's included) and ``allocate`` instead; both
-    ways end in ``spec.from_cells``, so the reduce sees no difference.
+    ``candidate_rows`` on the extent columns selects (exactly, for
+    ``box_exact`` rows).  A count allocates with ``_candidate_pairs`` on
+    those extents wherever ``_needs_exact`` is false (point rows on a
+    regular raster / spatial map, ``box_exact`` rows on a time series); a
+    speed unpickles the candidates' encoded trajectories straight into a
+    ``PointsTable`` (no ``Trajectory`` built), keeps ``rows_with_point_in``
+    and allocates with ``allocate_pairs``.  A block holding a candidate
+    neither way decides (a shape that is not its box, an interval time)
+    decodes its candidate rows — only those — through ``select_candidates``
+    (the selection every path shares) and ``allocate_pairs`` instead.
     """
 
     def __init__(self, selector, converter, spec, structure):
@@ -102,11 +105,16 @@ class _BlockScan:
         self.method = converter.method
         self.spec = spec
         self.structure = structure  # the broadcast handle
+        self.speed = hasattr(spec, "from_points")
 
-    def __call__(self, block, codec: str) -> CellTable:
+    def __call__(self, block, codec: str, pushdown: bool = True) -> tuple:
+        """The block's allocation: ``(points table, rows, cells, work)`` for
+        :meth:`partial` (the table and rows ``None`` where a count needs none)."""
         # (imported here: ``repro.cli`` loads this module but never the
         # converter and extractor packages)
-        from repro.core.converters.base import AllocationStats, _candidate_pairs, allocate
+        from repro.columnar.pointstable import PointsTable
+        from repro.core.converters.base import AllocationStats, _candidate_pairs, allocate_pairs
+        from repro.stio.formats import decode_record, instant_trajectory_points
 
         structure = self.structure.value
         rows = block.candidate_rows(self.box)
@@ -119,30 +127,54 @@ class _BlockScan:
             decided = exact & points & structure.is_regular
         stats = AllocationStats()
         decoded = nbytes = 0
+        table = pairs = None
         if not len(rows):
             cells = rows
-        elif decided.all():
+        elif decided.all() and not self.speed:
             _, cells, tests = _candidate_pairs(structure, self.method, extents)
             stats.add(len(rows), tests, 0, len(cells))
         else:
-            candidates = block.decode_rows(rows, codec)
+            records = block.load_rows(rows)
             decoded, nbytes = len(rows), block.payload_nbytes(rows)
-            selected = select_candidates(candidates, exact, self.spatial, self.temporal)
-            members = allocate(selected, structure, self.method, stats)
-            cells = np.repeat(np.arange(structure.n_cells), [len(m) for m in members])
+            encoded = instant_trajectory_points(records) if self.speed else None
+            instances = None
+            if encoded is None:
+                instances = [decode_record(r) for r in records]
+                instances = select_candidates(instances, exact, self.spatial, self.temporal)
+                table = PointsTable.from_instances(instances)
+            else:
+                lengths, *xyt = encoded
+                x, y, t = (np.asarray(c, dtype=float) for c in xyt)
+                offsets = np.concatenate(([0], np.cumsum(lengths)))
+                table = PointsTable(x, y, t, t, offsets, extents)
+                kept = table.rows_with_point_in(*self.box.mins, *self.box.maxs)
+                table = table.take(np.flatnonzero(kept))
+            pairs, cells = allocate_pairs(table, structure, self.method, stats, instances)
         work = ScanWork(
-            1, block.n, len(rows), decoded, block.index_nbytes + nbytes,
-            stats.instances, stats.candidate_tests, stats.exact_tests, stats.allocations,
+            1, block.n, len(rows) if pushdown else block.n, decoded,
+            block.index_nbytes + nbytes, stats.instances, stats.candidate_tests,
+            stats.exact_tests, stats.allocations,
         )
-        return self.spec.from_cells(cells, structure.n_cells, type(structure).__name__, work)
+        return table, pairs, cells, work
+
+    def partial(self, table, pairs, cells, work) -> CellTable:
+        """The spec's partial of an allocation (a speed spec's over no
+        trajectory where ``table`` is ``None``)."""
+        from repro.columnar.pointstable import PointsTable
+
+        structure = self.structure.value
+        kind = type(structure).__name__
+        if not self.speed:
+            return self.spec.from_cells(cells, structure.n_cells, kind, work)
+        if table is None:
+            table, pairs = PointsTable.from_instances([]), cells
+        spans = structure._cell_st_boxes()[0][[2, 5]]
+        return self.spec.from_points(table, pairs, cells, spans, kind, work)
 
     def skipped(self, filename: str | None = None) -> CellTable:
         """The zero partial: of a quarantined block, or of no block at all."""
-        structure = self.structure.value
         work = ScanWork(quarantined=(filename,) if filename else ())
-        return self.spec.from_cells(
-            np.empty(0, dtype=np.int64), structure.n_cells, type(structure).__name__, work
-        )
+        return self.partial(None, None, np.empty(0, dtype=np.int64), work)
 
 
 class Pipeline:
@@ -180,8 +212,8 @@ class Pipeline:
 
         Fused needs every stage to be the library's own: a customised one
         (``convert`` overridden to pass ``pre_map``/``agg``, no ``agg_spec``
-        with ``from_cells``), a ``checkpoint_dir`` or a pickle-codec dataset
-        runs staged.  ``selector`` is the one the plan executes with.
+        with a column kernel), a ``checkpoint_dir`` or a pickle-codec
+        dataset runs staged.  ``selector`` is the one the plan executes with.
         """
         from repro.core.converters.base import ToCollectiveConverter
         from repro.core.extractors.base import CellAggExtractor
@@ -199,12 +231,21 @@ class Pipeline:
             or type(converter).convert is not ToCollectiveConverter.convert
         ):
             reason = "converter is not a plain singular→collective converter"
-        elif not hasattr(spec, "from_cells"):
-            reason = "extractor is not an order-free integer cell aggregate"
+        elif spec is None:
+            reason = "extractor has no agg_spec: its local/merge fold runs per partition"
+        elif not hasattr(spec, "from_cells") and not hasattr(spec, "from_points"):
+            reason = f"{type(spec).__name__} has no column-scan kernel"
+        elif hasattr(spec, "from_points") and not converter.structure._cell_st_boxes()[1].all():
+            reason = "a speed aggregate scans box cells only, and some cell is not its box"
+        elif isinstance(spec, PortionSpeedSpec) and isinstance(
+            converter.structure, SpatialMapStructure
+        ):
+            reason = "sub-trajectory speeds need time-slot cells, and a spatial map has none"
         elif (codec := dataset.cached_metadata().codec) != "tuple":
             reason = f"dataset codec is {codec!r}, not 'tuple'"
         else:
-            path, reason = "fused", "count aggregate over a dataset: one column scan per block"
+            aggregate = "count aggregate" if hasattr(spec, "from_cells") else "trajectory speed"
+            path, reason = "fused", f"{aggregate} over a dataset: one column scan per block"
         # (a checkpointed plan loads inside its Selection phase, which a
         # resumed run skips without touching the source)
         data, stats = source, None

@@ -173,10 +173,6 @@ class Instance:
         """Transform the data field, keeping entries unchanged (paper §3.2.2)."""
         return self._replace(entries=self.entries, data=f(self.data))
 
-    def map_entries(self, f: Callable[[Entry], Entry]) -> "Instance":
-        """Copy with ``f`` applied to each entry."""
-        return self._replace(entries=tuple(f(e) for e in self.entries), data=self.data)
-
     def map_values(self, f: Callable[[Any], Any]) -> "Instance":
         """Transform every entry value, keeping geometry/duration unchanged."""
         return self._replace(

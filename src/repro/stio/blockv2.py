@@ -246,13 +246,17 @@ class V2Block:
         offsets = self._offsets.tolist()
         return [payload[a:b] for a, b in zip(offsets, offsets[1:])]
 
-    def decode_rows(self, rows, codec: str) -> list:
-        """Unpickle only the given rows (the pruned-load payload path)."""
+    def load_rows(self, rows) -> list:
+        """Unpickle only the given rows, as stored (a tuple codec's tuples)."""
         payload = memoryview(self._buf)[self._payload_off :]
         offsets = self._offsets.tolist()
         rows = np.asarray(rows).tolist()
-        values = (pickle.loads(payload[offsets[r] : offsets[r + 1]]) for r in rows)
-        return [decode_record(v) for v in values] if codec == "tuple" else list(values)
+        return [pickle.loads(payload[offsets[r] : offsets[r + 1]]) for r in rows]
+
+    def decode_rows(self, rows, codec: str) -> list:
+        """Unpickle only the given rows (the pruned-load payload path)."""
+        values = self.load_rows(rows)
+        return [decode_record(v) for v in values] if codec == "tuple" else values
 
     def decode_all(self, codec: str) -> list:
         """Unpickle every row (full scan / residency load)."""

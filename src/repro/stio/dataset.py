@@ -231,10 +231,12 @@ class _DiskPartitionRDD(RDD):
     bytes; each worker mmaps its own blocks locally.
 
     :meth:`scanned` switches the read to the column-scan compute mode: the
-    partition is ``[scan(block, codec)]`` — the partial the callable
-    computes off the opened block — not decoded records (a quarantined
-    block: ``[scan.skipped(filename)]``), under the same corruption
-    handling; the accounting rides back inside the partials.
+    partition is ``[scan.partial(*scan(block, codec, pushdown))]`` — what
+    the callable reads off the opened block under the same corruption
+    handling (told whether the read pushes the query box down; else every
+    row counts as loaded), then the partial it aggregates from that — not
+    decoded records (a quarantined block: ``[scan.skipped(filename)]``);
+    the accounting rides back inside the partials.
     """
 
     def __init__(
@@ -259,7 +261,7 @@ class _DiskPartitionRDD(RDD):
 
     def scanned(self, scan) -> "_DiskPartitionRDD":
         """The same pruned read as a column scan (how ``Pipeline`` runs a
-        fused plan): each partition is ``[scan(block, codec)]``."""
+        fused plan): each partition is one partial the scan computes."""
         return _DiskPartitionRDD(
             self.ctx, self._directory, self._metas, self._stats,
             self._codec, self._on_corrupt, self._query_box, scan,
@@ -292,10 +294,14 @@ class _DiskPartitionRDD(RDD):
         self._inject_corrupt_read(path)
         try:
             if self._scan is not None:
-                return [self._scan(open_v2_block(path), self._codec)]
-            _, records, nbytes = _load_block(path, self._codec, self._query_box)
+                pushdown = self._query_box is not None
+                scanned = self._scan(open_v2_block(path), self._codec, pushdown)
+            else:
+                _, records, nbytes = _load_block(path, self._codec, self._query_box)
         except Exception as exc:
             return self._undecodable(meta, exc)
+        if self._scan is not None:
+            return [self._scan.partial(*scanned)]  # an aggregate's error is not the block's
         self._stats.note_block(meta.filename, len(records), nbytes)
         return records
 

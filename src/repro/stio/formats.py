@@ -16,7 +16,7 @@ from repro.geometry.envelope import Envelope
 from repro.geometry.linestring import LineString
 from repro.geometry.point import Point
 from repro.geometry.polygon import Polygon
-from repro.instances.base import Instance
+from repro.instances.base import Entry, Instance
 from repro.instances.event import Event
 from repro.instances.trajectory import Trajectory
 from repro.temporal.duration import Duration
@@ -64,8 +64,12 @@ def encode_record(instance: Instance) -> tuple:
             instance.data,
         )
     if isinstance(instance, Trajectory):
+        # A point's end is stored only where it is not its start, so
+        # instant-only trajectories keep the 4-field points of every release.
         points = tuple(
-            (e.spatial.x, e.spatial.y, e.temporal.start, e.value)
+            (e.spatial.x, e.spatial.y, t.start, e.value)
+            if (t := e.temporal).end == t.start
+            else (e.spatial.x, e.spatial.y, t.start, e.value, t.end)
             for e in instance.entries
         )
         return (_TRAJ, points, instance.data)
@@ -82,8 +86,25 @@ def decode_record(record: tuple) -> Instance:
         return Event(_decode_geometry(geom), Duration(start, end), value, data)
     if tag == _TRAJ:
         _, points, data = record
-        return Trajectory.of_points([tuple(p) for p in points], data)
+        if all(len(p) <= 4 for p in points):
+            return Trajectory.of_points(points, data)
+        return Trajectory(
+            [Entry(Point(p[0], p[1]), Duration(p[2], *p[4:]), p[3]) for p in points], data
+        )
     raise ValueError(f"unknown record tag {tag!r}")
+
+
+def instant_trajectory_points(records: list) -> tuple | None:
+    """``(lengths, x, y, t)`` of encoded trajectories, their points flattened
+    in row order — ``None`` unless every record is a trajectory of instants
+    (the columns a fused scan reads without building a ``Trajectory``)."""
+    if any(r[0] != _TRAJ for r in records):
+        return None
+    points = [p for r in records for p in r[1]]
+    if set(map(len, points)) - {4}:
+        return None  # a point stored with its interval end
+    x, y, t, _ = zip(*points) if points else ((), (), (), ())
+    return [len(r[1]) for r in records], x, y, t
 
 
 # -- raster structure CSV (the ReadRaster helper of Section 3.4) ----------------

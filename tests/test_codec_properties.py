@@ -12,8 +12,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.baselines.records import geo_record_to_instance, instance_to_geo_record
+from repro.geometry import Point
 from repro.instances import Event, Trajectory
+from repro.instances.base import Entry
 from repro.stio.formats import decode_record, encode_record
+from repro.temporal import Duration
 
 coord = st.floats(min_value=-179, max_value=179, allow_nan=False)
 lat = st.floats(min_value=-85, max_value=85, allow_nan=False)
@@ -38,6 +41,22 @@ def trajectories(draw):
     return Trajectory.of_points(points, data=draw(identity))
 
 
+@st.composite
+def interval_trajectories(draw):
+    """Entries with interval times (some of them instants), sorted by start."""
+    n = draw(st.integers(1, 6))
+    starts = sorted(draw(timestamp) for _ in range(n))
+    entries = [
+        Entry(
+            Point(draw(coord), draw(lat)),
+            Duration(start, start + draw(st.sampled_from([0.0, 0.5, 10.0, 3_600.0]))),
+            draw(st.one_of(st.none(), identity)),
+        )
+        for start in starts
+    ]
+    return Trajectory(entries, data=draw(identity))
+
+
 class TestSt4mlCodec:
     @given(events())
     @settings(max_examples=80)
@@ -49,6 +68,16 @@ class TestSt4mlCodec:
     def test_trajectory_roundtrip_exact(self, traj):
         restored = decode_record(encode_record(traj))
         assert restored == traj
+
+    @given(interval_trajectories())
+    @settings(max_examples=60)
+    def test_interval_trajectory_roundtrip_exact(self, traj):
+        """Interval entry ends survive; an instant point keeps its 4 fields."""
+        record = encode_record(traj)
+        assert decode_record(record) == traj
+        assert decode_record(record).st_bounds() == traj.st_bounds()
+        for entry, point in zip(traj.entries, record[1]):
+            assert len(point) == (4 if entry.temporal.end == entry.temporal.start else 5)
 
 
 class TestBaselineCodec:

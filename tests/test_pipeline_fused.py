@@ -1,11 +1,12 @@
 """The fused column scan: parity, fallbacks, faults, state, "no decode".
 
-``Pipeline.run`` lowers an event→count plan over a v2 dataset to one
-column scan per block.  Its answer must be *bit-identical* — ``==`` on
-``cell_values()``, never a tolerance — to the staged operator chain
-(``Selector.select`` → ``convert`` → ``extract`` called one by one, which
-never lowers) and to the brute-force oracle in ``tests/reference.py``, on
-every backend, for every knob the selector has.
+``Pipeline.run`` lowers a count plan, and a trajectory speed plan on box
+cells, over a v2 dataset to one column scan per block.  Its answer must be
+*bit-identical* — ``==`` on ``cell_values()``, never a tolerance — to the
+staged operator chain (``Selector.select`` → ``convert`` → ``extract``
+called one by one, which never lowers) with no partitioner and to the
+brute-force oracle / scalar fold in ``tests/reference.py``, on every
+backend, for every knob the selector has.
 """
 
 from __future__ import annotations
@@ -32,17 +33,24 @@ from repro.core.converters import (
     Event2SmConverter,
     Event2TsConverter,
     Traj2RasterConverter,
+    Traj2SmConverter,
+    Traj2TsConverter,
 )
 from repro.core.extractors import (
     RasterFlowExtractor,
     RasterSpeedExtractor,
+    RasterTransitExtractor,
     SmFlowExtractor,
+    SmSpeedExtractor,
     TsFlowExtractor,
+    TsSpeedExtractor,
 )
 from repro.engine import EngineContext
+from repro.engine.errors import TaskFailure
 from repro.engine.faults import FaultPlan, FaultRule, PipelineCheckpoint
 from repro.geometry import Envelope, Point, Polygon
 from repro.instances import Event, Trajectory
+from repro.instances.base import Entry
 from repro.obs.tracer import Tracer
 from repro.partitioners import TSTRPartitioner
 from repro.stio import StDataset
@@ -331,22 +339,36 @@ class TestStagedFallbackReasons:
         assert result.cell_values() == oracle(pipe, events)
 
     def test_float_trajectory_spec(self, tmp_path, ctx):
+        """Not a fallback any more: a speed spec over trajectories lowers,
+        and answers as the staged chain and the scalar fold do, bit for bit."""
         from tests.conftest import make_trajectories
 
         trajs = make_trajectories(20, extent=8.0)
         StDataset.write(tmp_path / "tr", [trajs], "trajectory")
+        path = str(tmp_path / "tr")
         span = Duration(0.0, 90_000.0)
-        pipe = Pipeline(
-            Selector(QUERY_S, span),
-            Traj2RasterConverter(RasterStructure.regular(QUERY_S, span, 4, 4, 4)),
-            RasterSpeedExtractor(),
-        )
-        self.check(ctx, pipe, str(tmp_path / "tr"), "integer cell aggregate")
+
+        def pipe(extractor):
+            return Pipeline(
+                Selector(QUERY_S, span),
+                Traj2RasterConverter(RasterStructure.regular(QUERY_S, span, 4, 4, 4)),
+                extractor,
+            )
+
+        fused = pipe(RasterSpeedExtractor())
+        info = fused.explain(ctx, path)
+        assert info["path"] == "fused" and "trajectory speed" in info["reason"]
+        result = fused.run(ctx, path).cell_values()
+        assert result == staged_chain(pipe(RasterSpeedExtractor()), ctx, path)
+        assert result == staged_chain(pipe(reference.folding(RasterSpeedExtractor())), ctx, path)
+        assert any(speed is not None for _, speed in result)
+        stats = fused.selector.last_load_stats
+        assert stats.rows_decoded == stats.records_loaded > 0
 
     def test_custom_extractor(self, tmp_path, ctx, events):
         path = write_blocks(tmp_path / "ds", [events])
         pipe = pipeline("raster", extractor=reference.folding(RasterFlowExtractor()))
-        result = self.check(ctx, pipe, path, "integer cell aggregate")
+        result = self.check(ctx, pipe, path, "no agg_spec")
         assert result.cell_values() == pipeline("raster").run(ctx, path).cell_values()
 
     def test_no_extractor(self, tmp_path, ctx, events):
@@ -644,3 +666,194 @@ class TestNoDecode:
         # ... and the staged chain over the same blocks does need the unpickler.
         with pytest.raises(Exception):
             staged_chain(pipeline("raster"), ctx, path)
+
+
+# ---------------------------------------------------------------------------
+# (g) trajectory speed plans lower too: the fused trajectory scan
+
+SPEED_KINDS = {
+    "raster": (Traj2RasterConverter, KINDS["raster"][1], RasterSpeedExtractor),
+    "sm": (Traj2SmConverter, KINDS["sm"][1], SmSpeedExtractor),
+    "ts": (Traj2TsConverter, KINDS["ts"][1], TsSpeedExtractor),
+}
+
+
+def speed_pipeline(kind: str, extractor=None, **selector_kwargs) -> Pipeline:
+    converter, structure, speed = SPEED_KINDS[kind]
+    return Pipeline(
+        Selector(QUERY_S, QUERY_T, **selector_kwargs),
+        converter(structure()),
+        extractor if extractor is not None else speed(),
+    )
+
+
+# A walk from a lattice start: half-unit steps (0 is a stationary segment)
+# at 0-, 4- or 8-second strides (0: no elapsed time), so points sit on cell
+# edges, on slot bounds and on the query's closed boundary; a walk of no
+# steps is a one-point trajectory, and a slot holding one point of a longer
+# walk is a one-point portion.
+lattice_walks = st.tuples(
+    lattice_points,
+    st.lists(st.tuples(st.integers(-2, 2), st.integers(-2, 2), st.integers(0, 2)), max_size=5),
+)
+
+
+def lattice_trajectory(start, steps, i: int) -> Trajectory:
+    x, y, t = start
+    points = [(x, y, t)]
+    for dx, dy, dt in steps:
+        x, y, t = min(max(x + dx, 0), 16), min(max(y + dy, 0), 16), t + dt
+        points.append((x, y, t))
+    return Trajectory.of_points([(x * 0.5, y * 0.5, t * 4.0) for x, y, t in points], data=i)
+
+
+def counts_and_speeds(values: list) -> tuple[list, list]:
+    """A raster cell's ``(vehicles, speed)`` split; other kinds have no count."""
+    counts = [v[0] if isinstance(v, tuple) else None for v in values]
+    return counts, [v[1] if isinstance(v, tuple) else v for v in values]
+
+
+class TestTrajectorySpeedScan:
+    @pytest.mark.parametrize("backend", ALL_BACKENDS)
+    @pytest.mark.parametrize("kind", sorted(SPEED_KINDS))
+    @settings(max_examples=20, deadline=None)
+    @given(walks=st.lists(lattice_walks, min_size=1, max_size=24), n_blocks=st.integers(1, 4))
+    def test_fused_equals_staged_equals_fold(self, backend, kind, walks, n_blocks):
+        ctx = shared_ctx(backend)
+        trajs = [lattice_trajectory(*walk, i) for i, walk in enumerate(walks)]
+        blocks = [trajs[b::n_blocks] for b in range(n_blocks)]
+        folding = reference.folding(SPEED_KINDS[kind][2]())
+        with tempfile.TemporaryDirectory() as tmp:
+            path = str(Path(tmp) / "ds")
+            StDataset.write(path, blocks, "trajectory")
+            pipe = speed_pipeline(kind, partitioner=TSTRPartitioner(2, 2))
+            plan = pipe.explain(ctx, path)
+            assert (plan["path"], plan["ignored"]) == ("fused", ["partitioner"])
+            fused = pipe.run(ctx, path).cell_values()
+            assert fused == staged_chain(speed_pipeline(kind), ctx, path)
+            assert fused == staged_chain(speed_pipeline(kind, folding), ctx, path)
+            state = speed_pipeline(kind).run_incremental(ctx, path).result
+            partitioned = staged_chain(
+                speed_pipeline(kind, partitioner=TSTRPartitioner(2, 2)), ctx, path
+            )
+        if state is None:  # nothing selected at all
+            assert counts_and_speeds(fused)[1] == [None] * len(fused)
+        else:
+            assert state.cell_values() == fused
+        # A T-STR partitioned staged run folds in another order: the counts
+        # and the occupied cells are the same, the speeds to the last bits.
+        (counts, speeds), (p_counts, p_speeds) = map(counts_and_speeds, (fused, partitioned))
+        assert counts == p_counts
+        assert [v is None for v in speeds] == [v is None for v in p_speeds]
+        for a, b in zip(speeds, p_speeds):
+            assert a is None or a == pytest.approx(b, rel=1e-9, abs=0.0)
+
+    def test_interval_rows_take_the_decode_fallback(self, tmp_path, ctx, monkeypatch):
+        """A block holding an interval-valued trajectory decodes its rows;
+        the other blocks never build a ``Trajectory``."""
+        instants = [lattice_trajectory((4 + i, 5, 4 + i), [(1, 1, 1)] * 4, i) for i in range(6)]
+        interval = Trajectory(
+            [Entry(Point(2.5 + k, 3.0), Duration(18.0 + 9 * k, 22.0 + 9 * k)) for k in range(3)],
+            data="interval",
+        )
+        constructed = []
+        init = Trajectory.__init__
+
+        def counting(self, *args, **kwargs):
+            constructed.append(1)
+            init(self, *args, **kwargs)
+
+        for name, blocks in (("instant", [instants]), ("mixed", [instants, [interval]])):
+            path = str(tmp_path / name)
+            StDataset.write(path, blocks, "trajectory")
+            for kind in sorted(SPEED_KINDS):
+                pipe = speed_pipeline(kind)
+                monkeypatch.setattr(Trajectory, "__init__", counting)
+                fused = pipe.run(ctx, path).cell_values()
+                monkeypatch.undo()
+                assert len(constructed) == (name == "mixed")
+                constructed.clear()
+                assert fused == staged_chain(speed_pipeline(kind), ctx, path)
+                folding = reference.folding(SPEED_KINDS[kind][2]())
+                assert fused == staged_chain(speed_pipeline(kind, folding), ctx, path)
+
+    def test_speed_extractor_over_events_raises_type_error(self, tmp_path, ctx):
+        """The extractor's own ``TypeError`` fails the task, fused as staged
+        — not a corrupt block, so ``on_corrupt="quarantine"`` skips nothing."""
+        events = [lattice_event(x, y, 8) for x in range(17) for y in range(17)]
+        path = write_blocks(tmp_path / "ds", [events[0::2], events[1::2]])
+        for kind, (_, _, extractor) in SPEED_KINDS.items():
+            assert speed_pipeline(kind).explain(ctx, path)["path"] == "fused"
+            fused, staged = speed_pipeline(kind, on_corrupt="quarantine"), speed_pipeline(kind)
+            for run, args in ((fused.run, (ctx, path)), (staged_chain, (staged, ctx, path))):
+                with pytest.raises(TaskFailure) as raised:
+                    run(*args)
+                assert isinstance(raised.value.cause, TypeError)
+                assert f"{extractor.__name__} expects trajectory" in str(raised.value.cause)
+
+    @pytest.mark.parametrize("use_metadata", [True, False])
+    @pytest.mark.parametrize("source", ["event", "trajectory"])
+    def test_records_loaded_as_for_a_staged_read(self, tmp_path, ctx, source, use_metadata):
+        """``use_metadata=False`` pushes nothing down: every row of a block
+        read counts as loaded, fused or staged."""
+        grid = [(x, y) for x in range(17) for y in range(0, 17, 2)]  # x-major
+        if source == "event":
+            rows = [lattice_event(x, y, t, i) for i, (x, y) in enumerate(grid) for t in (3, 6, 9)]
+            make = lambda: pipeline("raster")
+        else:
+            steps = [(1, 0, 1), (0, 1, 1)]
+            rows = [lattice_trajectory((x, y, 6), steps, i) for i, (x, y) in enumerate(grid)]
+            make = lambda: speed_pipeline("raster")
+        path = str(tmp_path / "ds")
+        StDataset.write(path, [rows[b : b + 20] for b in range(0, len(rows), 20)], source)
+        fused, staged = make(), make()
+        assert fused.explain(ctx, path, use_metadata=use_metadata)["path"] == "fused"
+        fused.run(ctx, path, use_metadata=use_metadata)
+        staged_chain(staged, ctx, path, use_metadata=use_metadata)
+        a, b = fused.selector.last_load_stats, staged.selector.last_load_stats
+        assert (a.partitions_read, a.records_loaded) == (b.partitions_read, b.records_loaded)
+        if not use_metadata:
+            assert a.records_loaded == len(rows)
+        else:
+            assert a.partitions_read < a.partitions_total
+
+
+def builtin_triples() -> list:
+    """Every built-in ``CellAggExtractor`` in the ``(source kind, structure,
+    extractor)`` triple it is made for."""
+    from repro.apps.air_road import AirQualityExtractor
+
+    raster, sm, ts = (KINDS[kind][1] for kind in ("raster", "sm", "ts"))
+    return [
+        ("event", Event2RasterConverter, raster, RasterFlowExtractor),
+        ("event", Event2SmConverter, sm, SmFlowExtractor),
+        ("event", Event2TsConverter, ts, TsFlowExtractor),
+        ("trajectory", Traj2RasterConverter, raster, RasterSpeedExtractor),
+        ("trajectory", Traj2SmConverter, sm, SmSpeedExtractor),
+        ("trajectory", Traj2TsConverter, ts, TsSpeedExtractor),
+        ("trajectory", Traj2RasterConverter, raster, RasterTransitExtractor),
+        ("event", Event2RasterConverter, raster, AirQualityExtractor),
+    ]
+
+
+def test_fused_coverage(tmp_path, ctx):
+    """Fused coverage: the built-in triples whose plan lowers, of all of them."""
+    paths = {
+        "event": write_blocks(tmp_path / "events", [[lattice_event(4, 4, 8)]]),
+        "trajectory": str(tmp_path / "trajectories"),
+    }
+    StDataset.write(paths["trajectory"], [[lattice_trajectory((8, 8, 8), [], 0)]], "trajectory")
+    fused, staged = [], {}
+    for source, converter, structure, extractor in builtin_triples():
+        pipe = Pipeline(Selector(QUERY_S, QUERY_T), converter(structure()), extractor())
+        info = pipe.explain(ctx, paths[source])
+        if info["path"] == "fused":
+            fused.append(extractor.__name__)
+        else:
+            staged[extractor.__name__] = info["reason"]
+    print(f"fused coverage {len(fused)}/{len(builtin_triples())}: staged {staged}")
+    assert len(fused) >= 6
+    assert staged == {
+        "RasterTransitExtractor": "TransitSpec has no column-scan kernel",
+        "AirQualityExtractor": "FieldMeanSpec has no column-scan kernel",
+    }

@@ -468,9 +468,9 @@ def _traj_pipeline(extractor_type, temporal=TRAJ_SPAN, **selector_kwargs) -> Pip
 #: partitioner, physical path, banked partial type)
 PLANS = {
     "fused-count": (flow_pipeline, event_batches(4), "event", (1, 2), "fused", CellTable),
-    "staged-float": (
+    "fused-float": (
         lambda **kw: _traj_pipeline(TsSpeedExtractor, **kw),
-        [TRAJS[i::4] for i in range(4)], "trajectory", (2, 1), "staged", CellTable,
+        [TRAJS[i::4] for i in range(4)], "trajectory", (2, 1), "fused", CellTable,
     ),
     "staged-user-defined": (
         lambda **kw: _traj_pipeline(MeanTripLength, **kw),
