@@ -112,12 +112,14 @@ class BoxTable:
     def bounds(self) -> STBox:
         """The MBR of every row (the table must not be empty).
 
-        Python's ``min``/``max`` over each column, not numpy's: they keep the
-        first of equal values, as the left fold of ``STBox.merge_all`` over
-        the rows' boxes does, so even the sign of a zero bound matches.
+        Each bound is the *first* row value equal to the column's min/max,
+        as the left fold of ``STBox.merge_all`` over the rows' boxes keeps
+        it, so even the sign of a zero bound matches (numpy's own reduction
+        may return either of ``-0.0`` and ``0.0``).
         """
-        columns = [c.tolist() for c in self.columns]
-        return STBox([min(c) for c in columns[:3]], [max(c) for c in columns[3:]])
+        cols = self.columns
+        mins = [float(c[np.argmax(c == c.min())]) for c in cols[:3]]
+        return STBox(mins, [float(c[np.argmax(c == c.max())]) for c in cols[3:]])
 
     # -- kernels ------------------------------------------------------------------
 

@@ -12,7 +12,8 @@ has the lowering rule.
 
 Every entry point lowers its request once, to a :class:`_Plan`:
 ``explain`` shows it, ``run`` executes it, ``run_incremental`` executes it
-over a block suffix (state mode) or under a narrowed window (since mode).
+over the blocks its state has not seen (state mode) or under a narrowed
+window (since mode).
 Whichever path runs, the extraction is one partial per block or partition,
 the fixed adjacent pairing of ``tree_reduce``, one finalize.
 """
@@ -58,19 +59,18 @@ class _Plan(NamedTuple):
     """One lowered request: what ``explain`` shows and every run executes.
 
     ``selector`` is the pipeline's own, or a copy with a narrowed window or
-    without the shuffle knobs; ``data`` the lazy read of ``dataset``'s pruned
-    blocks past ``offset`` (``stats`` is that pruning) or — no dataset, or a
-    checkpointed plan — the source itself, for the Selection phase to load.
+    without the shuffle knobs; ``data`` the lazy read of ``meta``'s (the
+    manifest's) pruned blocks (``stats`` is that pruning) or — no dataset,
+    or a checkpointed plan — the source itself, for the Selection phase.
     """
 
     path: str
     reason: str
     ignored: list
     selector: Any
-    dataset: StDataset | None
     data: Any
     stats: LoadStats | None
-    offset: int
+    meta: Any
 
     def explain(self) -> dict:
         total = selected = None
@@ -206,14 +206,15 @@ class Pipeline:
     # -- lowering -----------------------------------------------------------------
 
     def _lower(
-        self, ctx, source, checkpoint_dir, selector, use_metadata=True, offset=0
+        self, ctx, source, checkpoint_dir, selector, use_metadata=True, seen=()
     ) -> _Plan:
         """The one place that picks fused vs staged — and prunes the dataset.
 
         Fused needs every stage to be the library's own: a customised one
         (``convert`` overridden to pass ``pre_map``/``agg``, no ``agg_spec``
         with a column kernel), a ``checkpoint_dir`` or a pickle-codec
-        dataset runs staged.  ``selector`` is the one the plan executes with.
+        dataset runs staged.  ``selector`` is the one the plan executes with;
+        blocks named in ``seen`` are left out of the read.
         """
         from repro.core.converters.base import ToCollectiveConverter
         from repro.core.extractors.base import CellAggExtractor
@@ -248,11 +249,13 @@ class Pipeline:
             path, reason = "fused", f"{aggregate} over a dataset: one column scan per block"
         # (a checkpointed plan loads inside its Selection phase, which a
         # resumed run skips without touching the source)
-        data, stats = source, None
+        data, stats, meta = source, None, None
         if dataset is not None and checkpoint_dir is None:
-            data, stats = dataset.read(
-                ctx, selector.spatial, selector.temporal,
-                use_metadata=use_metadata, on_corrupt=selector.on_corrupt, offset=offset,
+            meta = dataset.cached_metadata()
+            unseen = [p for p in meta.partitions if p.filename not in seen]
+            data, stats = dataset._read(
+                ctx, meta, unseen, selector.spatial, selector.temporal,
+                use_metadata, selector.on_corrupt,
             )
         # A knob set on the pipeline's selector is ignored when the plan is
         # fused, or when its own selector runs without it.
@@ -262,7 +265,7 @@ class Pipeline:
             if getattr(self.selector, knob) is not default
             and (path == "fused" or getattr(selector, knob) is default)
         ]
-        return _Plan(path, reason, ignored, selector, dataset, data, stats, offset)
+        return _Plan(path, reason, ignored, selector, data, stats, meta)
 
     def explain(self, ctx: EngineContext, source, checkpoint_dir=None, **select_kwargs) -> dict:
         """Which physical path :meth:`run` would take, without running it.
@@ -280,12 +283,12 @@ class Pipeline:
     @contextmanager
     def _root_span(self, ctx: EngineContext, plan: _Plan):
         """The root ``pipeline`` span of a traced run: the plan's
-        :meth:`explain` fields and its block offset."""
+        :meth:`explain` fields."""
         if ctx.tracer is None:
             yield None
             return
         with ctx.tracer.span("pipeline", "pipeline", default_scope=True) as span:
-            span.args.update(plan.explain(), offset=plan.offset)
+            span.args.update(plan.explain())
             yield span
 
     # -- executing a plan -----------------------------------------------------------
@@ -293,7 +296,8 @@ class Pipeline:
     def _block_partials(self, ctx: EngineContext, plan: _Plan, root) -> list:
         """The plan's unfinalized extraction partials on the driver, one per
         selected block, in block order (a fused plan with no block selected:
-        its one zero table).
+        its one zero table; a staged one: ``None`` for a block with no row
+        selected).
 
         A fused plan scans them off the block columns, noting the work they
         carry back on the selector's ``LoadStats``, ``converter.stats`` and
@@ -310,7 +314,8 @@ class Pipeline:
                 with _phase_span("Conversion", tracer):
                     data = converter.convert(data)
             with _phase_span("Extraction", tracer):
-                return [p[0] for p in self.extractor.premerged(data)._collect_partitions() if p]
+                partials = self.extractor.premerged(data)._collect_partitions()
+                return [p[0] if p else None for p in partials]
         sel.rtree_probes.reset()  # a column scan builds and probes no R-tree
         with _phase_span("FusedScan", tracer) as span:
             structure = converter.broadcast_structure(ctx)
@@ -419,17 +424,14 @@ class Pipeline:
         :meth:`run` executes, over less of the dataset.
 
         * **State mode** (pass the previous run's ``state``, or nothing to
-          bootstrap): lowers over the blocks past ``state.position``
-          (appends only ever add blocks at the end), appends their
-          partials to the state's bank and reduces the whole bank with
-          ``tree_reduce``'s pairing — features over everything consumed so
-          far, bit-identical to :meth:`run` over the union with no
-          partitioner.  The selector's shuffle knobs are ignored (one
-          partial per on-disk block is the unit that is banked) and the
-          extractor must be a
-          :class:`~repro.core.extractors.base.CellAggExtractor`.  Raises
-          :class:`~repro.stream.StaleStreamStateError` when the consumed
-          blocks were rewritten underneath the state.
+          bootstrap): lowers over the blocks whose names the state has not
+          seen (names are never reused), banks their partials by name,
+          drops the names the manifest lost and reduces the bank in
+          manifest order with ``tree_reduce``'s pairing — bit-identical to
+          :meth:`run` over the same manifest with no partitioner.  The
+          selector's shuffle knobs are ignored (one partial per on-disk
+          block is the unit that is banked) and the extractor must be a
+          :class:`~repro.core.extractors.base.CellAggExtractor`.
         * **Since mode** (pass ``since``, typically the watermark
           persisted before the latest ingests): stateless; :meth:`run`
           under the window narrowed to strictly after ``since``, so the
@@ -472,15 +474,16 @@ class Pipeline:
         state = state if state is not None else StreamState()
         plan = self._lower(
             ctx, source, None, _replaced(self.selector, **_SHUFFLE_KNOBS),
-            use_metadata, state.position,
+            use_metadata, state.partials,
         )
-        meta = plan.dataset.cached_metadata()
-        state.check_current(meta)
         stats = plan.stats
         with self._root_span(ctx, plan) as root:
-            new = self._block_partials(ctx, plan, root) if stats.partitions_selected else []
-            state = state.advanced(meta, stats.partitions_total, new)
-            result = self._reduced(ctx, state.partials, 0) if state.partials else None
+            new = {}
+            if stats.partitions_selected:
+                new = dict(zip(plan.data.filenames, self._block_partials(ctx, plan, root)))
+            state = state.advanced(plan.meta, new)
+            banked = state.banked()
+            result = self._reduced(ctx, banked, 0) if banked else None
         if ctx.tracer is not None:
             ctx.tracer.counter("incremental_runs", 1)
             ctx.tracer.counter("incremental_blocks_new", stats.partitions_total)

@@ -188,15 +188,11 @@ class Selector:
         ctx: EngineContext,
         source: "str | Path | RDD | Sequence[Instance]",
         use_metadata: bool = True,
-        offset: int = 0,
     ) -> RDD:
         """Load, filter, and (optionally) ST-partition.
 
         ``source`` may be a dataset directory (metadata-pruned when
-        ``use_metadata``), an RDD, or a plain instance list.  ``offset``
-        (directory sources only) skips the first ``offset`` on-disk
-        blocks before pruning — the incremental-read hook of
-        :meth:`~repro.core.pipeline.Pipeline.run_incremental`.
+        ``use_metadata``), an RDD, or a plain instance list.
         """
         stats = None
         if isinstance(source, (str, Path)):
@@ -206,7 +202,6 @@ class Selector:
                 self.temporal,
                 use_metadata=use_metadata,
                 on_corrupt=self.on_corrupt,
-                offset=offset,
             )
         elif not isinstance(source, RDD):
             source = ctx.parallelize(

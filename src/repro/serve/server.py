@@ -100,8 +100,9 @@ class DatasetState:
     blocks keyed on filename: each one's mmapped
     :class:`~repro.stio.blockv2.V2Block` and its decoded rows.
     :meth:`refresh` is the invalidation edge: a changed metadata file
-    (append bumped the generation, a re-index rewrote the directory)
-    drops every resident block.
+    (an append, a compaction, a re-index) drops the resident blocks whose
+    names left the manifest.  Block names are never reused, so a name
+    that survives still holds the rows resident under it.
     """
 
     def __init__(
@@ -146,7 +147,9 @@ class DatasetState:
                 return False
             self.meta = self.dataset.metadata()
             self._meta_sig = signature
-            self._blocks.clear()
+            live = {p.filename for p in self.meta.partitions}
+            for filename in [f for f in self._blocks if f not in live]:
+                del self._blocks[filename]
             self.invalidations += 1
             return True
 

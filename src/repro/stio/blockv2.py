@@ -22,9 +22,10 @@ The ``filterable`` header flag is cleared when any record refuses
 ``st_bounds()`` (pickle-codec checkpoint payloads): such blocks decode
 whole — pushdown is an optimization, never a semantics change.
 Writing is two steps so they can be split: :func:`encode_rows` is the one
-pass over records (extent table + payload bytes), :func:`layout_v2_block`
-lays out whatever columns and bytes it is handed — a slice of a batch's
-table, or rows gathered verbatim out of the blocks a compaction replaces.
+pass over records, into :class:`EncodedRows` (extent table, payload bytes,
+row lengths), and :func:`layout_v2_block` lays out whatever rows it is
+handed — a split of a batch, or payload bytes permuted verbatim out of the
+blocks a compaction merges (:meth:`V2Block.encoded`).
 :class:`V2Block` pickles as its *path* and re-opens (re-mmaps) on the
 other side, so shipping a block handle to a process worker moves a
 filename, not megabytes; ndarray views taken from it ride pickle protocol
@@ -33,10 +34,12 @@ filename, not megabytes; ndarray views taken from it ride pickle protocol
 
 from __future__ import annotations
 
+import mmap
+import os
 import pickle
 import struct
 from pathlib import Path
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -57,33 +60,71 @@ def _align8(offset: int) -> int:
     return (offset + 7) & ~7
 
 
-def encode_rows(records: Sequence, codec: str) -> tuple[BoxTable | None, list[bytes]]:
-    """The write path's one pass over records: ``(extent table, row payloads)``.
+class EncodedRows(NamedTuple):
+    """Rows ready to lay out — the one shape every writer hands a block in:
+    the extent ``table`` (``None``: rows without an ST extent, laid out
+    unfilterable), every row's ``payload`` bytes back to back (``uint8``),
+    and each row's byte count (``lengths``)."""
 
-    ``codec`` names how each row's payload encodes: ``"tuple"`` routes it
-    through :func:`~repro.stio.formats.encode_record` (compact,
-    schema-checked); ``"pickle"`` stores it verbatim — lossless for anything
-    picklable, which is what checkpoints need (replica flags, partial
-    collective instances).  The table is ``None`` when some record has no ST
-    extent (such a checkpoint payload): one row without columns poisons
-    pushdown for its whole block, which is then laid out unfilterable.
-    """
+    table: BoxTable | None
+    payload: np.ndarray
+    lengths: np.ndarray
+
+    @classmethod
+    def joined(cls, table: BoxTable | None, payloads: Sequence[bytes]) -> "EncodedRows":
+        """Rows held as one payload ``bytes`` each, in row order."""
+        lengths = np.fromiter(map(len, payloads), dtype=np.int64, count=len(payloads))
+        return cls(table, np.frombuffer(b"".join(payloads), dtype=np.uint8), lengths)
+
+    @classmethod
+    def concat(cls, parts: Sequence["EncodedRows"], codec: str) -> "EncodedRows":
+        """``parts`` stacked in order (every one filterable); the table's row
+        indirection decodes a row's payload only when it is indexed."""
+        payload = np.concatenate([p.payload for p in parts])
+        lengths = np.concatenate([p.lengths for p in parts])
+        table = BoxTable.concat([p.table for p in parts], PayloadRows(payload, lengths, codec))
+        return cls(table, payload, lengths)
+
+    def split(self, pids: np.ndarray, n: int) -> list["EncodedRows"]:
+        """Block ``k`` holds the rows with ``pids == k``, in input order, for
+        every ``k < n`` — a stable byte permutation: one byte mask per block."""
+        byte_pids = np.repeat(pids.astype(np.min_scalar_type(n)), self.lengths)
+        return [
+            EncodedRows(
+                self.table.extents(pids == k), self.payload[byte_pids == k], self.lengths[pids == k]
+            )
+            for k in range(n)
+        ]
+
+
+def encode_payloads(records: Sequence, codec: str) -> list[bytes]:
+    """Every record's payload bytes: ``codec`` ``"tuple"`` routes it through
+    :func:`~repro.stio.formats.encode_record` (compact, schema-checked);
+    ``"pickle"`` stores it verbatim — lossless for anything picklable, which
+    is what checkpoints need (replica flags, partial collective instances)."""
     if codec not in ("pickle", "tuple"):
         raise ValueError(f"unknown block codec {codec!r}")
     rows = records if codec == "pickle" else [encode_record(r) for r in records]
-    payloads = [pickle.dumps(row, protocol=pickle.HIGHEST_PROTOCOL) for row in rows]
+    return [pickle.dumps(row, protocol=pickle.HIGHEST_PROTOCOL) for row in rows]
+
+
+def encode_rows(records: Sequence, codec: str) -> EncodedRows:
+    """The write path's one pass over records: their extent table and payloads
+    (:func:`encode_payloads`).  The table is ``None`` when some record has no
+    ST extent (a checkpoint payload): one row without columns poisons
+    pushdown for its whole block, which is then laid out unfilterable."""
     try:
         table = BoxTable.from_instances(records)
     except Exception:
         table = None
-    return table, payloads
+    return EncodedRows.joined(table, encode_payloads(records, codec))
 
 
-def layout_v2_block(table: BoxTable | None, payloads: Sequence) -> bytes:
-    """Lay rows out as one v2 block: the columns of ``table`` as handed in
-    (zeroed, filterable flag cleared, for ``None``) and ``payloads`` — any
-    bytes-like, so a compaction passes slices of the blocks it replaces."""
-    n = len(payloads)
+def layout_v2_block(rows: EncodedRows) -> bytes:
+    """Lay rows out as one v2 block: the columns of ``rows.table`` as handed
+    in (zeroed, filterable flag cleared, for ``None``), the offsets the row
+    lengths add up to, and the payload bytes verbatim."""
+    n, table = len(rows.lengths), rows.table
     if table is None:
         columns = np.zeros(6 * n, dtype=np.float64)
         box_exact = np.zeros(n, dtype=np.uint8)
@@ -91,57 +132,42 @@ def layout_v2_block(table: BoxTable | None, payloads: Sequence) -> bytes:
         columns = np.concatenate(table.columns)
         box_exact = table.box_exact.astype(np.uint8)
     offsets = np.zeros(n + 1, dtype=np.int64)
-    np.cumsum([len(p) for p in payloads], out=offsets[1:])
+    np.cumsum(rows.lengths, out=offsets[1:])
 
     columns_off = HEADER_SIZE
     exact_off = columns_off + 6 * n * 8
     index_off = _align8(exact_off + n)
     payload_off = index_off + (n + 1) * 8
+    flags = FLAG_FILTERABLE if table is not None else 0
     header = _HEADER.pack(
-        MAGIC,
-        BLOCK_VERSION,
-        FLAG_FILTERABLE if table is not None else 0,
-        n,
-        columns_off,
-        exact_off,
-        index_off,
-        payload_off,
-    )
+        MAGIC, BLOCK_VERSION, flags, n, columns_off, exact_off, index_off, payload_off
+    ).ljust(HEADER_SIZE, b"\x00")
+    padding = b"\x00" * (index_off - exact_off - n)
     return b"".join(
-        (
-            header,
-            b"\x00" * (HEADER_SIZE - len(header)),
-            columns.tobytes(),
-            box_exact.tobytes(),
-            b"\x00" * (index_off - exact_off - n),
-            offsets.tobytes(),
-            *payloads,
-        )
+        (header, columns.tobytes(), box_exact.tobytes(), padding, offsets.tobytes(), rows.payload)
     )
 
 
 def encode_v2_block(records: Sequence, codec: str) -> bytes:
     """Serialize one partition into the v2 on-disk layout."""
-    return layout_v2_block(*encode_rows(records, codec))
+    return layout_v2_block(encode_rows(records, codec))
 
 
 class PayloadRows(Sequence):
-    """Rows known only by their payload bytes; indexing one decodes it.
+    """Rows known only by their payload bytes; indexing one decodes it — the
+    row indirection of a table built over block files: a consumer of extents
+    never touches it, one that needs the record pays for the rows it reads."""
 
-    The row indirection of a table built over block files: a consumer of
-    extents never touches it, one that needs the record pays for exactly
-    the rows it reads.
-    """
-
-    def __init__(self, payloads: list, codec: str):
-        self.payloads = payloads
+    def __init__(self, payload: np.ndarray, lengths: np.ndarray, codec: str):
+        self.payload = payload
+        self.offsets = np.concatenate(([0], np.cumsum(lengths)))
         self.codec = codec
 
     def __len__(self) -> int:
-        return len(self.payloads)
+        return len(self.offsets) - 1
 
     def __getitem__(self, i: int):
-        value = pickle.loads(self.payloads[i])
+        value = pickle.loads(self.payload[self.offsets[i] : self.offsets[i + 1]])
         return decode_record(value) if self.codec == "tuple" else value
 
 
@@ -163,12 +189,13 @@ class V2Block:
 
     def __init__(self, path: str | Path):
         self.path = Path(path)
-        with open(self.path, "rb") as f:
-            raw_header = f.read(HEADER_SIZE)
-        if len(raw_header) < _HEADER.size:
-            raise ValueError(f"{self.path.name}: truncated v2 block header")
+        with open(path, "rb") as f:  # one open, one map, the header read off it
+            size = os.fstat(f.fileno()).st_size
+            if size < _HEADER.size:
+                raise ValueError(f"{self.path.name}: truncated v2 block header")
+            buf = np.frombuffer(mmap.mmap(f.fileno(), 0, access=mmap.ACCESS_READ), np.uint8)
         magic, version, flags, n, columns_off, exact_off, index_off, payload_off = (
-            _HEADER.unpack(raw_header[: _HEADER.size])
+            _HEADER.unpack_from(buf)
         )
         if magic != MAGIC:
             raise ValueError(f"{self.path.name}: not a v2 block (bad magic {magic!r})")
@@ -177,34 +204,23 @@ class V2Block:
                 f"{self.path.name}: v2 block version {version} is newer than "
                 f"supported ({BLOCK_VERSION})"
             )
-        # As a str: np.memmap ``resolve()``s a Path, a syscall per part.
-        buf = np.memmap(str(self.path), dtype=np.uint8, mode="r")
-        if payload_off > len(buf):
+        if payload_off > size:
             raise ValueError(f"{self.path.name}: truncated v2 block body")
         self.n = int(n)
         self.filterable = bool(flags & FLAG_FILTERABLE)
         self._buf = buf
 
-        # type=np.ndarray drops the memmap subclass from each view (same
-        # mapped memory, zero copy): plain ndarrays are what numpy ships
-        # through pickle protocol 5's out-of-band buffers when a stage
-        # closure captures a BoxTable built over these columns — a memmap
-        # subclass would serialize in-band instead.
+        # Plain ndarray views of the one map, which numpy ships out-of-band
+        # (pickle protocol 5) when a stage closure captures these columns.
         self.xmin, self.ymin, self.tmin, self.xmax, self.ymax, self.tmax = (
-            buf[columns_off : columns_off + 6 * self.n * 8]
-            .view(dtype=np.float64, type=np.ndarray)
-            .reshape(6, self.n)
+            buf[columns_off : columns_off + 6 * self.n * 8].view(np.float64).reshape(6, self.n)
         )
-        self.box_exact = buf[exact_off : exact_off + self.n].view(
-            dtype=np.bool_, type=np.ndarray
-        )
-        self._offsets = buf[index_off : index_off + (self.n + 1) * 8].view(
-            dtype=np.int64, type=np.ndarray
-        )
+        self.box_exact = buf[exact_off : exact_off + self.n].view(np.bool_)
+        self._offsets = buf[index_off : index_off + (self.n + 1) * 8].view(np.int64)
         self._payload_off = int(payload_off)
         if self.n and (
             len(self._offsets) != self.n + 1
-            or self._payload_off + int(self._offsets[-1]) > len(buf)
+            or self._payload_off + int(self._offsets[-1]) > size
         ):
             raise ValueError(f"{self.path.name}: truncated v2 block payload region")
 
@@ -238,13 +254,11 @@ class V2Block:
 
     # -- payload decode -------------------------------------------------------------
 
-    def payloads(self) -> list[memoryview]:
-        """Every row's payload bytes, as zero-copy slices of the block."""
-        # One memoryview of the payload region and one list of the offsets
-        # up front: slicing the memmap per row costs more than an unpickle.
-        payload = memoryview(self._buf)[self._payload_off :]
-        offsets = self._offsets.tolist()
-        return [payload[a:b] for a, b in zip(offsets, offsets[1:])]
+    def encoded(self) -> EncodedRows:
+        """Every row as a writer takes it (table ``None`` when not filterable),
+        as views of the map: a compaction moves these bytes, never decodes them."""
+        payload = self._buf[self._payload_off : self._payload_off + int(self._offsets[-1])]
+        return EncodedRows(self.boxtable(), payload, np.diff(self._offsets))
 
     def load_rows(self, rows) -> list:
         """Unpickle only the given rows, as stored (a tuple codec's tuples)."""

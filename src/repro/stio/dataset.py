@@ -2,23 +2,26 @@
 
 from __future__ import annotations
 
-import os
 import pickle
 import threading
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import TYPE_CHECKING, Sequence
 
 import numpy as np
 
+from repro.columnar.boxtable import BoxTable
 from repro.engine.context import EngineContext
 from repro.engine.rdd import RDD, sampled_positions
 from repro.geometry.envelope import Envelope
 from repro.index.boxes import STBox, st_query_box
 from repro.instances.base import Instance
+from repro.obs.tracer import current_tracer
 from repro.partitioners.base import SAMPLE_SEED
 from repro.stio.blockv2 import (
+    EncodedRows,
     V2Block,
+    encode_payloads,
     encode_rows,
     layout_v2_block,
     open_v2_block,
@@ -157,29 +160,31 @@ def _load_block(
 _NO_BOUNDS = STBox((0.0, 0.0, 0.0), (0.0, 0.0, 0.0))
 
 
-def split_rows(
-    table, payloads: list, partitioner: "STPartitioner", sample=None
-) -> tuple[list[tuple], list[STBox]]:
-    """Fit ``partitioner`` and cut encoded rows into one block per partition.
-
-    The driver-side partitioning every writer shares: fit on ``table`` (or
-    its ``sample`` rows), one ``assign_batch`` over the whole table, and
-    block ``i`` is ``(table slice, payloads)`` of the rows routed to
-    partition ``i`` in input order — what a shuffle of the instances
-    produces.  Returns the blocks (empty ones included) and ``boundaries()``.
-    """
-    if table is None:
-        raise ValueError("rows without an ST extent cannot be ST-partitioned")
+def _routed(table, partitioner: "STPartitioner", sample=None) -> np.ndarray:
+    """Fit ``partitioner`` on ``table`` (or its ``sample`` rows): every row's
+    partition, from one ``assign_batch``."""
     partitioner.fit(table if sample is None else table.take(sample))
-    n = partitioner.num_partitions
-    pids = np.asarray(partitioner.assign_batch(table), dtype=np.int64) % n  # as the shuffle wraps
-    counts = np.bincount(pids, minlength=n)
-    order = np.argsort(pids, kind="stable")
-    blocks = [
-        (table.extents(rows), [payloads[r] for r in rows.tolist()])
-        for rows in np.split(order, np.cumsum(counts)[:-1])
-    ]
+    pids = np.asarray(partitioner.assign_batch(table), dtype=np.int64)
+    return pids % partitioner.num_partitions  # as the shuffle wraps
+
+
+def split_records(records, table, codec: str, partitioner: "STPartitioner", sample=None):
+    """``(blocks, boundaries())`` of ``records`` (extents ``table``), one block
+    per partition (empty ones included) holding its rows in input order —
+    what a shuffle of the instances produces.  The records are encoded in
+    input order and each payload moves by reference into its block."""
+    pids = _routed(table, partitioner, sample)
+    payloads = encode_payloads(records, codec)
+    parts = [np.flatnonzero(pids == k) for k in range(partitioner.num_partitions)]
+    blocks = [EncodedRows.joined(table.extents(r), [payloads[i] for i in r.tolist()]) for r in parts]
     return blocks, partitioner.boundaries()
+
+
+def split_rows(rows: EncodedRows, partitioner: "STPartitioner"):
+    """:func:`split_records` of rows known only encoded (a compaction's):
+    their bytes move, one byte mask per block (:meth:`EncodedRows.split`)."""
+    pids = _routed(rows.table, partitioner)
+    return rows.split(pids, partitioner.num_partitions), partitioner.boundaries()
 
 
 def _rdd_blocks(
@@ -195,7 +200,8 @@ def _rdd_blocks(
     parts = rdd._collect_partitions()
     if partitioner is None:
         return (encode_rows(p, codec) for p in parts), None
-    table, payloads = encode_rows([r for p in parts for r in p], codec)
+    records = [r for p in parts for r in p]
+    table = BoxTable.from_instances(records)
     picks = [
         np.asarray(sampled_positions(split, len(p), sample_fraction, SAMPLE_SEED), dtype=np.int64)
         for split, p in enumerate(parts)
@@ -203,8 +209,8 @@ def _rdd_blocks(
     starts = np.cumsum([0] + [len(p) for p in parts])
     sample = np.concatenate([start + pick for start, pick in zip(starts, picks)])
     if not len(sample):
-        sample = np.arange(min(len(payloads), 1000))
-    blocks, boundaries = split_rows(table, payloads, partitioner, sample)
+        sample = np.arange(min(len(records), 1000))
+    blocks, boundaries = split_records(records, table, codec, partitioner, sample)
     if getattr(rdd.ctx, "strict", False):
         from repro.engine.sanitizer import validate_partitioner
 
@@ -258,6 +264,11 @@ class _DiskPartitionRDD(RDD):
         self._on_corrupt = on_corrupt
         self._query_box = query_box
         self._scan = scan
+
+    @property
+    def filenames(self) -> list[str]:
+        """The block file each partition reads, in partition order."""
+        return [meta.filename for meta in self._metas]
 
     def scanned(self, scan) -> "_DiskPartitionRDD":
         """The same pruned read as a column scan (how ``Pipeline`` runs a
@@ -371,47 +382,57 @@ class StDataset:
 
         A block's recorded bounds are its table's min/max, the MBR of the
         *actual* rows (``boundaries[i]``, the partitioner's cell, stands in
-        for a block with no rows).  Each file is published by temp file +
-        ``os.replace``: a rewrite reuses ``part-00000.stb…`` while readers
-        may hold the old file mapped, and a rename leaves their inode
-        intact where a truncating write would SIGBUS them.
+        for a block with no rows).  The names are new, so no reader holds
+        them: a torn write leaves a file no manifest names.
         """
         metas = []
-        for i, (table, payloads) in enumerate(blocks):
+        for i, rows in enumerate(blocks):
             filename = self.BLOCK_PATTERN.format(first + i)
-            path = self.directory / filename
-            tmp = path.with_name(filename + ".tmp")
-            tmp.write_bytes(layout_v2_block(table, payloads))
-            os.replace(tmp, path)
-            if payloads:
-                bounds = table.bounds() if table is not None else _NO_BOUNDS
+            (self.directory / filename).write_bytes(layout_v2_block(rows))
+            if len(rows.lengths):
+                bounds = rows.table.bounds() if rows.table is not None else _NO_BOUNDS
             elif boundaries is not None and i < len(boundaries):
                 bounds = boundaries[i]
             else:
                 bounds = _NO_BOUNDS
-            metas.append(PartitionMeta(filename=filename, count=len(payloads), bounds=bounds))
+            metas.append(PartitionMeta(filename=filename, count=len(rows.lengths), bounds=bounds))
         return metas
+
+    def _commit(
+        self, old: DatasetMetadata, meta: DatasetMetadata, blocks, boundaries, compact: bool
+    ) -> None:
+        """Make ``meta`` with ``blocks`` appended the dataset — the one commit
+        every writer makes: new blocks under never-used names, one atomic
+        metadata replace, unlink of what ``old`` named and it does not.  A
+        crash leaves either manifest intact; the next commit removes the
+        leftovers (``old.superseded``, files under the names it takes)."""
+        first = meta.next_block
+        for name in old.superseded:
+            (self.directory / name).unlink(missing_ok=True)
+        k = first
+        while (stale := self.directory / self.BLOCK_PATTERN.format(k)).exists():
+            stale.unlink()
+            k += 1
+        partitions = [*meta.partitions, *self._publish_blocks(first, blocks, boundaries)]
+        names = {p.filename for p in partitions}
+        superseded = tuple(p.filename for p in old.partitions if p.filename not in names)
+        self._save_metadata(
+            replace(
+                meta,
+                partitions=partitions,
+                next_block=first + len(partitions) - len(meta.partitions),
+                compacted=len(partitions) if compact else meta.compacted,
+                superseded=superseded,
+            )
+        )
+        for name in superseded:
+            (self.directory / name).unlink(missing_ok=True)
 
     def _save_metadata(self, meta: DatasetMetadata) -> None:
         """Commit ``meta`` and remember it: this handle's next
         :meth:`cached_metadata` is a stat, not a parse of its own write."""
         stat = meta.save(self.directory).stat()
         self._meta_cache = ((stat.st_mtime_ns, stat.st_size), meta)
-
-    @staticmethod
-    def _remove_orphan_blocks(directory: Path, keep: set[str]) -> None:
-        """Delete ``part-*`` block files the new metadata doesn't name.
-
-        An in-place rewrite with fewer partitions (or a conversion, which
-        leaves the v1 ``.pkl`` files behind; or a crashed writer's
-        ``.stb.tmp``) must not leave stale blocks:
-        they waste disk and poison glob-based tooling that enumerates
-        ``part-*`` files instead of reading the metadata.
-        """
-        for pattern in ("part-*.stb", "part-*.pkl", "part-*.stb.tmp"):
-            for stale in directory.glob(pattern):
-                if stale.name not in keep:
-                    stale.unlink()
 
     @classmethod
     def write(
@@ -445,42 +466,40 @@ class StDataset:
     ) -> "StDataset":
         """:meth:`write` of already-encoded rows — the block-level writer.
 
-        Each of ``blocks`` is ``(extent table | None, row payloads)`` as
-        :func:`~repro.stio.blockv2.encode_rows` returns it (``None``: rows
-        without an ST extent, laid out unfilterable) — or as a compaction
-        slices them out of blocks it never decoded.
+        Each of ``blocks`` is an :class:`~repro.stio.blockv2.EncodedRows`
+        (:func:`~repro.stio.blockv2.encode_rows`, or a split of one).
         """
         self.directory.mkdir(parents=True, exist_ok=True)
-        # Rewriting an existing dataset in place (re-index / repartition /
-        # conversion) is an edit like any other: continue its generation
-        # counter so long-lived readers keyed on it (the serve
-        # result cache) miss, and bump its rewrite epoch so position-based
-        # ones (stream states) notice.  The streaming watermark survives
-        # rewrites the same way — compaction reshuffles blocks, it does not
-        # change what has been ingested.
-        generation = epoch = 0
+        # A rewrite (re-index / repartition / conversion) supersedes every
+        # block and continues the generation (so readers keyed on it miss),
+        # the name counter and the watermark.
+        old, generation = DatasetMetadata(instance_type, []), 0
         if (self.directory / METADATA_FILENAME).exists():
             try:
-                existing = self._parsed_metadata()
-                generation = existing.generation + 1
-                epoch = existing.epoch + 1
+                old = self._parsed_metadata()
+                generation = old.generation + 1
                 if watermark is None:
-                    watermark = existing.watermark
+                    watermark = old.watermark
             except (ValueError, FileNotFoundError):
-                generation = epoch = 1
-        metas = self._publish_blocks(0, blocks, boundaries)
-        self._save_metadata(
-            DatasetMetadata(
-                instance_type=instance_type,
-                partitions=metas,
-                codec=codec,
-                generation=generation,
-                epoch=epoch,
-                watermark=watermark,
-            )
+                generation = 1
+        meta = DatasetMetadata(
+            instance_type, [], codec=codec, generation=generation,
+            watermark=watermark, next_block=old.next_block,
         )
-        self._remove_orphan_blocks(self.directory, {m.filename for m in metas})
+        self._commit(old, meta, blocks, boundaries, compact=False)
         return self
+
+    def rewrite_blocks(self, blocks, boundaries=None, keep: int = 0) -> int:
+        """A compaction's commit: ``blocks`` (as for :meth:`write_blocks`)
+        supersede the partitions past the first ``keep``, and every resulting
+        partition counts as compacted.  Returns the number superseded
+        (traced as ``blocks_compacted``)."""
+        old = self.cached_metadata()
+        meta = replace(old, partitions=old.partitions[:keep], generation=old.generation + 1)
+        self._commit(old, meta, blocks, boundaries, compact=True)
+        if (tracer := current_tracer()) is not None:
+            tracer.counter("blocks_compacted", len(old.partitions) - keep)
+        return len(old.partitions) - keep
 
     @classmethod
     def write_rdd(
@@ -526,18 +545,11 @@ class StDataset:
 
     def append_blocks(self, blocks, boundaries=None, watermark: float | None = None) -> "StDataset":
         """:meth:`append` of already-encoded rows (blocks as for :meth:`write_blocks`)."""
-        existing = self.cached_metadata()
-        new_metas = self._publish_blocks(len(existing.partitions), blocks, boundaries)
-        self._save_metadata(
-            existing.merged_with(
-                DatasetMetadata(
-                    instance_type=existing.instance_type,
-                    partitions=new_metas,
-                    codec=existing.codec,
-                    watermark=watermark,
-                )
-            )
+        old = self.cached_metadata()
+        merged = old.merged_with(
+            DatasetMetadata(old.instance_type, [], codec=old.codec, watermark=watermark)
         )
+        self._commit(old, merged, blocks, boundaries, compact=False)
         return self
 
     def append_rdd(
@@ -571,8 +583,7 @@ class StDataset:
         elif out is None:
             return self
         else:  # a copy: the rows' columns and payload bytes, verbatim
-            opened = (open_v2_block(self.directory / m.filename) for m in meta.partitions)
-            blocks = ((block.boxtable(), block.payloads()) for block in opened)
+            blocks = (open_v2_block(self.directory / m.filename).encoded() for m in meta.partitions)
         return StDataset(out if out is not None else self.directory).write_blocks(
             blocks,
             meta.instance_type,
@@ -698,15 +709,8 @@ class StDataset:
         temporal: Duration | None = None,
         use_metadata: bool = True,
         on_corrupt: str = "raise",
-        offset: int = 0,
     ) -> tuple[RDD, LoadStats]:
         """A lazy RDD over the partitions that may contain matching data.
-
-        ``offset`` skips the first ``offset`` partitions *before* pruning
-        — the incremental-read primitive: appends only ever add blocks at
-        the end, so "everything since the last run" is exactly
-        ``partitions[offset:]``.  Skipped partitions do not count toward
-        ``partitions_total``.
 
         ``use_metadata=False`` loads everything — the "native Spark" mode
         Figure 5 compares against.  The returned RDD still needs in-memory
@@ -721,10 +725,15 @@ class StDataset:
         ``LoadStats.partitions_quarantined`` counts it, instead of the
         default :class:`~repro.engine.errors.CorruptPartitionError`.
         """
+        meta = self.cached_metadata()
+        return self._read(ctx, meta, meta.partitions, spatial, temporal, use_metadata, on_corrupt)
+
+    def _read(
+        self, ctx, meta: DatasetMetadata, candidates, spatial, temporal, use_metadata, on_corrupt
+    ) -> tuple["_DiskPartitionRDD", LoadStats]:
+        """:meth:`read` over ``candidates``, some of ``meta``'s partitions."""
         if on_corrupt not in ("raise", "quarantine"):
             raise ValueError("on_corrupt must be 'raise' or 'quarantine'")
-        meta = self.cached_metadata()
-        candidates = meta.partitions[offset:] if offset else meta.partitions
         if use_metadata:
             selected = [p for p in candidates if p.overlaps(spatial, temporal)]
         else:

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import json
 import os
+import re
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -89,28 +90,22 @@ class DatasetMetadata:
 
     ``generation`` is a monotonically increasing edit counter for the
     dataset *as a whole*: every append bumps it (see :meth:`merged_with`)
-    and so does rewriting an existing directory in place (a re-index /
-    repartition).  Long-lived readers — the ``repro serve`` daemon's
+    and so does every rewrite (a compaction, re-index or repartition).  Long-lived readers — the ``repro serve`` daemon's
     result cache above all — key cached answers on it, so an answer
     computed against generation N can never be served once the data moved
     to N+1.  Absent in older metadata files, which read as generation 0.
 
-    ``epoch`` is the rewrite epoch: :meth:`~repro.stio.dataset.StDataset.write`
-    over an existing dataset (compaction, re-index, conversion) bumps it,
-    an append (:meth:`merged_with`) carries it forward.  Position-based
-    readers (:class:`~repro.stream.StreamState`) compare it to learn that
-    blocks they consumed were rewritten — block names and counts cannot
-    tell, a rewrite reuses both.  Absent in older files, which read as 0.
+    ``next_block`` names the next block file (``part-{next_block:05d}.stb``):
+    names are never reused (older files continue past the highest index
+    they name).  ``compacted`` counts the leading partitions the last
+    compaction laid out; a tiered compaction merges the rest.
+    ``superseded`` lists the files the last commit unlinks after publishing.
 
     ``watermark`` is the streaming high-water mark: the maximum event end
     time ever ingested (epoch seconds), or ``None`` for datasets never
-    touched by :meth:`~repro.stio.dataset.StDataset.ingest`.  It advances
-    transactionally with the partition list — blocks land on disk first,
-    then one atomic metadata replace publishes partitions + generation +
-    watermark together, so a crashed ingest leaves at worst orphan block
-    files the metadata never names (invisible to readers, reclaimed by
-    the next compaction).  Incremental pipelines use it to name "what
-    has been processed" (:meth:`~repro.core.pipeline.Pipeline.run_incremental`);
+    touched by :meth:`~repro.stio.dataset.StDataset.ingest`; it commits
+    with the partitions, in the same atomic metadata replace.  Incremental
+    pipelines use it to name "what has been processed" (:meth:`~repro.core.pipeline.Pipeline.run_incremental`);
     records arriving with end times at or below it are *late* and are
     counted by the ingest path rather than dropped.
     """
@@ -120,9 +115,11 @@ class DatasetMetadata:
     version: int = FORMAT_VERSION
     codec: str = "tuple"
     generation: int = 0
-    epoch: int = 0
     block_format: str = "v2"
     watermark: float | None = None
+    next_block: int = 0
+    compacted: int = 0
+    superseded: tuple[str, ...] = ()
 
     @property
     def total_records(self) -> int:
@@ -155,13 +152,16 @@ class DatasetMetadata:
             "codec": self.codec,
             "block_format": self.block_format,
             "generation": self.generation,
-            "epoch": self.epoch,
+            "next_block": self.next_block,
+            "compacted": self.compacted,
             "partitions": [p.to_dict() for p in self.partitions],
         }
         if self.watermark is not None:
             payload["watermark"] = self.watermark
+        if self.superseded:
+            payload["superseded"] = list(self.superseded)
         tmp = path.with_name(path.name + ".tmp")
-        tmp.write_text(json.dumps(payload, indent=1))
+        tmp.write_text(json.dumps(payload))  # unindented: json's C encoder
         os.replace(tmp, path)
         return path
 
@@ -190,15 +190,22 @@ class DatasetMetadata:
                 f"{block_format!r} (supported: {', '.join(BLOCK_FORMATS)})"
             )
         watermark = payload.get("watermark")
+        partitions = [PartitionMeta.from_dict(d) for d in payload["partitions"]]
+        next_block = payload.get("next_block")
+        if next_block is None:
+            names = (re.fullmatch(r"part-(\d+)\.\w+", p.filename) for p in partitions)
+            next_block = max((int(m.group(1)) for m in names if m), default=-1) + 1
         return cls(
             instance_type=payload["instance_type"],
-            partitions=[PartitionMeta.from_dict(d) for d in payload["partitions"]],
+            partitions=partitions,
             version=payload["version"],
             codec=payload.get("codec", "tuple"),
             generation=int(payload.get("generation", 0)),
-            epoch=int(payload.get("epoch", 0)),
             block_format=block_format,
             watermark=float(watermark) if watermark is not None else None,
+            next_block=int(next_block),
+            compacted=int(payload.get("compacted", 0)),
+            superseded=tuple(payload.get("superseded", ())),
         )
 
     def merged_with(self, other: "DatasetMetadata") -> "DatasetMetadata":
@@ -225,7 +232,8 @@ class DatasetMetadata:
             # An append is an edit: cached answers against the old
             # generation must stop hitting.
             generation=self.generation + 1,
-            epoch=self.epoch,
             block_format=self.block_format,
             watermark=watermark,
+            next_block=max(self.next_block, other.next_block),
+            compacted=self.compacted,
         )

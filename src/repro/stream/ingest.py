@@ -12,23 +12,18 @@ metadata file".  This module is the streaming front door built on it:
   visited once (:func:`~repro.stio.blockv2.encode_rows`: extent table +
   payload bytes); watermark, late count, fit, routing, block columns and
   metadata bounds are all read off that table;
-* when the block count crosses an explicit ``rebalance_threshold``,
-  :func:`compact_dataset` rewrites the whole dataset under one fresh
-  partition fit — the safety valve that keeps a long-lived feed from
-  accumulating thousands of sliver blocks.  It is a byte permutation: the
-  resident blocks' mmapped extent columns are fitted and routed, and each
-  new block gathers its rows' payload slices verbatim — no row is decoded.
+* past an explicit ``rebalance_threshold`` block count the ingest compacts
+  **tiered**: only the blocks written since the last compaction (past
+  the manifest's ``compacted`` prefix) merge, under the caller's
+  partitioner refitted on their rows, and every compacted block stays
+  byte- and name-identical — unless the compacted blocks alone would then
+  exceed half the threshold: then :func:`compact_dataset` rewrites all.
+  Either permutes the merged blocks' payload bytes, fitted and routed on
+  their mmapped extent columns — no row is decoded.
 
-Crash safety of an *append* is write-ordering, not locking: block files
-land first, metadata last, and every file is published by an atomic
-replace — a crashed ingest leaves at worst orphan blocks the metadata
-never names (invisible to every reader, reclaimed by the next
-compaction's orphan sweep).  An in-place *rewrite* (compaction) is weaker:
-it reuses the block names the live metadata still points at, so a crash
-between its first block and its metadata commit leaves new blocks under
-old metadata (ROADMAP item 7).  What the per-file replace does guarantee
-is that a reader which already mapped a block keeps its old inode — it
-finishes on the pre-compaction rows instead of dying on a truncated file.
+Every commit writes never-reused block names (see ``StDataset._commit``),
+so a :class:`~repro.stream.StreamState`, keyed on names, follows a
+compaction by scanning the merged blocks, never by re-bootstrapping.
 """
 
 from __future__ import annotations
@@ -42,8 +37,8 @@ import numpy as np
 from repro.columnar.boxtable import BoxTable
 from repro.obs.tracer import current_tracer
 from repro.partitioners.tstr import TSTRPartitioner
-from repro.stio.blockv2 import PayloadRows, encode_rows, open_v2_block
-from repro.stio.dataset import split_rows
+from repro.stio.blockv2 import EncodedRows, encode_payloads, open_v2_block
+from repro.stio.dataset import split_records, split_rows
 from repro.stio.metadata import METADATA_FILENAME
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -84,21 +79,11 @@ class IngestReport:
         return self.watermark > self.previous_watermark
 
 
-def _batch_blocks(
-    table, payloads: list, partitioner: "STPartitioner | None"
-) -> tuple[list[tuple], list | None]:
-    """Split one micro-batch's encoded rows into its own blocks, driver-side.
-
-    With a partitioner the fit runs on the batch alone — the incremental
-    T-STR maintenance: the batch's temporal extent gets its own fresh
-    slices/cells, and nothing resident moves.  Without one the batch is a
-    single block.  Empty cells are dropped (a batch rarely tiles its fit
-    grid fully; zero-count blocks would only be pruned on every read).
-    """
-    if partitioner is None:
-        return [(table, payloads)], None
-    blocks, boundaries = split_rows(table, payloads, partitioner)
-    kept = [(blk, bound) for blk, bound in zip(blocks, boundaries) if blk[1]]
+def _nonempty(blocks, boundaries) -> tuple[list[EncodedRows], list]:
+    """The blocks holding rows, with their boundaries: a batch rarely tiles
+    its fit grid fully, and zero-count blocks would only be pruned on every
+    read."""
+    kept = [(blk, bound) for blk, bound in zip(blocks, boundaries) if len(blk.lengths)]
     return [blk for blk, _ in kept], [bound for _, bound in kept]
 
 
@@ -113,8 +98,8 @@ def ingest_batch(
 
     The first call on a fresh directory creates the dataset
     (``instance_type`` is required then); subsequent calls inherit it from
-    the metadata.  ``rebalance_threshold``, when given, triggers
-    :func:`compact_dataset` once the post-ingest block count exceeds it.
+    the metadata.  ``rebalance_threshold``, when given, triggers a tiered
+    compaction once the post-ingest block count exceeds it.
 
     Tracer counters (when a tracer is installed): ``ingest_batches``,
     ``ingest_records``, ``ingest_late_records``, ``watermark_lag``
@@ -124,25 +109,17 @@ def ingest_batch(
     meta = dataset.cached_metadata() if exists else None
     previous_watermark = meta.watermark if exists else None
     if not batch:
-        return IngestReport(
-            records=0,
-            blocks_added=0,
-            generation=meta.generation if exists else 0,
-            watermark=previous_watermark,
-            previous_watermark=previous_watermark,
-            late_records=0,
-            watermark_lag=0.0,
-            compacted=False,
-            blocks_compacted=0,
-        )
+        generation = meta.generation if exists else 0
+        return IngestReport(0, 0, generation, previous_watermark, previous_watermark, 0, 0.0, False, 0)
     if not exists and instance_type is None:
         raise ValueError("first ingest into a fresh dataset needs instance_type")
 
-    # The one pass over the batch's records: watermark, fit, routing, block
+    # The one pass over the batch's extents: watermark, fit, routing, block
     # columns and metadata bounds all read the table from here on.
-    table, payloads = encode_rows(batch, meta.codec if exists else "tuple")
-    if table is None:
-        raise ValueError("cannot ingest records without an ST extent")
+    try:
+        table = BoxTable.from_instances(batch)
+    except Exception as exc:
+        raise ValueError("cannot ingest records without an ST extent") from exc
     ends = table.tmax
     late, watermark = 0, float(ends.max())
     if previous_watermark is not None:
@@ -150,7 +127,13 @@ def ingest_batch(
         watermark = max(previous_watermark, watermark)
     lag = max(0.0, watermark - float(ends.min()))
 
-    blocks, boundaries = _batch_blocks(table, payloads, partitioner)
+    # Incremental T-STR maintenance: a fit on the batch alone gives its
+    # temporal extent fresh slices/cells, and nothing resident moves.
+    codec = meta.codec if exists else "tuple"
+    if partitioner is None:
+        blocks, boundaries = [EncodedRows.joined(table, encode_payloads(batch, codec))], None
+    else:
+        blocks, boundaries = _nonempty(*split_records(batch, table, codec, partitioner))
     if exists:
         dataset.append_blocks(blocks, boundaries, watermark=watermark)
     else:
@@ -158,11 +141,8 @@ def ingest_batch(
     meta = dataset.cached_metadata()
 
     compacted_blocks = 0
-    if (
-        rebalance_threshold is not None
-        and len(meta.partitions) > rebalance_threshold
-    ):
-        compacted_blocks = compact_dataset(dataset, partitioner=partitioner)
+    if rebalance_threshold is not None and len(meta.partitions) > rebalance_threshold:
+        compacted_blocks = _rebalance(dataset, partitioner, rebalance_threshold)
         meta = dataset.cached_metadata()
 
     tracer = current_tracer()
@@ -172,7 +152,7 @@ def ingest_batch(
         if late:
             tracer.counter("ingest_late_records", late)
         tracer.counter("watermark_lag", lag)
-        # blocks_compacted is counted inside compact_dataset itself.
+        # blocks_compacted is counted by the compaction itself.
 
     return IngestReport(
         records=len(batch),
@@ -187,43 +167,50 @@ def ingest_batch(
     )
 
 
-def compact_dataset(
-    dataset: "StDataset",
-    partitioner: "STPartitioner | None" = None,
-) -> int:
-    """Rewrite the whole dataset under one fresh partition fit.
-
-    The rebalance arm of ingestion: refits the partitioner on the *full*
-    resident population (a default ``TSTRPartitioner(≈√blocks, 1)`` when
-    none is given) and rewrites in place, off the blocks' extent columns
-    and raw payload bytes — the codec is preserved, so the bytes are valid
-    verbatim, and rows decode only for a partitioner that reads
-    ``table.rows``.  The watermark is preserved; the generation bumps (an
-    in-place rewrite is an edit) and orphan blocks from the old layout are
-    removed.  Returns the number of blocks the rewrite replaced; raises
-    ``ValueError``, before writing anything, over a block whose rows have
-    no ST extent.
-    """
-    meta = dataset.cached_metadata()
-    replaced = len(meta.partitions)
-    resident = [open_v2_block(dataset.directory / p.filename) for p in meta.partitions]
+def _merged(dataset: "StDataset", merged, codec: str, partitioner):
+    """``(blocks, boundaries)`` of the ``merged`` partitions' rows under one
+    fit of ``partitioner`` (default ``TSTRPartitioner(≈√blocks, 1)``) —
+    ``None`` when they hold no row.  Payload bytes move verbatim; rows
+    decode only for a partitioner that reads ``table.rows``.  Raises
+    ``ValueError`` over a block whose rows have no ST extent."""
+    resident = [open_v2_block(dataset.directory / p.filename) for p in merged]
     for block in resident:
         if not block.filterable:
             raise ValueError(
                 f"cannot compact {dataset.directory}: {block.path.name} holds rows "
                 f"without an ST extent, which no partitioner can place"
             )
-    payloads = [payload for block in resident for payload in block.payloads()]
-    if not payloads:
-        return 0
+    if not sum(block.n for block in resident):
+        return None
     if partitioner is None:
-        partitioner = TSTRPartitioner(max(1, math.isqrt(replaced)), 1)
-    table = BoxTable.concat(
-        [block.boxtable() for block in resident], PayloadRows(payloads, meta.codec)
-    )
-    blocks, boundaries = _batch_blocks(table, payloads, partitioner)
-    dataset.write_blocks(blocks, meta.instance_type, boundaries, meta.codec, meta.watermark)
-    tracer = current_tracer()
-    if tracer is not None:
-        tracer.counter("blocks_compacted", replaced)
-    return replaced
+        partitioner = TSTRPartitioner(max(1, math.isqrt(len(merged))), 1)
+    rows = EncodedRows.concat([block.encoded() for block in resident], codec)
+    return _nonempty(*split_rows(rows, partitioner))
+
+
+def _rebalance(dataset: "StDataset", partitioner, threshold: int) -> int:
+    """The ingest trigger's compaction: tiered, unless the compacted blocks
+    alone would then exceed ``threshold // 2``.  Returns the number of
+    blocks replaced."""
+    meta = dataset.cached_metadata()
+    merged = _merged(dataset, meta.partitions[meta.compacted :], meta.codec, partitioner)
+    if merged is None or meta.compacted + len(merged[0]) > threshold // 2:
+        return compact_dataset(dataset, partitioner)
+    return dataset.rewrite_blocks(*merged, keep=meta.compacted)
+
+
+def compact_dataset(
+    dataset: "StDataset",
+    partitioner: "STPartitioner | None" = None,
+) -> int:
+    """Rewrite the whole dataset under one fresh partition fit.
+
+    Refits the partitioner on every resident row (see :func:`_merged`)
+    and writes blocks that supersede every old one; the watermark is kept
+    and the generation bumps.  Returns the number of blocks replaced.
+    """
+    meta = dataset.cached_metadata()
+    merged = _merged(dataset, meta.partitions, meta.codec, partitioner)
+    if merged is None:
+        return 0
+    return dataset.rewrite_blocks(*merged)

@@ -192,19 +192,23 @@ def block_bounds(records, boundaries, index, codec) -> STBox:
     return _ZERO_BOX
 
 
-def _save_metadata(directory, metas, instance_type, codec, generation, epoch, watermark):
+def _save_metadata(directory, metas, instance_type, codec, generation, next_block, compacted,
+                   watermark, superseded=()):
     payload = {
         "version": 1,
         "instance_type": instance_type,
         "codec": codec,
         "block_format": "v2",
         "generation": generation,
-        "epoch": epoch,
+        "next_block": next_block,
+        "compacted": compacted,
         "partitions": metas,
     }
     if watermark is not None:
         payload["watermark"] = watermark
-    (Path(directory) / "metadata.json").write_text(json.dumps(payload, indent=1))
+    if superseded:
+        payload["superseded"] = list(superseded)
+    (Path(directory) / "metadata.json").write_text(json.dumps(payload))
 
 
 def _write_blocks(directory, first, partitions, boundaries, codec) -> list[dict]:
@@ -220,21 +224,45 @@ def _write_blocks(directory, first, partitions, boundaries, codec) -> list[dict]
     return metas
 
 
+def _metadata(directory) -> dict:
+    return json.loads((Path(directory) / "metadata.json").read_text())
+
+
+def _unlink(directory, names) -> None:
+    for name in names:
+        (Path(directory) / name).unlink(missing_ok=True)
+
+
+def _replace_tail(directory, old, keep, cells, boundaries, compacted) -> None:
+    """Write ``cells`` as new blocks after ``old``'s first ``keep`` entries;
+    every other old block is superseded and unlinked after the commit."""
+    _unlink(directory, old.get("superseded", ()))
+    metas = _write_blocks(directory, old["next_block"], cells, boundaries, old["codec"])
+    partitions = old["partitions"][:keep] + metas
+    superseded = [m["filename"] for m in old["partitions"][keep:]]
+    _save_metadata(
+        directory, partitions, old["instance_type"], old["codec"], old["generation"] + 1,
+        old["next_block"] + len(metas), len(partitions) if compacted else old["compacted"],
+        old.get("watermark"), superseded,
+    )
+    _unlink(directory, superseded)
+
+
 def write_dataset(directory, partitions, instance_type, boundaries=None, codec="tuple",
                   watermark=None) -> None:
-    """``StDataset.write``: a rewrite continues generation, epoch and watermark."""
+    """``StDataset.write``: new names superseding every old block; a rewrite
+    continues generation, block counter and watermark."""
     directory = Path(directory)
     directory.mkdir(parents=True, exist_ok=True)
-    generation = epoch = 0
+    old = {"generation": -1, "next_block": 0, "partitions": []}
     if (directory / "metadata.json").exists():
-        old = json.loads((directory / "metadata.json").read_text())
-        generation, epoch = old["generation"] + 1, old["epoch"] + 1
+        old = _metadata(directory)
         watermark = old.get("watermark") if watermark is None else watermark
-    metas = _write_blocks(directory, 0, partitions, boundaries, codec)
-    _save_metadata(directory, metas, instance_type, codec, generation, epoch, watermark)
-    for stale in directory.glob("part-*"):
-        if stale.name not in {m["filename"] for m in metas}:
-            stale.unlink()
+    _replace_tail(
+        directory,
+        dict(old, instance_type=instance_type, codec=codec, watermark=watermark, compacted=0),
+        0, partitions, boundaries, compacted=False,
+    )
 
 
 def partition(records, partitioner, sample=None) -> tuple[list[list], list]:
@@ -266,7 +294,7 @@ def save_dataset(directory, instances, instance_type, partitioner, num_partition
 
 def ingest(directory, batch, partitioner, instance_type, rebalance_threshold=None) -> None:
     """``StDataset.ingest``: index the batch alone, append, advance the
-    watermark, compact past the threshold."""
+    watermark, rebalance past the threshold."""
     directory = Path(directory)
     high = max(inst.temporal_extent.end for inst in batch)
     cells, boundaries = ([list(batch)], None)
@@ -275,34 +303,58 @@ def ingest(directory, batch, partitioner, instance_type, rebalance_threshold=Non
     if not (directory / "metadata.json").exists():
         write_dataset(directory, cells, instance_type, boundaries, watermark=high)
     else:
-        old = json.loads((directory / "metadata.json").read_text())
-        metas = _write_blocks(directory, len(old["partitions"]), cells, boundaries, old["codec"])
+        old = _metadata(directory)
         mark = old.get("watermark")
-        _save_metadata(
-            directory, old["partitions"] + metas, old["instance_type"], old["codec"],
-            old["generation"] + 1, old["epoch"], high if mark is None else max(mark, high),
-        )
-    blocks = len(json.loads((directory / "metadata.json").read_text())["partitions"])
+        old["watermark"] = high if mark is None else max(mark, high)
+        _replace_tail(directory, old, len(old["partitions"]), cells, boundaries, compacted=False)
+    blocks = len(_metadata(directory)["partitions"])
     if rebalance_threshold is not None and blocks > rebalance_threshold:
-        compact(directory, partitioner)
+        rebalance(directory, partitioner, rebalance_threshold)
+
+
+def _decoded(directory, metas, codec) -> list:
+    from repro.stio import StDataset
+    from repro.stio.metadata import PartitionMeta
+
+    dataset = StDataset(directory)
+    return [
+        r for m in metas for r in dataset.read_block(PartitionMeta.from_dict(m), codec=codec)[1]
+    ]
+
+
+def _default_partitioner(blocks):
+    from repro.partitioners import TSTRPartitioner
+
+    return TSTRPartitioner(max(1, math.isqrt(blocks)), 1)
+
+
+def rebalance(directory, partitioner, threshold) -> None:
+    """The ingest trigger: merge only the blocks appended since the last
+    compaction (decoded, partitioned, re-encoded after the compacted ones),
+    unless the compacted blocks alone would then exceed ``threshold // 2``
+    — then :func:`compact`."""
+    old = _metadata(directory)
+    hot = old["partitions"][old["compacted"]:]
+    records = _decoded(directory, hot, old["codec"])
+    if records:
+        cells, boundaries = _nonempty(
+            *partition(records, partitioner or _default_partitioner(len(hot)))
+        )
+        if old["compacted"] + len(cells) <= threshold // 2:
+            _replace_tail(directory, old, old["compacted"], cells, boundaries, compacted=True)
+            return
+    compact(directory, partitioner)
 
 
 def compact(directory, partitioner=None) -> None:
     """``StDataset.compact``: decode every row, partition, re-encode."""
-    from repro.partitioners import TSTRPartitioner
-    from repro.stio import StDataset
-
-    old = json.loads((Path(directory) / "metadata.json").read_text())
-    dataset = StDataset(directory)
-    records = [
-        r
-        for m in dataset.metadata().partitions
-        for r in dataset.read_block(m, codec=old["codec"])[1]
-    ]
-    if partitioner is None:
-        partitioner = TSTRPartitioner(max(1, math.isqrt(len(old["partitions"]))), 1)
-    cells, boundaries = _nonempty(*partition(records, partitioner))
-    write_dataset(directory, cells, old["instance_type"], boundaries, old["codec"])
+    old = _metadata(directory)
+    records = _decoded(directory, old["partitions"], old["codec"])
+    if not records:
+        return
+    part = partitioner or _default_partitioner(len(old["partitions"]))
+    cells, boundaries = _nonempty(*partition(records, part))
+    _replace_tail(directory, old, 0, cells, boundaries, compacted=True)
 
 
 def tstr_cuts(instances, gt, gs) -> tuple[list, list]:

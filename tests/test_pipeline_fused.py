@@ -159,29 +159,25 @@ class TestParity:
         duplicate=st.booleans(),
         index=st.booleans(),
         use_metadata=st.booleans(),
-        offset=st.integers(0, 2),
     )
     def test_fused_equals_staged_equals_oracle(
-        self, backend, kind, points, n_blocks, partitioned, duplicate, index,
-        use_metadata, offset,
+        self, backend, kind, points, n_blocks, partitioned, duplicate, index, use_metadata,
     ):
         ctx = shared_ctx(backend)
         events = [lattice_event(*p, i) for i, p in enumerate(points)]
         blocks = [events[b::n_blocks] for b in range(n_blocks)]
-        offset = min(offset, n_blocks)
         knobs = dict(index=index, duplicate=duplicate and partitioned)
         if partitioned:
             knobs["partitioner"] = TSTRPartitioner(2, 2)
         with tempfile.TemporaryDirectory() as tmp:
             path = write_blocks(Path(tmp) / "ds", blocks)
             pipe = pipeline(kind, **knobs)
-            select_kwargs = dict(use_metadata=use_metadata, offset=offset)
+            select_kwargs = dict(use_metadata=use_metadata)
             assert pipe.explain(ctx, path, **select_kwargs)["path"] == "fused"
             fused = pipe.run(ctx, path, **select_kwargs).cell_values()
             assert pipe.selector.last_load_stats.rows_decoded == 0
             staged = staged_chain(pipeline(kind, **knobs), ctx, path, **select_kwargs)
-        consumed = [e for block in blocks[offset:] for e in block]
-        assert fused == staged == oracle(pipe, consumed)
+        assert fused == staged == oracle(pipe, events)
 
     @pytest.mark.parametrize("kind", sorted(KINDS))
     @pytest.mark.parametrize("method", ["auto", "regular", "rtree", "naive"])
@@ -403,7 +399,6 @@ class TestStagedFallbackReasons:
         assert info["path"] == "fused" and "column scan" in info["reason"]
         assert (info["blocks_total"], info["blocks_selected"]) == (2, 1)
         assert pipeline("raster").explain(ctx, path, use_metadata=False)["blocks_selected"] == 2
-        assert pipeline("raster").explain(ctx, path, offset=1)["blocks_total"] == 1
 
     def test_explain_names_the_selector_knobs_a_fused_plan_ignores(self, tmp_path, events):
         path = write_blocks(tmp_path / "ds", [events[0::2], events[1::2]])
@@ -600,7 +595,7 @@ class TestIncrementalState:
             run = pipe.run_incremental(ctx, path, state=state)
             state = run.state
             assert run.result.cell_values() == oracle(pipe, seen)
-        assert all(isinstance(p, CellTable) for p in state.partials)
+        assert all(isinstance(p, CellTable) for p in state.banked())
         assert run.result.cell_values() == pipeline("ts").run(ctx, path).cell_values()
 
     def test_state_round_trips_through_pickle_and_checkpoint(self, tmp_path, ctx):
@@ -608,7 +603,7 @@ class TestIncrementalState:
         batches = self.feed(path, k=2)
         pipe = pipeline("raster")
         first = pipe.run_incremental(ctx, path)
-        assert isinstance(first.state.partials[0], CellTable)
+        assert isinstance(first.state.banked()[0], CellTable)
 
         revived = pickle.loads(pickle.dumps(first.state))
         ckpt = PipelineCheckpoint(tmp_path / "ckpt", ctx)

@@ -22,6 +22,7 @@ from repro.core import Selector
 from repro.engine import EngineContext
 from repro.geometry import Envelope
 from repro.instances import Event, Trajectory
+from repro.partitioners import TSTRPartitioner
 from repro.serve import (
     AdmissionController,
     BoundedPriorityQueue,
@@ -463,12 +464,33 @@ class TestInvalidation:
                 assert after["generation"] == first["generation"] + 1
                 assert after["cached"] is False
                 assert after["count"] == first["count"] + 1
-                # The refresh dropped every resident block; the query after
-                # it reloaded what it selects — the new block included.
+                # Block names are never reused: the refresh kept every
+                # resident block, and the query loaded only the new one.
                 assert server.state.resident_blocks() == resident_before + 1
-                assert server.state.blocks_loaded == 2 * resident_before + 1
+                assert server.state.blocks_loaded == resident_before + 1
             assert server.state.invalidations == 1
             assert server.result_cache.snapshot()["invalidations"] >= 1
+
+    def test_ingest_keeps_surviving_blocks_resident(self, tmp_path):
+        """A query over old data after an ingest loads no block, and
+        answers as the one-shot ``Selector`` does."""
+        directory = tmp_path / "ds"
+        ds = StDataset(directory)
+        ds.ingest(make_events(300, t_extent=1_000.0), TSTRPartitioner(1, 4), instance_type="event")
+        state = DatasetState(directory)
+        old = (Envelope(0.0, 0.0, 10.0, 10.0), Duration(0.0, 1_000.0))
+        state.select(*old)
+        loaded = state.blocks_loaded
+        assert loaded == 4
+        later = [Event.of_point(e.spatial.x, e.spatial.y, e.temporal.start + 5_000.0, data=e.data)
+                 for e in make_events(200)]
+        ds.ingest(later, TSTRPartitioner(1, 2))
+        assert state.refresh()
+        got, scanned, total = state.select(*old)
+        assert (state.blocks_loaded, scanned, total) == (loaded, 4, 6)
+        ctx = EngineContext(default_parallelism=2)
+        expected = Selector(*old).select(ctx, directory).collect()
+        assert _identity_list(got) == _identity_list(expected)
 
     def test_rewrite_in_place_bumps_generation(self, tmp_path):
         events = write_dataset(tmp_path / "ds", n=300, partitions=3)

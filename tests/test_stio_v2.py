@@ -524,7 +524,7 @@ class TestOrphanCleanup:
         assert len(list((tmp_path / "ds").glob("part-*.stb"))) == 8
         StDataset.write(tmp_path / "ds", [events[:40], events[40:]], "event")
         remaining = sorted(p.name for p in (tmp_path / "ds").glob("part-*"))
-        assert remaining == ["part-00000.stb", "part-00001.stb"]
+        assert remaining == ["part-00008.stb", "part-00009.stb"]  # names are never reused
         meta = StDataset(tmp_path / "ds").metadata()
         assert meta.total_records == len(events)
 

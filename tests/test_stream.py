@@ -14,6 +14,7 @@ import json
 import math
 import tempfile
 from pathlib import Path
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
@@ -32,7 +33,6 @@ from repro.partitioners import TSTRPartitioner
 from repro.stio import StDataset
 from repro.stio.metadata import DatasetMetadata
 from repro.stream import (
-    StaleStreamStateError,
     StreamState,
     WindowedFlowExtractor,
     WindowedSpeedExtractor,
@@ -277,29 +277,6 @@ class TestCompaction:
 
 
 # ---------------------------------------------------------------------------
-# Offset reads
-
-
-class TestOffsetRead:
-    def test_offset_skips_leading_blocks(self, tmp_path, ctx):
-        ds = StDataset(tmp_path / "feed")
-        batches = event_batches(3, per_batch=40)
-        for batch in batches:
-            ds.ingest(batch, instance_type="event")
-        rdd, stats = ds.read(ctx, offset=1)
-        assert stats.partitions_total == 2
-        assert rdd.count() == len(batches[1]) + len(batches[2])
-
-    def test_offset_composes_with_pruning(self, tmp_path, ctx):
-        ds = StDataset(tmp_path / "feed")
-        for batch in event_batches(3, per_batch=40):
-            ds.ingest(batch, instance_type="event")
-        day1 = Duration(1 * DAY, 2 * DAY)
-        _, stats = ds.read(ctx, temporal=day1, offset=2)
-        assert stats.partitions_selected == 0  # block 2 is day 2
-
-
-# ---------------------------------------------------------------------------
 # The incremental parity gate
 
 
@@ -410,7 +387,7 @@ class TestIncrementalParity:
         assert second.blocks_new == 0
         assert second.result.cell_values() == first.result.cell_values()
 
-    def test_stale_state_detected_after_compaction(self, tmp_path):
+    def test_state_survives_compaction(self, tmp_path):
         ctx = make_ctx()
         ds = StDataset(tmp_path / "feed")
         pipe = flow_pipeline()
@@ -418,12 +395,13 @@ class TestIncrementalParity:
                   instance_type="event")
         run = pipe.run_incremental(ctx, tmp_path / "feed")
         ds.compact(TSTRPartitioner(1, 1))
-        with pytest.raises(StaleStreamStateError):
-            pipe.run_incremental(ctx, tmp_path / "feed", state=run.state)
-        # A fresh state recovers and matches batch.
-        fresh = pipe.run_incremental(ctx, tmp_path / "feed")
+        # The compaction's block is a new name: scanned; the two it
+        # superseded left the manifest: their partials are dropped.
+        run = pipe.run_incremental(ctx, tmp_path / "feed", state=run.state)
+        assert run.blocks_new == 1
+        assert list(run.state.partials) == ["part-00002.stb"]
         batch_result = flow_pipeline().run(make_ctx(), tmp_path / "feed")
-        assert fresh.result.cell_values() == batch_result.cell_values()
+        assert run.result.cell_values() == batch_result.cell_values()
 
     def test_incremental_counters(self, tmp_path):
         tracer = Tracer()
@@ -506,9 +484,9 @@ class TestIncrementalIsTheBatchPlan:
         finally:
             ctx.stop()
         assert any(v for v in run.result.cell_values())
-        assert state.position == len(StDataset(feed).metadata().partitions)
-        assert len(state.partials) > len(batches)
-        assert all(type(p) is partial_type for p in state.partials)
+        assert list(state.partials) == [p.filename for p in StDataset(feed).metadata().partitions]
+        assert len(state.banked()) > len(batches)
+        assert all(type(p) is partial_type for p in state.banked())
 
     @pytest.mark.parametrize("backend", ALL_BACKENDS)
     @pytest.mark.parametrize("plan", sorted(PLANS))
@@ -541,13 +519,48 @@ class TestIncrementalIsTheBatchPlan:
             ctx.stop()
 
 
-class TestStaleState:
-    """A state is stale exactly when blocks it consumed were rewritten."""
+_contexts: dict[str, EngineContext] = {}
 
-    def test_compaction_to_same_names_and_counts_is_detected(self, tmp_path):
-        """The reproduction of the bug: block ``i`` is always named
-        ``part-{i:05d}.stb`` and T-STR cuts equal-count partitions, so the
-        last consumed block's ``(filename, count)`` survives a compaction."""
+
+def shared_ctx(backend: str) -> EngineContext:
+    """One context per backend for the module (hypothesis examples must
+    not each pay a process-pool start)."""
+    if backend not in _contexts:
+        _contexts[backend] = make_ctx(backend)
+    return _contexts[backend]
+
+
+@pytest.fixture(scope="module", autouse=True)
+def _stop_contexts():
+    yield
+    for ctx in _contexts.values():
+        ctx.stop()
+    _contexts.clear()
+
+
+def late_feed(records, sizes, late):
+    """``records`` in time order cut into ``sizes`` batches, the last
+    ``late`` fraction of each batch delivered with the next one."""
+    records = sorted(records, key=lambda r: r.temporal_extent.start)
+    cuts = [0]
+    for n in sizes:
+        cuts.append(min(len(records), cuts[-1] + n))
+    batches = [records[a:b] for a, b in zip(cuts, cuts[1:])]
+    held = []
+    for i, batch in enumerate(batches):
+        keep = len(batch) - int(late * len(batch)) if i + 1 < len(batches) else len(batch)
+        batches[i], held = held + batch[:keep], batch[keep:]
+    return [b for b in batches if b]
+
+
+class TestStateAcrossCommits:
+    """Block names are never reused, so a name-keyed state follows every
+    commit — appends, tiered compactions, full rewrites — without going stale."""
+
+    def test_a_compaction_never_reuses_a_name(self, tmp_path):
+        """Block ``i`` used to be named ``part-{i:05d}.stb`` by every write,
+        so a compaction could leave a consumed block's name and count in
+        place over different rows."""
         ctx = make_ctx()
         feed = tmp_path / "feed"
         ds = StDataset(feed)
@@ -555,77 +568,79 @@ class TestStaleState:
         pipe = flow_pipeline(days=2)
         ds.ingest(first, partitioner=TSTRPartitioner(1, 2), instance_type="event")
         run = pipe.run_incremental(ctx, feed)
-        last = ds.metadata().partitions[run.state.position - 1]
         ds.ingest(second, partitioner=TSTRPartitioner(1, 2))
         ds.compact(TSTRPartitioner(1, 4))
-        now = ds.metadata().partitions[run.state.position - 1]
-        assert (now.filename, now.count) == (last.filename, last.count) == ("part-00001.stb", 500)
-        with pytest.raises(StaleStreamStateError):
-            pipe.run_incremental(ctx, feed, state=run.state)
-        fresh = pipe.run_incremental(ctx, feed)
-        assert fresh.result.cell_values() == flow_pipeline(days=2).run(ctx, feed).cell_values()
-        assert sum(fresh.result.cell_values()) == 2_000
+        names = [p.filename for p in ds.metadata().partitions]
+        assert names == [f"part-{i:05d}.stb" for i in range(4, 8)]
+        assert sorted(p.name for p in feed.glob("part-*")) == names
+        run = pipe.run_incremental(ctx, feed, state=run.state)
+        assert (run.blocks_new, list(run.state.partials)) == (4, names)
+        assert run.result.cell_values() == flow_pipeline(days=2).run(ctx, feed).cell_values()
+        assert sum(run.result.cell_values()) == 2_000
 
-    def test_metadata_without_an_epoch_key_opens_and_detects_overrun(self, tmp_path):
+    def test_legacy_metadata_continues_names_past_its_highest_index(self, tmp_path):
         ctx = make_ctx()
         feed = tmp_path / "feed"
         ds = StDataset(feed)
         for batch in event_batches(2):
             ds.ingest(batch, partitioner=TSTRPartitioner(1, 2), instance_type="event")
         run = flow_pipeline().run_incremental(ctx, feed)
-        # A metadata file as written before the rewrite epoch existed ...
+        # A metadata file as written before the block counter existed ...
         payload = json.loads((feed / "metadata.json").read_text())
-        del payload["epoch"]
+        for key in ("next_block", "compacted"):
+            del payload[key]
         (feed / "metadata.json").write_text(json.dumps(payload))
-        assert ds.metadata().epoch == 0
+        assert (ds.metadata().next_block, ds.metadata().compacted) == (4, 0)
         again = flow_pipeline().run_incremental(ctx, feed, state=run.state)
         assert again.blocks_new == 0
-        # ... still detects a state that ran past its end,
-        payload["partitions"] = payload["partitions"][:2]
-        (feed / "metadata.json").write_text(json.dumps(payload))
-        with pytest.raises(StaleStreamStateError):
-            flow_pipeline().run_incremental(ctx, feed, state=run.state)
-        # and its first in-place rewrite by this version is epoch 1.
+        # ... names its next blocks past the highest index it names.
         ds.compact(TSTRPartitioner(1, 1))
-        assert ds.metadata().epoch == 1
+        assert [p.filename for p in ds.metadata().partitions] == ["part-00004.stb"]
+        again = flow_pipeline().run_incremental(ctx, feed, state=again.state)
+        assert again.result.cell_values() == flow_pipeline().run(ctx, feed).cell_values()
 
+    @pytest.mark.parametrize("backend", ALL_BACKENDS)
     @given(
-        sizes=st.lists(st.integers(1, 40), min_size=1, max_size=3),
-        ingest_grid=st.tuples(st.integers(1, 2), st.integers(1, 3)),
-        compact_grid=st.tuples(st.integers(1, 3), st.integers(1, 3)),
-        appends_after=st.integers(0, 2),
+        sizes=st.lists(st.integers(1, 25), min_size=1, max_size=6),
+        threshold=st.integers(1, 6),
+        late=st.sampled_from([0.0, 0.1, 0.3]),
+        grid=st.tuples(st.integers(1, 2), st.integers(1, 3)),
+        full_rewrite=st.booleans(),
     )
-    @settings(max_examples=30, deadline=None)
-    def test_every_compaction_is_stale_and_no_append_is(
-        self, sizes, ingest_grid, compact_grid, appends_after
-    ):
-        ctx = make_ctx()
-        pipe = flow_pipeline()
-        events = iter(make_events(sum(sizes) + 40 * (appends_after + 1), t_extent=4 * DAY))
-        with tempfile.TemporaryDirectory() as tmp:
-            feed = Path(tmp) / "feed"
-            ds = StDataset(feed)
+    @settings(max_examples=12, deadline=None)
+    def test_state_follows_every_commit(self, backend, sizes, threshold, late, grid, full_rewrite):
+        """Ingests with late records, tiered compactions and (optionally) an
+        explicit full rewrite midway: the last incremental result is a cold
+        run's, bit for bit, for a count and a float speed aggregate."""
+        ctx = shared_ctx(backend)
+        feeds = {
+            "count": (flow_pipeline, "event", make_events(sum(sizes), t_extent=4 * DAY)),
+            "speed": (lambda: _traj_pipeline(TsSpeedExtractor), "trajectory", TRAJS),
+        }
+        written = []
+        write_bytes = Path.write_bytes
 
-            def append(n):
-                ds.ingest(
-                    [next(events) for _ in range(n)],
-                    partitioner=TSTRPartitioner(*ingest_grid),
-                    instance_type="event",
-                )
+        def recording(path, data):
+            written.append(str(path))
+            return write_bytes(path, data)
 
-            state = None
-            for n in sizes:  # appends only: never stale
-                append(n)
-                state = pipe.run_incremental(ctx, feed, state=state).state
-            ds.compact(TSTRPartitioner(*compact_grid))
-            for _ in range(appends_after):
-                append(40)
-            with pytest.raises(StaleStreamStateError):
-                pipe.run_incremental(ctx, feed, state=state)
-            run = pipe.run_incremental(ctx, feed)
-            append(40)  # and the fresh state keeps working across appends
-            run = pipe.run_incremental(ctx, feed, state=run.state)
-            assert run.result.cell_values() == flow_pipeline().run(ctx, feed).cell_values()
+        recorded = mock.patch.object(Path, "write_bytes", recording)
+        with tempfile.TemporaryDirectory() as tmp, recorded:
+            for name, (make, kind, records) in feeds.items():
+                feed = Path(tmp) / name
+                ds, pipe, state = StDataset(feed), make(), None
+                batches = late_feed(records, sizes, late)
+                for i, batch in enumerate(batches):
+                    ds.ingest(batch, TSTRPartitioner(*grid), threshold, instance_type=kind)
+                    if full_rewrite and i == len(batches) // 2:
+                        ds.compact(TSTRPartitioner(*grid))
+                    run = pipe.run_incremental(ctx, feed, state=state)
+                    state = run.state
+                assert run.result.cell_values() == make().run(ctx, feed).cell_values(), name
+                assert list(state.partials) == [p.filename for p in ds.metadata().partitions]
+                assert sorted(p.name for p in feed.glob("part-*")) == sorted(state.partials)
+        blocks = [w for w in written if w.endswith(".stb")]
+        assert len(blocks) == len(set(blocks))
 
 
 # ---------------------------------------------------------------------------
@@ -715,11 +730,9 @@ class TestWindows:
         batches = event_batches(3)
         sel = Selector(AREA, Duration(0.0, 3 * DAY))
         inc = WindowedFlowExtractor(origin=0.0, size=3_600.0)
-        position = 0
         for batch in batches:
             ds.ingest(batch, instance_type="event")
-            inc.update(sel.select(ctx, tmp_path / "feed", offset=position))
-            position = len(ds.metadata().partitions)
+            inc.update(sel.select(ctx, batch))
         ref = WindowedFlowExtractor(origin=0.0, size=3_600.0)
         ref.update(sel.select(ctx, tmp_path / "feed"))
         assert inc.features() == ref.features()
@@ -788,11 +801,9 @@ class TestWindows:
         ds = StDataset(tmp_path / "feed")
         sel = Selector(AREA, Duration(0.0, 4 * DAY))
         win = WindowedFlowExtractor(origin=0.0, size=6 * 3_600.0)
-        position = 0
         for i, batch in enumerate(event_batches(4)):
             ds.ingest(batch, instance_type="event")
-            win.update(sel.select(ctx, tmp_path / "feed", offset=position))
-            position = len(ds.metadata().partitions)
+            win.update(sel.select(ctx, batch))
             win.checkpoint(ckpt)
             if i == 2:  # crash-and-restart between batches
                 win = WindowedFlowExtractor(origin=0.0, size=6 * 3_600.0)

@@ -12,7 +12,10 @@ cuts repeat (empty middle partitions, the ``boundaries`` fallback).
 
 from __future__ import annotations
 
+import hashlib
+import math
 import pickle
+import shutil
 import subprocess
 import sys
 import tempfile
@@ -26,6 +29,7 @@ from hypothesis import strategies as st
 
 import repro.partitioners as partitioners
 from repro import Duration, EngineContext, Envelope, Event, StDataset, Trajectory, save_dataset
+from repro.columnar.boxtable import BoxTable
 from repro.index.boxes import STBox
 from repro.instances.base import Instance
 from repro.partitioners import (
@@ -39,6 +43,7 @@ from repro.partitioners import (
     TSTRPartitioner,
 )
 from repro.stio import DatasetMetadata, blockv2, encode_v2_block, open_v2_block
+from repro.stio.formats import encode_record
 from . import reference
 
 
@@ -159,6 +164,17 @@ class TestByteParity:
         _, records = feed
         assert encode_v2_block(records, codec) == reference.encode_block(records, codec)
 
+    @given(st.lists(st.tuples(*[st.sampled_from([-0.0, 0.0, -1.0, 1.0])] * 3), min_size=1))
+    @settings(max_examples=100, deadline=None)
+    def test_bounds_keep_the_first_of_equal_values(self, points):
+        """``BoxTable.bounds`` is numpy now; ``-0.0 == 0.0``, and the fold it
+        replaces keeps the first of them."""
+        records = [Event.of_point(x, y, t) for x, y, t in points]
+        got = BoxTable.from_instances(records).bounds()
+        want = STBox.merge_all([r.st_box() for r in records])
+        for a, b in ((got.mins, want.mins), (got.maxs, want.maxs)):
+            assert [(v, math.copysign(1.0, v)) for v in a] == [(v, math.copysign(1.0, v)) for v in b]
+
     def test_rows_without_an_extent_zero_the_columns_and_clear_the_flag(self, tmp_path):
         rows = [Event.of_point(1.0, 2.0, 3.0, data="e"), {"partial": [1, 2]}, ("cell", 7)]
         cells = [cube(0.0, 9.0), cube(1.0, 5.0), cube(2.0, 4.0)]
@@ -207,10 +223,15 @@ class TestCountedWork:
         dataset = StDataset(tmp_path / "d")
         dataset.ingest(_feed(50), TSTRPartitioner(1, 2), instance_type="event")
         calls = _Calls(monkeypatch)
+        encoded = []
+        monkeypatch.setattr(
+            blockv2, "encode_record", lambda r: encoded.append(r) or encode_record(r)
+        )
         dataset.ingest(_feed(80, seed=1), TSTRPartitioner(2, 2), rebalance_threshold=2)
         assert calls.count == {
             "st_bounds": 80, "st_box": 0, "spatial_extent": 0, "temporal_extent": 0
         }
+        assert len(encoded) == 80  # and encodes each once
 
     def test_save_dataset_asks_each_record_for_its_extent_once(self, tmp_path, monkeypatch):
         records = _feed(300)
@@ -253,10 +274,12 @@ class TestCountedWork:
             classmethod(lambda cls, directory: loads.append(directory) or load(cls, directory)),
         )
         dataset = StDataset(tmp_path / "d")
+        compacted = []
         for seed in range(1, 7):
             report = dataset.ingest(_feed(30, seed), TSTRPartitioner(1, 2), rebalance_threshold=6)
             assert report.generation == dataset.metadata().generation
-        assert report.compacted
+            compacted.append(report.compacted)
+        assert compacted == [False, False, True, False, False, True]  # tiered, then full
         # one parse when the handle first looks, none for its own commits
         # (``metadata()`` above is the always-re-read call: 6 of the 7)
         assert len(loads) == 1 + 6
@@ -264,9 +287,10 @@ class TestCountedWork:
 
 class TestRewriteUnderReaders:
     def test_a_block_mapped_before_a_compaction_still_reads_its_rows(self, tmp_path):
-        """``StDataset.write`` over a live directory used to truncate
+        """``StDataset.write`` over a live directory once truncated
         ``part-00000.stb`` in place: the next column touch of a reader that
-        had it mapped died with SIGBUS (exit 135)."""
+        had it mapped died with SIGBUS (exit 135).  A rewrite now writes new
+        names and unlinks the old file, whose inode the reader keeps."""
         script = textwrap.dedent(
             """
             import sys
@@ -281,7 +305,9 @@ class TestRewriteUnderReaders:
             assert dataset.compact(TSTRPartitioner(4, 4)) == 1
             assert held.tmax[-1] == 2984.0
             assert held.decode_all("tuple") == events
-            assert open_v2_block(dataset.directory / "part-00000.stb").n < 2985
+            # The compaction wrote new names and unlinked the one it superseded.
+            assert not (dataset.directory / "part-00000.stb").exists()
+            assert dataset.metadata().partitions[0].filename == "part-00001.stb"
             """
         )
         done = subprocess.run(
@@ -298,3 +324,187 @@ class TestRewriteUnderReaders:
         with pytest.raises(ValueError, match=r"part-00001\.stb.*without an ST extent"):
             StDataset(tmp_path / "d").compact()
         assert snapshot(tmp_path / "d") == before
+
+
+def digests(directory) -> dict[str, str]:
+    return {name: hashlib.sha256(data).hexdigest() for name, data in snapshot(directory).items()}
+
+
+class TestTieredCompaction:
+    """The ingest trigger merges only the blocks appended since the last
+    compaction: every compacted block keeps its name and its bytes."""
+
+    @given(
+        sizes=st.lists(st.integers(1, 30), min_size=2, max_size=14),
+        threshold=st.integers(4, 12),
+        grid=st.sampled_from([(1, 1), (1, 2), (2, 2)]),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_every_block_is_the_oracles_and_compacted_blocks_stay_put(
+        self, sizes, threshold, grid
+    ):
+        with tempfile.TemporaryDirectory() as tmp:
+            real, oracle = StDataset(Path(tmp) / "real"), Path(tmp) / "oracle"
+            for seed, n in enumerate(sizes):
+                cold = {}
+                if seed:
+                    meta = real.metadata()
+                    cold = {p.filename: digests(real.directory)[p.filename]
+                            for p in meta.partitions[: meta.compacted]}
+                report = real.ingest(
+                    _feed(n, seed), TSTRPartitioner(*grid), threshold, instance_type="event"
+                )
+                reference.ingest(oracle, _feed(n, seed), TSTRPartitioner(*grid), "event", threshold)
+                now = digests(real.directory)
+                assert now == digests(oracle)
+                kept = {name: now[name] for name in cold if name in now}
+                # tiered: every compacted block as it was; full: none of them
+                assert kept in ({}, cold)
+                assert report.compacted or kept == cold
+
+    def test_a_tiered_compaction_moves_only_the_new_slivers(self, tmp_path):
+        dataset = StDataset(tmp_path / "d")
+
+        def ingest(seed):
+            return dataset.ingest(_feed(30, seed), TSTRPartitioner(1, 2), 8, instance_type="event")
+
+        # The first compaction merges every block: ingests wrote them all.
+        assert [ingest(seed).compacted for seed in range(5)] == [False] * 4 + [True]
+        meta = dataset.metadata()
+        cold = {p.filename: digests(dataset.directory)[p.filename] for p in meta.partitions}
+        assert meta.compacted == 2 and list(cold) == ["part-00010.stb", "part-00011.stb"]
+        reports = [ingest(seed) for seed in range(5, 9)]
+        assert [r.compacted for r in reports] == [False] * 3 + [True]
+        assert reports[-1].blocks_compacted == 8
+        meta = dataset.metadata()
+        assert [p.filename for p in meta.partitions] == [*cold, "part-00020.stb", "part-00021.stb"]
+        assert meta.compacted == 4
+        assert meta.superseded == tuple(f"part-{i:05d}.stb" for i in range(12, 20))
+        assert {name: digests(dataset.directory)[name] for name in cold} == cold
+        assert sorted(p.name for p in dataset.directory.iterdir()) == sorted(
+            [*(p.filename for p in meta.partitions), "metadata.json"]
+        )
+
+
+#: Runs one commit in a fresh copy of a prepared directory per kill point:
+#: the k-th file write, replace or unlink of the commit kills the process
+#: (``os._exit``) — a write half done, a replace or unlink not done.
+_CRASH_SCRIPT = textwrap.dedent(
+    """
+    import os, pickle, shutil, sys
+    from pathlib import Path
+    from repro import StDataset, TSTRPartitioner
+
+    prepared, work, op, batch_file = sys.argv[1:5]
+    batch = pickle.loads(Path(batch_file).read_bytes())
+    count, kill = [0], [0]
+
+    def event():
+        count[0] += 1
+        return count[0] == kill[0]
+
+    def torn(write):
+        def patched(path, data, *args, **kwargs):
+            if event():
+                write(path, data[: len(data) // 2])
+                os._exit(17)
+            return write(path, data, *args, **kwargs)
+        return patched
+
+    def killed(call):
+        def patched(*args, **kwargs):
+            if event():
+                os._exit(17)
+            return call(*args, **kwargs)
+        return patched
+
+    for k in range(1, 200):
+        target = Path(work) / str(k)
+        shutil.copytree(prepared, target)
+        pid = os.fork()
+        if pid == 0:
+            count[0], kill[0] = 0, k
+            Path.write_bytes = torn(Path.write_bytes)
+            Path.write_text = torn(Path.write_text)
+            Path.unlink = killed(Path.unlink)
+            os.replace = killed(os.replace)
+            dataset = StDataset(target)
+            if op == "full":
+                dataset.compact(TSTRPartitioner(1, 3))
+            else:
+                dataset.ingest(batch, TSTRPartitioner(1, 2), 8 if op == "tiered" else None)
+            os._exit(0)
+        status = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
+        if status == 0:
+            print(k)
+            break
+        assert status == 17, status
+    """
+)
+
+
+class TestCrashSafety:
+    """A commit killed at any file write, replace or unlink leaves the old
+    manifest or the new one — never new blocks under old names — and the
+    next commit sweeps what the crash left behind."""
+
+    @staticmethod
+    def states(tmp, op):
+        """``(prepared directory, the batch, the oracle's states the commit may leave)``."""
+        oracle = Path(tmp) / "oracle-0"  # 2 compacted blocks, 6 appended since
+        for seed in range(8):
+            reference.ingest(oracle, _feed(30, seed), TSTRPartitioner(1, 2), "event", 8)
+        batch = _feed(30, 8)
+        if op == "full":  # from a dataset a tiered compaction left
+            reference.ingest(oracle, batch, TSTRPartitioner(1, 2), "event", 8)
+            batch = []
+        states = [oracle]
+        for i, step in enumerate(
+            {
+                "ingest": [lambda d: reference.ingest(d, batch, TSTRPartitioner(1, 2), "event")],
+                "tiered": [
+                    lambda d: reference.ingest(d, batch, TSTRPartitioner(1, 2), "event"),
+                    lambda d: reference.rebalance(d, TSTRPartitioner(1, 2), 8),
+                ],
+                "full": [lambda d: reference.compact(d, TSTRPartitioner(1, 3))],
+            }[op],
+            start=1,
+        ):
+            states.append(Path(tmp) / f"oracle-{i}")
+            shutil.copytree(states[-2], states[-1])
+            step(states[-1])
+        prepared = Path(tmp) / "prepared"
+        shutil.copytree(oracle, prepared)
+        return prepared, batch, states
+
+    @pytest.mark.parametrize("op", ["ingest", "tiered", "full"])
+    def test_every_kill_point_leaves_one_manifest_and_the_next_commit_sweeps(self, tmp_path, op):
+        prepared, batch, states = self.states(tmp_path, op)
+        (tmp_path / "batch.pkl").write_bytes(pickle.dumps(batch))
+        done = subprocess.run(
+            [sys.executable, "-c", _CRASH_SCRIPT, str(prepared), str(tmp_path / "work"), op,
+             str(tmp_path / "batch.pkl")],
+            capture_output=True, text=True, timeout=300,
+        )
+        assert done.returncode == 0, done.stderr
+        kills = int(done.stdout)
+        assert kills > {"ingest": 4, "tiered": 8, "full": 4}[op]
+        oracles = [snapshot(state) for state in states]
+        seen = set()
+        for k in range(1, kills + 1):
+            crashed = tmp_path / "work" / str(k)
+            meta = (crashed / "metadata.json").read_bytes()
+            (i,) = [i for i, state in enumerate(oracles) if state["metadata.json"] == meta]
+            seen.add(i)
+            named = [p.filename for p in DatasetMetadata.load(crashed).partitions]
+            assert {name: (crashed / name).read_bytes() for name in named} == {
+                name: oracles[i][name] for name in named
+            }
+            ctx = EngineContext()
+            assert sorted(map(repr, StDataset(crashed).read(ctx)[0].collect())) == sorted(
+                map(repr, StDataset(states[i]).read(ctx)[0].collect())
+            )
+            StDataset(crashed).ingest(_feed(5, 9))
+            named = [p.filename for p in DatasetMetadata.load(crashed).partitions]
+            assert sorted(p.name for p in crashed.iterdir()) == sorted([*named, "metadata.json"])
+        assert seen == set(range(len(states)))

@@ -124,12 +124,12 @@ def main(argv: list[str] | None = None) -> int:
         # Feed order 0, 2, 1, 3 — batch "1" arrives a day late.
         feed_order = [0, 2, 1, 3]
         state = None
-        position = 0
         marks: list[float] = []
         with installed(tracer):
             for step, day in enumerate(feed_order):
+                batch = day_batch(day)
                 report = ds.ingest(
-                    day_batch(day),
+                    batch,
                     partitioner=TSTRPartitioner(1, 2),
                     instance_type="event" if step == 0 else None,
                 )
@@ -141,8 +141,7 @@ def main(argv: list[str] | None = None) -> int:
                     )
                 run = pipeline.run_incremental(chaos_ctx, feed, state=state)
                 state = run.state
-                win.update(win_selector.select(chaos_ctx, feed, offset=position))
-                position = len(ds.metadata().partitions)
+                win.update(win_selector.select(chaos_ctx, batch))
                 win.checkpoint(ckpt)
                 if step == 1:  # crash-and-restore mid-feed
                     win = WindowedFlowExtractor(origin=0.0, size=6 * 3_600.0)
