@@ -24,8 +24,8 @@ indirection) and what is built over it:
   spec with ``from_cells`` (counts) also builds its table from cell ids
   alone, one with ``from_points`` (trajectory speeds) from a PointsTable and
   the allocated pairs: what ``Pipeline``'s fused scan feeds them straight
-  from a v2 block's extent columns and encoded rows, its ``ScanWork``
-  counters riding along.
+  from a v2 block's extent columns and encoded rows (its counted work goes
+  to the converter's and the load's stats sinks, not into the partial).
 
 No flag selects any of this.  What does *not* run on arrays is decided by
 the input, and is exact by construction:

@@ -22,7 +22,7 @@ associate differently and are avoided).
 from __future__ import annotations
 
 from abc import ABC, abstractmethod
-from typing import NamedTuple, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -39,7 +39,6 @@ __all__ = [
     "CountSpec",
     "FieldMeanSpec",
     "PortionSpeedSpec",
-    "ScanWork",
     "TransitSpec",
     "WholeTrajSpeedSpec",
     "cell_counts",
@@ -73,31 +72,6 @@ def scatter_count(cell_ids, n_cells: int):
 _COMBINE_OPS = ("sum", "min", "max")
 
 
-class ScanWork(NamedTuple):
-    """Counted work behind a fused-scan partial, summed along the reduce.
-
-    A process worker's counters cannot reach the driver's ``LoadStats`` /
-    ``AllocationStats``, so they travel *with* the partial and are noted
-    once, driver-side — exact on every backend.  ``records``: rows the
-    extent mask admitted; ``rows_decoded``: payloads unpickled;
-    ``quarantined``: names of blocks skipped under ``on_corrupt``.
-    """
-
-    blocks: int = 0
-    rows_scanned: int = 0
-    records: int = 0
-    rows_decoded: int = 0
-    nbytes: int = 0
-    instances: int = 0
-    candidate_tests: int = 0
-    exact_tests: int = 0
-    allocations: int = 0
-    quarantined: tuple = ()
-
-    def __add__(self, other: "ScanWork") -> "ScanWork":  # type: ignore[override]
-        return ScanWork(*[a + b for a, b in zip(self, other)])
-
-
 class CellTable:
     """A dense per-partition extraction partial in SoA form.
 
@@ -112,12 +86,10 @@ class CellTable:
     single broadcast structure, so type + cell count is the invariant
     worth checking here).  ``rows`` and ``partials`` feed the obs
     counters: total (cell, value) pairs aggregated, and how many
-    per-instance partials were folded in.  ``work`` is the
-    :class:`ScanWork` of a table a fused block scan produced (``None`` for
-    one built from a converted instance).
+    per-instance partials were folded in.
     """
 
-    __slots__ = ("n_cells", "columns", "ops", "kind", "rows", "partials", "work")
+    __slots__ = ("n_cells", "columns", "ops", "kind", "rows", "partials")
 
     def __init__(
         self,
@@ -127,7 +99,6 @@ class CellTable:
         kind: str,
         rows: int = 0,
         partials: int = 1,
-        work: ScanWork | None = None,
     ):
         for name, op in ops.items():
             if op not in _COMBINE_OPS:
@@ -138,7 +109,6 @@ class CellTable:
         self.kind = kind
         self.rows = rows
         self.partials = partials
-        self.work = work
 
     @property
     def nbytes(self) -> int:
@@ -184,7 +154,6 @@ class CellTable:
             self.kind,
             rows=self.rows + other.rows,
             partials=self.partials + other.partials,
-            work=self.work + other.work if self.work and other.work else None,
         )
 
 
@@ -273,7 +242,7 @@ class CountSpec(AggSpec):
             rows=int(counts.sum()),
         )
 
-    def from_cells(self, cells, n_cells: int, kind: str, work=None) -> CellTable:
+    def from_cells(self, cells, n_cells: int, kind: str) -> CellTable:
         """The partial of one allocation, from its cell id per pair alone.
 
         A spec has this method only if its partial needs no instance payload
@@ -281,7 +250,7 @@ class CountSpec(AggSpec):
         things :class:`~repro.core.pipeline.Pipeline`'s fused scan needs.
         """
         counts = {"count": scatter_count(cells, n_cells)}
-        return CellTable(n_cells, counts, {"count": "sum"}, kind, len(cells), work=work)
+        return CellTable(n_cells, counts, {"count": "sum"}, kind, len(cells))
 
     def finalize(self, table: CellTable) -> list:
         return table.columns["count"].tolist()
@@ -315,7 +284,7 @@ class _TrajSpeedSpec(AggSpec):
         table = PointsTable.from_instances(values)
         return self.from_points(table, rows, cells, spans, type(instance).__name__)
 
-    def from_points(self, table: PointsTable, rows, cells, spans, kind: str, work=None):
+    def from_points(self, table: PointsTable, rows, cells, spans, kind: str):
         """The partial of allocated pairs ``(rows[k], cells[k])`` over the
         trajectories of ``table``; ``spans`` holds every cell's ``(start,
         end)`` time columns."""
@@ -330,7 +299,7 @@ class _TrajSpeedSpec(AggSpec):
         if self.count_vehicles:
             columns["vehicles"] = scatter_count(cells, n)
         ops = dict.fromkeys(columns, "sum")
-        return CellTable(n, columns, ops, kind, rows=len(cells), work=work)
+        return CellTable(n, columns, ops, kind, rows=len(cells))
 
     def finalize(self, table: CellTable) -> list:
         totals = table.columns["total"].tolist()

@@ -2,12 +2,12 @@
 
 from __future__ import annotations
 
-from threading import Lock
 from typing import Any, Callable, Sequence
 
 import numpy as np
 
 from repro.columnar.pointstable import PointsTable
+from repro.engine.accumulators import Sink, reported
 from repro.engine.rdd import RDD
 from repro.geometry.base import Geometry
 from repro.obs.tracer import phase as _phase_span
@@ -24,23 +24,25 @@ from repro.core.structures import (
 from repro.temporal.duration import Duration
 
 
-class AllocationStats:
+class AllocationStats(Sink):
     """Counts the work a conversion performed.
 
     ``candidate_tests`` is the number of instance↔cell pairings examined
     (for the naive strategy this is m*n; the Section 4.2 optimizations
     shrink it), ``exact_tests`` the number that needed a full geometric
     intersection.  These counters are what the Figure 6 benchmark reports
-    next to wall-clock.
+    next to wall-clock; tasks add to them through the sink channel, so
+    they are exact on every backend.
     """
 
     def __init__(self) -> None:
-        self._lock = Lock()
+        super().__init__()
         self.instances = 0
         self.candidate_tests = 0
         self.exact_tests = 0
         self.allocations = 0
 
+    @reported
     def add(self, instances: int, candidates: int, exact: int, allocations: int) -> None:
         """Accumulate one allocation batch's counters (thread-safe)."""
         with self._lock:
@@ -65,19 +67,6 @@ class AllocationStats:
             "exact_tests": self.exact_tests,
             "allocations": self.allocations,
         }
-
-    # Converter closures capture the stats object, so the process backend
-    # pickles it into every task; the lock must not travel (and a worker's
-    # copy starts its own).  Flagged by ``repro lint`` / strict mode as a
-    # REPRO105 hazard before this existed.
-    def __getstate__(self) -> dict:
-        state = self.__dict__.copy()
-        del state["_lock"]
-        return state
-
-    def __setstate__(self, state: dict) -> None:
-        self.__dict__.update(state)
-        self._lock = Lock()
 
 
 def _is_primary(instance: Instance) -> bool:

@@ -28,7 +28,7 @@ from typing import Any, NamedTuple
 
 import numpy as np
 
-from repro.columnar.aggregate import CellTable, PortionSpeedSpec, ScanWork
+from repro.columnar.aggregate import CellTable, PortionSpeedSpec
 from repro.core.selector import select_candidates
 from repro.core.structures import SpatialMapStructure, TimeSeriesStructure
 from repro.engine.context import EngineContext
@@ -98,22 +98,25 @@ class _BlockScan:
     (the selection every path shares) and ``allocate_pairs`` instead.
     """
 
-    def __init__(self, selector, converter, spec, structure):
+    def __init__(self, selector, converter, spec, structure, stats: LoadStats):
         self.spatial = selector.spatial
         self.temporal = selector.temporal
         self.box = selector._query_box()
         self.method = converter.method
+        self.allocation = converter.stats
+        self.load = stats
         self.spec = spec
         self.structure = structure  # the broadcast handle
         self.speed = hasattr(spec, "from_points")
 
     def __call__(self, block, codec: str, pushdown: bool = True) -> tuple:
-        """The block's allocation: ``(points table, rows, cells, work)`` for
-        :meth:`partial` (the table and rows ``None`` where a count needs none)."""
+        """The block's allocation: ``(points table, rows, cells)`` for
+        :meth:`partial` (the table and rows ``None`` where a count needs
+        none), its work added to the converter's and the load's stats."""
         # (imported here: ``repro.cli`` loads this module but never the
         # converter and extractor packages)
         from repro.columnar.pointstable import PointsTable
-        from repro.core.converters.base import AllocationStats, _candidate_pairs, allocate_pairs
+        from repro.core.converters.base import _candidate_pairs, allocate_pairs
         from repro.stio.formats import decode_record, instant_trajectory_points
 
         structure = self.structure.value
@@ -125,14 +128,13 @@ class _BlockScan:
         if not isinstance(structure, TimeSeriesStructure):
             points = (extents[0] == extents[3]) & (extents[1] == extents[4])
             decided = exact & points & structure.is_regular
-        stats = AllocationStats()
         decoded = nbytes = 0
         table = pairs = None
         if not len(rows):
             cells = rows
         elif decided.all() and not self.speed:
             _, cells, tests = _candidate_pairs(structure, self.method, extents)
-            stats.add(len(rows), tests, 0, len(cells))
+            self.allocation.add(len(rows), tests, 0, len(cells))
         else:
             records = block.load_rows(rows)
             decoded, nbytes = len(rows), block.payload_nbytes(rows)
@@ -149,15 +151,14 @@ class _BlockScan:
                 table = PointsTable(x, y, t, t, offsets, extents)
                 kept = table.rows_with_point_in(*self.box.mins, *self.box.maxs)
                 table = table.take(np.flatnonzero(kept))
-            pairs, cells = allocate_pairs(table, structure, self.method, stats, instances)
-        work = ScanWork(
-            1, block.n, len(rows) if pushdown else block.n, decoded,
-            block.index_nbytes + nbytes, stats.instances, stats.candidate_tests,
-            stats.exact_tests, stats.allocations,
+            pairs, cells = allocate_pairs(table, structure, self.method, self.allocation, instances)
+        self.load.note_block(
+            block.path.name, len(rows) if pushdown else block.n,
+            block.index_nbytes + nbytes, decoded, block.n,
         )
-        return table, pairs, cells, work
+        return table, pairs, cells
 
-    def partial(self, table, pairs, cells, work) -> CellTable:
+    def partial(self, table, pairs, cells) -> CellTable:
         """The spec's partial of an allocation (a speed spec's over no
         trajectory where ``table`` is ``None``)."""
         from repro.columnar.pointstable import PointsTable
@@ -165,16 +166,15 @@ class _BlockScan:
         structure = self.structure.value
         kind = type(structure).__name__
         if not self.speed:
-            return self.spec.from_cells(cells, structure.n_cells, kind, work)
+            return self.spec.from_cells(cells, structure.n_cells, kind)
         if table is None:
             table, pairs = PointsTable.from_instances([]), cells
         spans = structure._cell_st_boxes()[0][[2, 5]]
-        return self.spec.from_points(table, pairs, cells, spans, kind, work)
+        return self.spec.from_points(table, pairs, cells, spans, kind)
 
-    def skipped(self, filename: str | None = None) -> CellTable:
+    def zero(self) -> CellTable:
         """The zero partial: of a quarantined block, or of no block at all."""
-        work = ScanWork(quarantined=(filename,) if filename else ())
-        return self.partial(None, None, np.empty(0, dtype=np.int64), work)
+        return self.partial(None, None, np.empty(0, dtype=np.int64))
 
 
 class Pipeline:
@@ -299,10 +299,11 @@ class Pipeline:
         its one zero table; a staged one: ``None`` for a block with no row
         selected).
 
-        A fused plan scans them off the block columns, noting the work they
-        carry back on the selector's ``LoadStats``, ``converter.stats`` and
-        the spans; a staged one — which must keep the one-partition-per-block
-        layout, so its selector has no shuffle knob — runs the operators up
+        A fused plan scans them off the block columns, its tasks adding their
+        work to the selector's ``LoadStats`` and ``converter.stats``, which
+        the spans read after the stage; a staged one — which must keep the
+        one-partition-per-block layout, so its selector has no shuffle
+        knob — runs the operators up
         to :meth:`CellAggExtractor.premerged
         <repro.core.extractors.base.CellAggExtractor.premerged>`.
         """
@@ -317,22 +318,26 @@ class Pipeline:
                 partials = self.extractor.premerged(data)._collect_partitions()
                 return [p[0] if p else None for p in partials]
         sel.rtree_probes.reset()  # a column scan builds and probes no R-tree
+        stats, allocation = plan.stats, converter.stats
         with _phase_span("FusedScan", tracer) as span:
             structure = converter.broadcast_structure(ctx)
-            scan = _BlockScan(sel, converter, self.extractor.agg_spec(), structure)
-            tables = [scan.skipped()]
-            if plan.stats.partitions_selected:
+            before = allocation.snapshot()
+            scan = _BlockScan(sel, converter, self.extractor.agg_spec(), structure, stats)
+            tables = [scan.zero()]
+            if stats.partitions_selected:
                 with ctx.using_backend(sel.backend) if sel.backend else nullcontext():
                     tables = [p[0] for p in plan.data.scanned(scan)._collect_partitions()]
-            work = sum((t.work for t in tables), ScanWork())
-            plan.stats.note_scan(work)
-            converter.stats.add(
-                work.instances, work.candidate_tests, work.exact_tests, work.allocations
-            )
             if span is not None:
+                work = dict(
+                    blocks=stats.partitions_read, rows_scanned=stats.rows_scanned,
+                    records=stats.records_loaded, rows_decoded=stats.rows_decoded,
+                    nbytes=stats.bytes_read,
+                    **{k: v - before[k] for k, v in allocation.snapshot().items()},
+                    quarantined=tuple(stats.quarantined_files),
+                )
                 sel._record_phase_counters(ctx, span, from_disk=True)
-                span.args.update(work._asdict())
-                root.args.update(work._asdict())
+                span.args.update(work)
+                root.args.update(work)
         return tables
 
     def _reduced(self, ctx: EngineContext, partials: list, depth: int):

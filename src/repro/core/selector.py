@@ -141,9 +141,8 @@ class Selector:
         self.last_load_stats: LoadStats | None = None
         #: R-tree probe work of the last ``select``: node + entry tests
         #: across every per-partition index query.  An accumulator because
-        #: the trees are task-local; on the process backend worker-side
-        #: additions cannot reach this driver-side cell, so the total is a
-        #: lower bound there (exact on sequential/thread backends).
+        #: the trees are task-local; the winning attempts' adds reach it
+        #: once, on every backend.
         self.rtree_probes: Accumulator[int] = counter("rtree_probes")
 
     # -- filtering ------------------------------------------------------------------

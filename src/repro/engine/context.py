@@ -11,6 +11,7 @@ from typing import TYPE_CHECKING, Any, Callable, Iterable, Iterator, Sequence, T
 
 from dataclasses import replace as _spec_replace
 
+from repro.engine.accumulators import deliver
 from repro.engine.broadcast import Broadcast
 from repro.engine.errors import EngineError, TaskFailure, WorkerLostError
 from repro.engine.exec import Backend, SequentialBackend, StageSpec, resolve_backend
@@ -306,7 +307,8 @@ class EngineContext:
         Execution is delegated to the configured backend; each task is
         retried on failure up to ``max_task_retries`` times, and per-task
         metrics — records out, elapsed, attempts, retry overhead, worker,
-        speculative wins — are merged into :attr:`metrics`.
+        speculative wins — are merged into :attr:`metrics`, and each winning
+        attempt's sink calls are applied once, in partition order.
         """
         with self._metrics_lock:
             self.metrics.stages += 1
@@ -397,6 +399,8 @@ class EngineContext:
                         injected_delay_seconds=outcome.injected_delay_seconds,
                     )
                 )
+        for outcome in outcomes:
+            deliver(outcome.outbox)
         if stage_span is not None:
             self._trace_stage(tracer, stage_span, stage, outcomes)
         if snapshot is not None:

@@ -20,6 +20,7 @@ from abc import ABC, abstractmethod
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Callable
 
+from repro.engine.accumulators import attempt_outbox
 from repro.engine.errors import InjectedFault, TaskFailure
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -82,6 +83,8 @@ class TaskOutcome:
     which the winning attempt began — epoch rather than monotonic because
     process-backend outcomes are stamped in another process, and wall
     clock is the only timebase the driver's tracer shares with workers.
+    ``outbox`` holds the sink calls the winning attempt posted
+    (:mod:`repro.engine.accumulators`), for the driver to apply once.
     """
 
     partition: int
@@ -95,6 +98,7 @@ class TaskOutcome:
     started_wall: float = 0.0
     injected_faults: int = 0
     injected_delay_seconds: float = 0.0
+    outbox: list = field(default_factory=list)
 
 
 @dataclass
@@ -133,9 +137,10 @@ def run_task_attempts(
     Failed attempts are timed, counted, and logged (the attempt history
     rides on the eventual :class:`TaskFailure`), backoff between retries
     follows ``policy``, and injected faults from ``fault_plan`` are
-    metered separately.  ``attempt_offset`` pre-charges attempts consumed
-    before this call (a lost worker took them), so caps and budgets keep
-    counting across a recovery re-dispatch.
+    metered separately.  Each attempt posts its sink calls to an outbox of
+    its own; only the winner's rides the outcome.  ``attempt_offset``
+    pre-charges attempts consumed before this call (a lost worker took
+    them), so caps and budgets keep counting across a recovery re-dispatch.
     """
     limit = policy.max_attempts if policy is not None else max_task_retries
     last_error: BaseException | None = None
@@ -165,7 +170,8 @@ def run_task_attempts(
                 )
                 injected_faults += count
                 injected_delay += delayed
-            result = task(partition)
+            with attempt_outbox() as outbox:
+                result = task(partition)
         except Exception as exc:  # noqa: BLE001 - retry any task error
             failed_attempts += 1
             failed_seconds += time.perf_counter() - start
@@ -197,6 +203,7 @@ def run_task_attempts(
             started_wall=start_wall,
             injected_faults=injected_faults,
             injected_delay_seconds=injected_delay,
+            outbox=outbox,
         )
     raise TaskFailure(
         partition,

@@ -81,7 +81,6 @@ class Tracer:
         self._local = threading.local()
         self._default_parents: list[int] = []
         self._counters: dict[str, float] = {}
-        self._counter_sources: list[tuple[str, Callable[[], float]]] = []
         #: Trace epoch: exporters emit timestamps relative to this.
         self.t0 = clock()
 
@@ -213,28 +212,11 @@ class Tracer:
         with self._lock:
             self._counters[name] = self._counters.get(name, 0) + value
 
-    def register_counter_source(
-        self, name: str, source: Callable[[], float]
-    ) -> None:
-        """Register a lazily-read counter (e.g. an accumulator's value).
-
-        Sources are sampled at :attr:`counters` read time; several sources
-        with the same name sum.  The indirection matters for counters fed
-        by task-side accumulators, whose totals settle only after actions
-        run.
-        """
-        with self._lock:
-            self._counter_sources.append((name, source))
-
     @property
     def counters(self) -> dict[str, float]:
-        """Merged view of direct counters and registered sources."""
+        """A copy of the counters."""
         with self._lock:
-            merged = dict(self._counters)
-            sources = list(self._counter_sources)
-        for name, source in sources:
-            merged[name] = merged.get(name, 0) + source()
-        return merged
+            return dict(self._counters)
 
     # -- reading ------------------------------------------------------------------
 

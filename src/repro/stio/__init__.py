@@ -17,7 +17,7 @@ filesystem:
   CSV helpers including the ``ReadRaster`` structure reader of Section 3.4.
 """
 
-from repro.stio.blockv2 import V2Block, encode_v2_block, open_v2_block, scan_v2_block
+from repro.stio.blockv2 import V2Block, encode_v2_block, open_v2_block
 from repro.stio.metadata import BLOCK_FORMATS, DatasetMetadata, PartitionMeta
 from repro.stio.dataset import StDataset, load_dataset, save_dataset
 from repro.stio.formats import (
@@ -41,5 +41,4 @@ __all__ = [
     "V2Block",
     "encode_v2_block",
     "open_v2_block",
-    "scan_v2_block",
 ]

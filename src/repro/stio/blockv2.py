@@ -305,16 +305,3 @@ class V2Block:
 def open_v2_block(path: str | Path) -> V2Block:
     """Open one v2 block file for zero-copy reading."""
     return V2Block(path)
-
-
-def scan_v2_block(path: str | Path, query_box: STBox | None) -> tuple[int, int]:
-    """``(records, bytes)`` a pushdown read of ``path`` would load.
-
-    Runs the extent mask off the mmap without decoding any payload — this
-    is how the disk RDD accounts a read *before* shipping itself to
-    process workers, where driver-side stats are unreachable; the numbers
-    match what the worker-side compute observes, on every backend.
-    """
-    block = open_v2_block(path)
-    rows, nbytes = block.pushdown(query_box)
-    return (block.n if rows is None else len(rows)), nbytes

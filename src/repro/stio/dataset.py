@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import pickle
-import threading
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import TYPE_CHECKING, Sequence
@@ -11,6 +10,7 @@ from typing import TYPE_CHECKING, Sequence
 import numpy as np
 
 from repro.columnar.boxtable import BoxTable
+from repro.engine.accumulators import Sink, reported
 from repro.engine.context import EngineContext
 from repro.engine.rdd import RDD, sampled_positions
 from repro.geometry.envelope import Envelope
@@ -25,7 +25,6 @@ from repro.stio.blockv2 import (
     encode_rows,
     layout_v2_block,
     open_v2_block,
-    scan_v2_block,
 )
 from repro.stio.formats import decode_record
 from repro.stio.metadata import METADATA_FILENAME, DatasetMetadata, PartitionMeta
@@ -37,26 +36,29 @@ if TYPE_CHECKING:  # pragma: no cover
 
 
 @dataclass
-class LoadStats:
+class LoadStats(Sink):
     """I/O accounting for one load — the currency of Figure 5.
 
     ``partitions_total`` vs ``partitions_read`` is the pruning ratio;
     ``records_loaded`` is what Figure 5c/d plot as "memory loaded" — under
     query pushdown that is the rows the extent mask admitted, which is the
-    whole point of the block format.  ``rows_decoded``
-    counts the payloads actually unpickled: the same for a staged read, 0
-    for a block a column scan (``rdd.scanned(...)``) decided from its extents.
+    whole point of the block format.  ``rows_scanned`` counts the rows of
+    the blocks read, ``rows_decoded`` the payloads actually unpickled: all
+    admitted rows for a staged read, 0 for a block a column scan
+    (``rdd.scanned(...)``) decided from its extents.
     ``partitions_selected`` is known at :meth:`StDataset.read` time (how
     many partitions survived metadata pruning), while ``partitions_read``
-    counts the *distinct* block files deserialized so far — they converge
+    counts the *distinct* block files read so far — they converge
     once every partition has been computed, and lineage recomputation
     (retries, a second shuffle pass, post-demotion re-evaluation) never
     double-counts a block.  ``partitions_quarantined``
     counts corrupt block files skipped under ``on_corrupt="quarantine"``
     (the graceful-degradation alternative to aborting the load).
 
-    All mutation goes through the ``note_*`` methods, which serialize on
-    an internal lock: the thread backend evaluates partitions of one load
+    A :class:`~repro.engine.accumulators.Sink`: the block reads report
+    through the ``note_*`` methods, which a task posts to its attempt's
+    outbox and the driver applies once — exact on every backend.  They
+    serialize on the sink's lock: the thread backend's stages deliver
     concurrently, and unlocked ``+=`` on shared counters drops updates.
     """
 
@@ -65,23 +67,24 @@ class LoadStats:
     partitions_read: int = 0
     records_loaded: int = 0
     rows_decoded: int = 0
+    rows_scanned: int = 0
     bytes_read: int = 0
     files: set[str] = field(default_factory=set)
     partitions_quarantined: int = 0
     quarantined_files: list[str] = field(default_factory=list)
-    _lock: threading.Lock = field(
-        default_factory=threading.Lock, repr=False, compare=False
-    )
 
-    def seen(self, filename: str) -> bool:
-        """Has this block already been accounted?"""
-        with self._lock:
-            return filename in self.files
+    def __post_init__(self) -> None:
+        Sink.__init__(self)
 
-    def note_block(self, filename: str, records: int, nbytes: int) -> bool:
-        """Account one decoded block exactly once; True when newly counted.
+    @reported
+    def note_block(
+        self, filename: str, records: int, nbytes: int, decoded=None, scanned=None
+    ) -> bool:
+        """Account one read block exactly once; True when newly counted.
 
-        Dedupe on filename (an O(1) set probe, not a list scan): lineage
+        ``records`` were loaded, ``decoded`` of them unpickled (default:
+        all) out of ``scanned`` rows (default: ``records``).  Dedupe on
+        filename (an O(1) set probe, not a list scan): lineage
         recomputation — a second shuffle pass, a retry, a post-demotion
         re-evaluation — re-reads the same block, but "memory loaded"
         counts each block once, identically on every backend.
@@ -92,39 +95,18 @@ class LoadStats:
             self.files.add(filename)
             self.partitions_read += 1
             self.records_loaded += records
-            self.rows_decoded += records
+            self.rows_decoded += records if decoded is None else decoded
+            self.rows_scanned += records if scanned is None else scanned
             self.bytes_read += nbytes
             return True
 
-    def note_scan(self, work) -> None:
-        """Account a column scan from the ``ScanWork`` its partials carried back."""
-        with self._lock:
-            self.partitions_read += work.blocks
-            self.records_loaded += work.records
-            self.rows_decoded += work.rows_decoded
-            self.bytes_read += work.nbytes
-        for filename in work.quarantined:
-            self.note_quarantined(filename)
-
+    @reported
     def note_quarantined(self, filename: str) -> None:
         """Count one undecodable block skipped under ``on_corrupt="quarantine"``."""
         with self._lock:
             if filename not in self.quarantined_files:
                 self.partitions_quarantined += 1
                 self.quarantined_files.append(filename)
-
-    def __getstate__(self) -> dict:
-        # Ships inside stage closures to process workers; the lock stays
-        # behind (worker-side stats are a throwaway copy anyway — see
-        # _DiskPartitionRDD.__getstate__).
-        state = {k: getattr(self, k) for k in self.__dataclass_fields__}
-        state["_lock"] = None
-        return state
-
-    def __setstate__(self, state: dict) -> None:
-        for key, value in state.items():
-            setattr(self, key, value)
-        self._lock = threading.Lock()
 
 
 class LegacyBlockFormatError(ValueError):
@@ -241,8 +223,8 @@ class _DiskPartitionRDD(RDD):
     the callable reads off the opened block under the same corruption
     handling (told whether the read pushes the query box down; else every
     row counts as loaded), then the partial it aggregates from that — not
-    decoded records (a quarantined block: ``[scan.skipped(filename)]``);
-    the accounting rides back inside the partials.
+    decoded records (a quarantined block: ``[scan.zero()]``).  Either way
+    the read is accounted on the ``LoadStats`` sink, from the task.
     """
 
     def __init__(
@@ -308,12 +290,12 @@ class _DiskPartitionRDD(RDD):
                 pushdown = self._query_box is not None
                 scanned = self._scan(open_v2_block(path), self._codec, pushdown)
             else:
-                _, records, nbytes = _load_block(path, self._codec, self._query_box)
+                block, records, nbytes = _load_block(path, self._codec, self._query_box)
         except Exception as exc:
             return self._undecodable(meta, exc)
         if self._scan is not None:
             return [self._scan.partial(*scanned)]  # an aggregate's error is not the block's
-        self._stats.note_block(meta.filename, len(records), nbytes)
+        self._stats.note_block(meta.filename, len(records), nbytes, len(records), block.n)
         return records
 
     def _undecodable(self, meta: PartitionMeta, exc: Exception) -> list:
@@ -322,35 +304,8 @@ class _DiskPartitionRDD(RDD):
             from repro.engine.errors import CorruptPartitionError
 
             raise CorruptPartitionError(meta.filename, repr(exc)) from exc
-        if self._scan is not None:
-            return [self._scan.skipped(meta.filename)]
         self._stats.note_quarantined(meta.filename)
-        return []
-
-    def __getstate__(self):
-        if self._scan is not None:
-            return dict(self.__dict__)  # a scan's accounting rides its partials
-        # Shipping this source to process workers means the blocks are read
-        # worker-side, where mutations of the driver's LoadStats are
-        # invisible.  Account for the whole read now — exact: the extent
-        # mask runs off the mmap without decoding any payload (scan_v2_block
-        # is the worker's pushdown arithmetic).  Per-file dedupe (not an
-        # all-or-nothing guard): after a backend demotion mid-job, some
-        # blocks may already have been read — and accounted — driver-side.
-        for meta in self._metas:
-            if self._stats.seen(meta.filename):
-                continue
-            try:
-                records, nbytes = scan_v2_block(
-                    self._directory / meta.filename, self._query_box
-                )
-            except Exception:
-                # An unreadable block is the worker's problem to surface
-                # (CorruptPartitionError / quarantine); don't let stats
-                # accounting break stage serialization.
-                continue
-            self._stats.note_block(meta.filename, records, nbytes)
-        return dict(self.__dict__)
+        return [] if self._scan is None else [self._scan.zero()]
 
 
 class StDataset:

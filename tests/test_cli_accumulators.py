@@ -1,9 +1,19 @@
 """CLI and accumulator tests."""
 
 
+import pytest
+
 from repro.cli import main
+from repro.core.converters.base import AllocationStats
 from repro.engine import Accumulator, EngineContext, counter
 from repro.stio import StDataset
+
+BACKENDS = ["sequential", "thread", "process"]
+
+
+def _ctx(backend: str) -> EngineContext:
+    options = {"warmup": False, "max_workers": 2} if backend == "process" else None
+    return EngineContext(default_parallelism=4, backend=backend, backend_options=options)
 
 
 class TestAccumulators:
@@ -21,16 +31,75 @@ class TestAccumulators:
         acc.add({2, 3})
         assert acc.value == {1, 2, 3}
 
-    def test_used_inside_tasks(self):
-        ctx = EngineContext(default_parallelism=4)
+    @pytest.mark.parametrize("backend", BACKENDS)
+    def test_used_inside_tasks(self, backend):
+        ctx = _ctx(backend)
         seen = counter()
 
         def track(x):
             seen.add(1)
             return x
 
-        ctx.parallelize(range(100), 8).map(track).count()
+        try:
+            ctx.parallelize(range(100), 8).map(track).count()
+        finally:
+            ctx.stop()
         assert seen.value == 100
+
+    @pytest.mark.parametrize("backend", BACKENDS)
+    def test_only_the_winning_attempt_counts(self, backend, tmp_path):
+        # Every task adds, then raises on its first attempt: the failed
+        # attempt's adds are dropped, the retry's count once.
+        ctx = _ctx(backend)
+        seen, stats = counter(), AllocationStats()
+
+        def flaky(x):
+            seen.add(1)
+            stats.add(1, 2, 3, 4)
+            marker = tmp_path / f"attempted-{x}"
+            if not marker.exists():
+                marker.touch()
+                raise RuntimeError("first attempt")
+            return x
+
+        try:
+            assert ctx.parallelize(range(8), 8).map(flaky).count() == 8
+        finally:
+            ctx.stop()
+        assert seen.value == 8
+        assert stats.snapshot() == {
+            "instances": 8, "candidate_tests": 16, "exact_tests": 24, "allocations": 32,
+        }
+
+    @pytest.mark.parametrize("backend", BACKENDS)
+    def test_nested_stage_adds_count_once(self, backend):
+        # The shuffle's map side runs as a nested inline stage inside the
+        # reduce side's first task on sequential/thread (driver-side before
+        # dispatch on process); its adds ride the enclosing attempt.
+        ctx = _ctx(backend)
+        seen = counter()
+
+        def track(x):
+            seen.add(1)
+            return (x % 3, 1)
+
+        try:
+            pairs = ctx.parallelize(range(60), 6).map(track).reduce_by_key(lambda a, b: a + b)
+            assert sorted(pairs.collect()) == [(0, 20), (1, 20), (2, 20)]
+        finally:
+            ctx.stop()
+        assert seen.value == 60
+
+    def test_sink_made_inside_a_task_adds_in_place(self):
+        ctx = EngineContext(default_parallelism=2)
+
+        def local_total(items):
+            acc = counter()
+            for x in items:
+                acc.add(x)
+            return [acc.value]
+
+        assert sum(ctx.parallelize(range(10), 2).map_partitions(local_total).collect()) == 45
 
     def test_repr(self):
         acc = counter("hits")

@@ -69,8 +69,7 @@ class TestTracerCore:
         tracer = Tracer()
         tracer.counter("x", 2)
         tracer.counter("x", 3)
-        tracer.register_counter_source("y", lambda: 7)
-        assert tracer.counters == {"x": 5, "y": 7}
+        assert tracer.counters == {"x": 5}
 
     def test_phase_idempotent_reuse(self):
         tracer = Tracer()

@@ -14,6 +14,7 @@ from __future__ import annotations
 import pickle
 import tempfile
 import types
+from dataclasses import fields
 from pathlib import Path
 
 import pytest
@@ -137,6 +138,35 @@ def oracle(pipe: Pipeline, instances) -> list:
     selected = reference.select(instances, QUERY_S, QUERY_T)
     cells = reference.allocate(selected, pipe.converter.structure, pipe.converter.method)
     return [len(members) for members in cells]
+
+
+def counters(stats) -> dict:
+    """Every public field of a ``LoadStats``."""
+    return {f.name: getattr(stats, f.name) for f in fields(stats) if not f.name.startswith("_")}
+
+
+def counted(ctx, path: str, fused: bool) -> tuple:
+    """(allocation counters, R-tree probes, every LoadStats field) of one
+    raster run: ``Pipeline.run``, or the staged operators one public call
+    per layer, each boundary forced with ``persist().count()`` and each
+    layer's counters read right after it (how the benchmark's per-layer
+    pass runs them: a process worker's persist cache stays in the worker,
+    so a later layer may recompute an earlier one, and really probe again)."""
+    pipe = pipeline("raster")
+    if fused:
+        pipe.run(ctx, path)
+        load, probes = counters(pipe.selector.last_load_stats), pipe.selector.rtree_probes.value
+    else:
+        rdd, stats = StDataset(path).read(ctx, QUERY_S, QUERY_T)
+        rdd.persist().count()
+        load = counters(stats)
+        selected = pipe.selector.select(ctx, rdd).persist()
+        selected.count()
+        probes = pipe.selector.rtree_probes.value
+        parted = TSTRPartitioner(2, 2).partition(selected).persist()
+        parted.count()
+        pipe.converter.convert(parted).persist().count()
+    return pipe.converter.stats.snapshot(), probes, load
 
 
 lattice_points = st.tuples(
@@ -499,16 +529,20 @@ class TestTracedFusedRun:
         assert tracer.counters["partitions_scanned"] == 2
 
     def test_stats_are_exact_on_the_process_backend(self, tmp_path):
+        # ... and on the thread backend, fused or staged: every counter a
+        # task reports reaches the driver once, whichever backend ran it.
         events = [lattice_event(x, y, 8) for x in range(17) for y in range(17)]
         path = write_blocks(tmp_path / "ds", [events[0::2], events[1::2]])
-        seq, proc = pipeline("raster"), pipeline("raster")
-        seq.run(shared_ctx("sequential"), path)
-        proc.run(shared_ctx("process"), path)
-        assert proc.converter.stats.snapshot() == seq.converter.stats.snapshot()
-        a, b = proc.selector.last_load_stats, seq.selector.last_load_stats
-        assert (a.partitions_read, a.records_loaded, a.bytes_read) == (
-            b.partitions_read, b.records_loaded, b.bytes_read,
-        )
+        for fused in (False, True):
+            expected = counted(shared_ctx("sequential"), path, fused)
+            for backend in ("thread", "process"):
+                assert counted(shared_ctx(backend), path, fused) == expected, (backend, fused)
+            allocation, probes, load = expected
+            assert allocation["allocations"] == sum(oracle(pipeline("raster"), events))
+            assert allocation["candidate_tests"] > 0
+            assert (probes > 0) != fused  # a column scan probes no R-tree
+            assert load["partitions_read"] == 2 and load["records_loaded"] > 0
+            assert load["rows_scanned"] == len(events)
 
 
 # ---------------------------------------------------------------------------
@@ -545,6 +579,26 @@ class TestFusedUnderFaults:
         stats = pipe.selector.last_load_stats
         assert (stats.partitions_read, stats.partitions_quarantined) == (4, 0)
         assert stats.rows_decoded == 0
+
+    @pytest.mark.parametrize(
+        "backend, rule",
+        [
+            ("sequential", FaultRule("task_error", probability=0.5)),
+            ("thread", FaultRule("task_error", probability=0.5)),
+            ("process", FaultRule("task_error", probability=0.5)),
+            ("process", FaultRule("worker_kill", probability=0.4)),
+        ],
+    )
+    def test_a_chaos_run_counts_like_a_fault_free_run(self, dataset, backend, rule):
+        path, _ = dataset
+        for fused in (True, False):
+            ctx = make_ctx(backend, fault_plan=FaultPlan([rule], seed=5))
+            try:
+                chaos = counted(ctx, path, fused)
+                assert ctx.metrics.failed_attempts > 0 or ctx.metrics.worker_losses > 0
+            finally:
+                ctx.stop()
+            assert chaos == counted(shared_ctx(backend), path, fused), fused
 
     @pytest.mark.parametrize("backend", ALL_BACKENDS)
     def test_quarantine_skips_a_bad_block_and_counts_it(self, dataset, backend):

@@ -30,7 +30,6 @@ from repro.stio import (
     encode_v2_block,
     open_v2_block,
     save_dataset,
-    scan_v2_block,
 )
 from repro.stio.dataset import LegacyBlockFormatError
 from repro.temporal import Duration
@@ -141,22 +140,6 @@ class TestV2BlockRoundTrip:
         path.write_bytes(good[: len(good) // 2])
         with pytest.raises(ValueError, match="block.stb"):
             open_v2_block(path)
-
-    def test_scan_matches_compute_accounting(self, tmp_path):
-        from repro.index.boxes import st_query_box
-
-        events = make_events(100)
-        path = tmp_path / "block.stb"
-        path.write_bytes(encode_v2_block(events, "tuple"))
-        box = st_query_box(QUERY_SPATIAL, QUERY_TEMPORAL)
-        block = open_v2_block(path)
-        rows = block.candidate_rows(box)
-        records, nbytes = scan_v2_block(path, box)
-        assert records == len(rows)
-        assert nbytes == block.index_nbytes + block.payload_nbytes(rows)
-        full_records, full_nbytes = scan_v2_block(path, None)
-        assert full_records == 100
-        assert full_nbytes == block.index_nbytes + block.payload_nbytes()
 
 
 # -- dataset-level format behaviour ------------------------------------------------
@@ -551,14 +534,27 @@ class TestLoadStats:
         assert stats.bytes_read == 5_000
 
     def test_stats_survive_pickling(self):
+        from repro.core.converters.base import AllocationStats
+        from repro.engine.accumulators import Accumulator, Sink, attempt_outbox, deliver
         from repro.stio.dataset import LoadStats
 
+        # One pickling serves every sink: the lock stays behind, the id travels.
+        for sink_type in (Accumulator, AllocationStats, LoadStats):
+            assert sink_type.__getstate__ is Sink.__getstate__
         stats = LoadStats()
         stats.note_block("part-00000.stb", 5, 50)
         clone = pickle.loads(pickle.dumps(stats))
         assert clone.partitions_read == 1
         assert clone.files == {"part-00000.stb"}
-        # The recreated lock still guards further mutation.
+        assert clone._sink_id == stats._sink_id
+        # Inside a task attempt the copy posts to its original, deduped there.
+        with attempt_outbox() as outbox:
+            clone.note_block("part-00000.stb", 5, 50)
+            clone.note_block("part-00001.stb", 1, 10)
+        assert clone.partitions_read == 1
+        deliver(outbox)
+        assert (stats.partitions_read, stats.records_loaded, stats.bytes_read) == (2, 6, 60)
+        # Outside one, the recreated lock still guards in-place mutation.
         assert clone.note_block("part-00001.stb", 1, 10)
 
     def test_thread_backend_load_counts_each_block_once(self, tmp_path):
