@@ -149,7 +149,8 @@ def test_micro_serve_resident_selection(benchmark, bench_dirs, monkeypatch):
     block loaded again, and the answer equals the oracle's
     (``tests/reference.select`` over every record in block order).
     """
-    from repro.serve import DatasetState
+    from repro.serve import DatasetState, records_document
+    from repro.serve.protocol import spliced_dumps
     from repro.stio import StDataset, blockv2
     from tests import reference
 
@@ -158,26 +159,26 @@ def test_micro_serve_resident_selection(benchmark, bench_dirs, monkeypatch):
     temporal = Duration(EPOCH_2013, EPOCH_2013 + 5 * 86_400.0)
     ctx = fresh_ctx()
     everything, _ = StDataset(path).read(ctx)
-    expected = reference.select(everything.collect(), spatial, temporal)
+    expected = records_document(reference.select(everything.collect(), spatial, temporal))
     state = DatasetState(path)
     state.select(spatial, temporal)  # cold: the selected blocks become resident
     loaded = state.blocks_loaded
     decoded = [0]
-    decode = blockv2.decode_record
+    load_rows = blockv2.V2Block.load_rows
 
-    def counting(value):
-        decoded[0] += 1
-        return decode(value)
+    def counting(block, rows):
+        decoded[0] += len(rows)
+        return load_rows(block, rows)
 
-    monkeypatch.setattr(blockv2, "decode_record", counting)
-    records, scanned, total = benchmark(state.select, spatial, temporal)
+    monkeypatch.setattr(blockv2.V2Block, "load_rows", counting)
+    answer, scanned, total = benchmark(state.select, spatial, temporal)
     print(
-        f"\nserve resident selection: {len(records):,} records from {scanned}/{total} "
+        f"\nserve resident selection: {answer.count:,} records from {scanned}/{total} "
         f"blocks, {decoded[0]} rows decoded"
     )
     assert decoded[0] == 0
     assert state.blocks_loaded == loaded == scanned
-    assert records == expected
+    assert spliced_dumps({"count": answer.count}, "records", answer.records) == expected
 
 
 def test_micro_traj_raster_allocate(benchmark):

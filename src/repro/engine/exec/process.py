@@ -45,6 +45,7 @@ copy may yet succeed, and double-raising double-metered the attempts.
 
 from __future__ import annotations
 
+import gc
 import itertools
 import os
 import pickle
@@ -222,10 +223,7 @@ def _note_copy_failure(
     the same logical attempts.
     """
     if chunk.futures:  # a sibling copy is still in flight — may yet win
-        if (
-            not was_speculative
-            and chunk.swallowed_timeouts < chunk.resubmits
-        ):
+        if not was_speculative and chunk.swallowed_timeouts < chunk.resubmits:
             # A timed-out original landing late: its dispatch was already
             # charged to the winning outcome as a resubmit.
             chunk.swallowed_timeouts += 1
@@ -316,14 +314,15 @@ class ProcessBackend(Backend):
             if method is None and "fork" in multiprocessing.get_all_start_methods():
                 method = "fork"
             mp_context = multiprocessing.get_context(method) if method else None
+            # A dropped pool left as cyclic garbage dies here, not in a forked
+            # worker: there its weakref callback would wait forever on a lock
+            # the dropped pool's draining manager thread held at the fork.
+            gc.collect()
             self._pool = ProcessPoolExecutor(
-                max_workers=self.max_workers,
-                mp_context=mp_context,
-                initializer=_warm_worker,
+                max_workers=self.max_workers, mp_context=mp_context, initializer=_warm_worker
             )
             if self.warmup:
-                # Touch every worker once: forces the fork/spawn + imports
-                # now instead of inside the first timed stage.
+                # Fork/spawn and import now, not inside the first timed stage.
                 wait([self._pool.submit(_noop) for _ in range(self.max_workers)])
         return self._pool
 

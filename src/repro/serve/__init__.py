@@ -3,9 +3,10 @@
 ST4ML's batch pipeline pays dataset open, metadata parse and block
 decode on *every* invocation.  This package keeps that resident behind a
 socket: a :class:`~repro.serve.server.QueryServer` holds the dataset
-handle, the mmapped and decoded blocks and the server-wide result cache,
-answering concurrent ST-range queries over a line-delimited-JSON
-protocol with per-tenant admission control and explicit load shedding.
+handle, the mmapped blocks with every row rendered once as JSON, and
+the server-wide cache of rendered answers, answering concurrent
+ST-range queries over a line-delimited-JSON protocol with per-tenant
+admission control and explicit load shedding.
 
 Modules:
 
@@ -33,7 +34,6 @@ from repro.serve.protocol import (
     STATUS_OK,
     STATUS_SHED,
     canonical_dumps,
-    encode_records,
     records_document,
     result_document,
 )
@@ -57,7 +57,6 @@ __all__ = [
     "TenantPolicy",
     "TokenBucket",
     "canonical_dumps",
-    "encode_records",
     "records_document",
     "result_document",
     "wait_until_ready",

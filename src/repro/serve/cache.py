@@ -11,10 +11,10 @@ through the byte-budgeted LRU sweep (or are dropped eagerly by
 :meth:`ResultCache.drop_stale_generations` when the server notices the
 edit).
 
-The cached value is the *encoded* record list (JSON-safe, via
-``encode_records``) — what the response needs, with no instance objects
-pinned — and the byte charge is the canonical serialization length, a
-faithful proxy for both the memory held and the bytes a hit will send.
+The cached value is the answer's ``records`` JSON array, already
+rendered (:func:`repro.serve.protocol.records_fragment`): a hit splices
+it into its response line and encodes nothing, and the byte charge is
+its length (canonical JSON is ASCII) — the bytes held and a hit sends.
 """
 
 from __future__ import annotations
@@ -27,11 +27,10 @@ from typing import Hashable
 
 @dataclass
 class CachedResult:
-    """One cached answer: encoded records + accounting."""
+    """One cached answer: the rendered ``records`` array + accounting."""
 
-    records: list
+    records: str
     count: int
-    nbytes: int
     generation: int
 
 
@@ -72,12 +71,12 @@ class ResultCache:
         with self._lock:
             previous = self._entries.pop(key, None)
             if previous is not None:
-                self.bytes -= previous.nbytes
+                self.bytes -= len(previous.records)
             self._entries[key] = entry
-            self.bytes += entry.nbytes
+            self.bytes += len(entry.records)
             while len(self._entries) > 1 and self.bytes > self.max_bytes:
                 _, dropped = self._entries.popitem(last=False)
-                self.bytes -= dropped.nbytes
+                self.bytes -= len(dropped.records)
                 self.evictions += 1
 
     def drop_stale_generations(self, current: int) -> int:
@@ -95,16 +94,9 @@ class ResultCache:
                 if entry.generation != current
             ]
             for key in stale:
-                self.bytes -= self._entries.pop(key).nbytes
+                self.bytes -= len(self._entries.pop(key).records)
             self.invalidations += len(stale)
             return len(stale)
-
-    def clear(self) -> None:
-        """Drop everything."""
-        with self._lock:
-            self.invalidations += len(self._entries)
-            self._entries.clear()
-            self.bytes = 0
 
     def __len__(self) -> int:
         with self._lock:

@@ -11,12 +11,17 @@ Responses carry ``status``: ``"ok"``, ``"SHED"`` (admission control or
 queue pressure rejected the request — explicit, never a silent drop), or
 ``"error"``.
 
-Result records are serialized by :func:`encode_records` — the *same*
-function behind ``repro select --format json`` — and every JSON document
-either side emits goes through :func:`canonical_dumps` (sorted keys,
-minimal separators).  Shared construction is what makes "served results
-are byte-for-byte identical to the one-shot CLI" a testable property
-rather than a hope.
+Every JSON document either side emits is canonical — sorted keys,
+minimal separators, no NaN (:func:`canonical_dumps`) — and a record's
+wire form is its on-disk tuple
+(:func:`repro.stio.formats.encode_record`; JSON writes tuples as
+arrays).  ``repro select --format json`` dumps its whole document
+(:func:`records_document`); the daemon renders each resident row once,
+as a JSON *fragment*, and splices its answers from fragments
+(:func:`records_fragment`, :func:`spliced_dumps`) without encoding a
+record again.  Both must give the same bytes, which makes "served
+results are byte-for-byte identical to the one-shot CLI" a testable
+property rather than a hope.
 """
 
 from __future__ import annotations
@@ -43,26 +48,30 @@ STATUS_SHED = "SHED"
 STATUS_ERROR = "error"
 
 
+#: The one encoder behind every document (``json.dumps`` builds a new one
+#: per call for non-default options).
+_CANONICAL = json.JSONEncoder(sort_keys=True, separators=(",", ":"), allow_nan=False)
+
+
 def canonical_dumps(obj: Any) -> str:
     """Deterministic JSON: sorted keys, minimal separators, no NaN."""
-    return json.dumps(obj, sort_keys=True, separators=(",", ":"), allow_nan=False)
+    return _CANONICAL.encode(obj)
 
 
-def _jsonable(value: Any) -> Any:
-    """Tuples→lists, recursively — the only repair JSON needs here."""
-    if isinstance(value, (tuple, list)):
-        return [_jsonable(v) for v in value]
-    return value
+def records_fragment(fragments: Sequence[str]) -> str:
+    """The JSON array of rendered records: ``canonical_dumps`` of the list."""
+    return "[" + ",".join(fragments) + "]"
 
 
-def encode_records(instances: Sequence[Instance]) -> list:
-    """JSON-safe encoded records, in selection output order.
-
-    Routes through :func:`repro.stio.formats.encode_record` — the on-disk
-    tuple codec — so the wire format and the storage format agree on what
-    a record is.
-    """
-    return [_jsonable(encode_record(inst)) for inst in instances]
+def spliced_dumps(header: dict, key: str, fragment: str) -> str:
+    """``canonical_dumps({**header, key: value})`` where ``fragment`` is the
+    value already rendered: the header's keys either side of ``key`` are
+    dumped and the fragment goes between them, so the value is never
+    encoded again."""
+    head = canonical_dumps({k: v for k, v in header.items() if k < key})[1:-1]
+    tail = canonical_dumps({k: v for k, v in header.items() if k > key})[1:-1]
+    middle = canonical_dumps(key) + ":" + fragment
+    return "{" + ",".join(part for part in (head, middle, tail) if part) + "}"
 
 
 def records_document(instances: Sequence[Instance]) -> str:
@@ -73,7 +82,7 @@ def records_document(instances: Sequence[Instance]) -> str:
     :func:`result_document`.  Byte-for-byte parity between the two paths
     is asserted by tests and the serve-smoke CI job.
     """
-    records = encode_records(instances)
+    records = [encode_record(inst) for inst in instances]
     return canonical_dumps({"count": len(records), "records": records})
 
 
@@ -84,9 +93,7 @@ def result_document(response: dict) -> str:
     )
 
 
-def parse_query_range(
-    request: dict,
-) -> tuple[Envelope | None, Duration | None]:
+def parse_query_range(request: dict) -> tuple[Envelope | None, Duration | None]:
     """Extract and validate the ST range of a ``query`` request.
 
     ``bbox`` is ``[min_x, min_y, max_x, max_y]``; ``time`` is
@@ -110,9 +117,7 @@ def parse_query_range(
     return spatial, temporal
 
 
-def query_cache_key(
-    spatial: Envelope | None, temporal: Duration | None, generation: int
-) -> tuple:
+def query_cache_key(spatial: Envelope | None, temporal: Duration | None, generation: int) -> tuple:
     """Canonical result-cache key: ``(generation, mins, maxs)`` of the
     ``st_query_box``.
 

@@ -4,12 +4,14 @@ Architecture (one dataset per server)::
 
     client ── TCP line ──▶ handler thread (socketserver.ThreadingMixIn)
                              │  bounded read → parse → admission control
-                             │  (token bucket, in-flight cap) → bounded
-                             ▼  priority queue     │ SHED on any rejection
-                       query workers (N threads) ◀┘
-                             │  result cache → resident blocks →
-                             │  extent-column selection (select_candidates)
+                             │  (token bucket, in-flight cap) → refresh →
+                             │  result cache: a hit's line is spliced and
+                             ▼  answered right here   │ SHED on any rejection
+                       bounded priority queue ◀───────┘ (misses only)
                              ▼
+                       query workers (N threads): resident blocks →
+                             │  extent-column selection (select_candidates)
+                             ▼  → joined row fragments, cached
                        response line back through the handler
 
 What stays resident between queries — the whole point of the daemon,
@@ -19,12 +21,16 @@ versus the one-shot CLI that pays all of this per invocation:
   :class:`~repro.stio.metadata.DatasetMetadata`;
 * the blocks (:class:`DatasetState`): each one's mmapped
   :class:`~repro.stio.blockv2.V2Block`, whose extent columns a query
-  masks, and its decoded rows, which the surviving row indices pick;
-* the :class:`~repro.serve.cache.ResultCache`, keyed on the canonical
-  ``st_query_box`` + dataset generation.
+  masks, every row's canonical JSON fragment, rendered once when the
+  block loads, which the surviving row indices pick, and a decoded
+  instance only for the rows the exact test needs;
+* the :class:`~repro.serve.cache.ResultCache` of rendered ``records``
+  arrays, keyed on the canonical ``st_query_box`` + dataset generation.
 
-A query runs on its worker thread: no engine context, stage or R-tree,
-the same kernel and refinement a fused scan and a pushdown read use.
+No record is encoded per query: a miss joins fragments, a hit and a
+miss alike splice the array into the response line.  A miss runs on a
+worker thread with no engine context, stage or R-tree — the same kernel
+and refinement a fused scan and a pushdown read use.
 
 Invalidation: every query round-trips an ``os.stat`` of the metadata file
 (:meth:`DatasetState.refresh`); when an append or re-index bumped the
@@ -44,7 +50,10 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any
 
+import numpy as np
+
 from repro.core.selector import select_candidates
+from repro.engine.errors import CorruptPartitionError
 from repro.index.boxes import st_query_box
 from repro.obs.tracer import current_tracer
 from repro.serve.admission import AdmissionController, TenantPolicy
@@ -54,15 +63,18 @@ from repro.serve.protocol import (
     PROTOCOL_VERSION,
     STATUS_OK,
     canonical_dumps,
-    encode_records,
     error_response,
     parse_query_range,
     parse_request,
     query_cache_key,
+    records_fragment,
     shed_response,
+    spliced_dumps,
 )
 from repro.serve.queueing import BoundedPriorityQueue
+from repro.stio.blockv2 import open_v2_block
 from repro.stio.dataset import StDataset
+from repro.stio.formats import decode_record, encode_record
 from repro.stio.metadata import METADATA_FILENAME, DatasetMetadata
 
 #: Queue-pressure shed reason (admission reasons live in serve.admission).
@@ -93,33 +105,34 @@ class ServeConfig:
     on_corrupt: str = "raise"
 
 
+class BlockMovedError(RuntimeError):
+    """A block left the manifest while a query was reading it (a commit
+    unlinked it after the query's snapshot): not corruption."""
+
+
 class DatasetState:
     """Resident handles for the served dataset; thread-safe.
 
     Holds the dataset handle, its parsed metadata, and an LRU of resident
     blocks keyed on filename: each one's mmapped
-    :class:`~repro.stio.blockv2.V2Block` and its decoded rows.
+    :class:`~repro.stio.blockv2.V2Block`, every row's canonical JSON
+    fragment, and a decoded instance for just the rows the box test
+    cannot decide (none, for point events).
     :meth:`refresh` is the invalidation edge: a changed metadata file
     (an append, a compaction, a re-index) drops the resident blocks whose
     names left the manifest.  Block names are never reused, so a name
     that survives still holds the rows resident under it.
     """
 
-    def __init__(
-        self,
-        directory: str | Path,
-        max_resident_blocks: int = 4096,
-        on_corrupt: str = "raise",
-    ):
+    def __init__(self, directory: str | Path, max_resident_blocks: int = 4096,
+                 on_corrupt: str = "raise"):
         self.dataset = StDataset(directory)
         self.max_resident_blocks = max_resident_blocks
         self.on_corrupt = on_corrupt
         self._lock = threading.Lock()
         self._blocks: OrderedDict[str, tuple] = OrderedDict()
         self.blocks_loaded = 0
-        self.block_evictions = 0
         self.blocks_quarantined = 0
-        self.refreshes = 0
         self.invalidations = 0
         self.meta: DatasetMetadata = self.dataset.metadata()
         self._meta_sig = self._signature()
@@ -141,7 +154,6 @@ class DatasetState:
         query for the guarantee that a stale answer is never served.
         """
         with self._lock:
-            self.refreshes += 1
             signature = self._signature()
             if signature == self._meta_sig:
                 return False
@@ -153,21 +165,46 @@ class DatasetState:
             self.invalidations += 1
             return True
 
-    def resident(self, spatial, temporal) -> tuple[list[tuple], int, int]:
-        """``(blocks, scanned, total)``: the resident ``(V2Block, rows)`` of
-        every partition metadata pruning keeps for the range, in metadata
-        order, loading the missing ones.
+    def _load(self, meta, codec: str) -> tuple | None:
+        """``(block, fragments, inexact)``: the mapped block, each row's
+        canonical JSON (or the error rendering it raised, for the queries
+        that select the row) and ``{row: instance}`` of the rows the box
+        test cannot decide; ``None`` when quarantined."""
+        try:
+            block = open_v2_block(self.dataset.directory / meta.filename)
+            rows = block.load_rows(range(block.n))
+            inexact = {
+                r: decode_record(rows[r]) if codec == "tuple" else rows[r]
+                for r in np.flatnonzero(~(block.box_exact & block.filterable)).tolist()
+            }
+        except Exception as exc:
+            if isinstance(exc, FileNotFoundError) and meta.filename not in {
+                p.filename for p in DatasetMetadata.load(self.dataset.directory).partitions
+            }:
+                raise BlockMovedError(f"{meta.filename} left the manifest mid-query") from exc
+            if self.on_corrupt == "quarantine":
+                return None
+            raise CorruptPartitionError(meta.filename, repr(exc)) from exc
+        fragments: list = []
+        for row in rows:
+            try:
+                fragments.append(canonical_dumps(row if codec == "tuple" else encode_record(row)))
+            except (TypeError, ValueError) as exc:  # the row's own queries answer it
+                fragments.append(exc.with_traceback(None))
+        return block, fragments, inexact
 
-        ``scanned`` counts the partitions surviving the pruning — the same
-        shortlist a one-shot :meth:`StDataset.read` would open — and
-        ``total`` all of them.  Disk reads and decode happen *outside* the
-        lock (REPRO203: a decode can take tens of milliseconds, and every
-        other request thread would stall on the lock for the duration).
-        Two threads missing on the same block may both decode it; the
-        second store is dropped so all callers share one resident entry
-        per filename.  Under ``on_corrupt="quarantine"`` an undecodable
-        block is left out (counted, never cached, so a repaired file is
-        picked up on the next query).
+    def resident(self, spatial, temporal) -> tuple[list[tuple], int, int, int]:
+        """``(blocks, scanned, total, generation)``: the resident entries
+        (:meth:`_load`) of the partitions metadata pruning keeps, in
+        metadata order, and the generation of that metadata snapshot.
+
+        ``scanned`` counts the surviving partitions — the shortlist a
+        one-shot :meth:`StDataset.read` would open — and ``total`` all of
+        them.  Loads happen *outside* the lock (REPRO203: one can take tens
+        of milliseconds); of two concurrent loads of a block the first
+        store wins, so callers share one entry per filename.  Under
+        ``on_corrupt="quarantine"`` an undecodable block is left out
+        (counted, never cached, so a repaired file is picked up later).
         """
         with self._lock:
             meta_snapshot = self.meta
@@ -182,60 +219,62 @@ class DatasetState:
                 else:
                     self._blocks.move_to_end(meta.filename)
                     found[meta.filename] = entry
-        loaded = {
-            meta.filename: self.dataset.read_block(
-                meta, codec=meta_snapshot.codec, on_corrupt=self.on_corrupt
-            )
-            for meta in misses
-        }
+        loaded = {meta.filename: self._load(meta, meta_snapshot.codec) for meta in misses}
         if loaded:
             with self._lock:
                 for filename, entry in loaded.items():
-                    if entry[0] is None:
+                    if entry is None:
                         self.blocks_quarantined += 1
-                        continue
-                    found[filename] = entry
-                    if self.meta is not meta_snapshot:
-                        # A refresh() swapped the dataset mid-decode; the
-                        # answer (built from the old snapshot) is still
-                        # consistent, but caching the stale block would
-                        # poison the fresh residency set.
-                        continue
-                    resident = self._blocks.get(filename)
-                    if resident is not None:
-                        # A concurrent miss decoded it first; keep the
-                        # resident entry so every caller shares one copy.
-                        found[filename] = resident
-                        continue
-                    self._blocks[filename] = entry
-                    self.blocks_loaded += 1
-                    while len(self._blocks) > self.max_resident_blocks:
-                        self._blocks.popitem(last=False)
-                        self.block_evictions += 1
+                    elif self.meta is not meta_snapshot:
+                        # A refresh() swapped the dataset mid-load: the old
+                        # snapshot's answer is consistent, but its blocks
+                        # must not enter the fresh residency set.
+                        found[filename] = entry
+                    else:
+                        # A concurrent miss may have stored it first: every
+                        # caller shares the one resident entry.
+                        found[filename] = self._blocks.setdefault(filename, entry)
+                        if found[filename] is entry:
+                            self.blocks_loaded += 1
+                            while len(self._blocks) > self.max_resident_blocks:
+                                self._blocks.popitem(last=False)
         blocks = [found[m.filename] for m in selected if m.filename in found]
-        return blocks, len(selected), total
+        return blocks, len(selected), total, meta_snapshot.generation
 
-    def select(self, spatial, temporal) -> tuple[list, int, int]:
-        """``(records, scanned, total)`` of an ST-range query.
+    def select(self, spatial, temporal) -> tuple[CachedResult, int, int]:
+        """``(answer, scanned, total)`` of an ST-range query.
 
-        Record for record and in order what ``Selector.select`` returns
-        from the directory with no partitioner: per resident block (in
-        metadata order) ``candidate_rows`` on the mmapped extent columns,
-        then :func:`~repro.core.selector.select_candidates` over those
-        rows, picked out of the decoded ones by index.
+        ``answer.records`` renders what ``Selector.select`` returns from
+        the directory with no partitioner, in order: per block
+        ``candidate_rows`` on the extent columns, then
+        :func:`~repro.core.selector.select_candidates` over the candidates
+        the box test does not decide, their fragments joined.  A block a
+        commit unlinked since the snapshot makes it refresh and select
+        once more; a second move raises :class:`BlockMovedError`.  A
+        selected row that did not render raises its error.
         """
-        blocks, scanned, total = self.resident(spatial, temporal)
+        try:
+            blocks, scanned, total, generation = self.resident(spatial, temporal)
+        except BlockMovedError:
+            self.refresh()
+            blocks, scanned, total, generation = self.resident(spatial, temporal)
         box = st_query_box(spatial, temporal)
-        records: list = []
-        for block, rows in blocks:
-            candidates = block.candidate_rows(box)
-            records += select_candidates(
-                [rows[r] for r in candidates.tolist()],
-                block.box_exact[candidates] & block.filterable,
-                spatial,
-                temporal,
-            )
-        return records, scanned, total
+        chosen: list = []
+        for block, fragments, inexact in blocks:
+            rows = block.candidate_rows(box).tolist()
+            if inexact:
+                tested = [inexact[r] for r in rows if r in inexact]
+                exact = np.zeros(len(tested), dtype=bool)
+                kept = set(map(id, select_candidates(tested, exact, spatial, temporal)))
+                rows = [r for r in rows if r not in inexact or id(inexact[r]) in kept]
+            chosen += map(fragments.__getitem__, rows)
+        try:
+            records = records_fragment(chosen)
+        except TypeError:  # a row that did not render: the first one answers
+            records = None
+        if records is None:
+            raise next(f for f in chosen if not isinstance(f, str)).with_traceback(None)
+        return CachedResult(records, len(chosen), generation), scanned, total
 
     def resident_blocks(self) -> int:
         """Number of currently resident blocks."""
@@ -243,23 +282,25 @@ class DatasetState:
             return len(self._blocks)
 
 
+def _priority(request: dict) -> int:
+    try:
+        return int(request.get("priority", DEFAULT_PRIORITY))
+    except (TypeError, ValueError):
+        return DEFAULT_PRIORITY
+
+
 class _Pending:
     """One admitted query waiting for (or being processed by) a worker."""
 
-    __slots__ = (
-        "request", "tenant", "spatial", "temporal",
-        "enqueued", "started_wall", "event", "response",
-    )
+    __slots__ = ("request", "tenant", "spatial", "temporal", "enqueued", "started_wall",
+                 "event", "response")
 
     def __init__(self, request: dict, tenant: str, spatial, temporal):
-        self.request = request
-        self.tenant = tenant
-        self.spatial = spatial
-        self.temporal = temporal
+        self.request, self.tenant, self.spatial, self.temporal = request, tenant, spatial, temporal
         self.enqueued = time.monotonic()
         self.started_wall = time.time()
         self.event = threading.Event()
-        self.response: dict | None = None
+        self.response: str | None = None
 
 
 class QueryServer:
@@ -283,7 +324,6 @@ class QueryServer:
         self.counters: dict[str, float] = {}
         self._workers: list[threading.Thread] = []
         self._tcp: _TCPServer | None = None
-        self._serving = threading.Event()
         self._stopped = False
 
     # -- metering -----------------------------------------------------------------
@@ -296,22 +336,12 @@ class QueryServer:
         if tracer is not None:
             tracer.counter(name, value)
 
-    def _trace_request(
-        self, pending: _Pending, status: str, queue_wait: float, **args: Any
-    ) -> None:
+    def _trace_request(self, pending: _Pending, status: str, queue_wait: float, **args) -> None:
         tracer = current_tracer()
         if tracer is not None:
-            tracer.add_span(
-                "request",
-                "serve",
-                pending.started_wall,
-                time.time(),
-                track="serve",
-                tenant=pending.tenant,
-                status=status,
-                queue_wait_seconds=round(queue_wait, 6),
-                **args,
-            )
+            tracer.add_span("request", "serve", pending.started_wall, time.time(), track="serve",
+                            tenant=pending.tenant, status=status,
+                            queue_wait_seconds=round(queue_wait, 6), **args)
 
     # -- lifecycle ----------------------------------------------------------------
 
@@ -324,13 +354,11 @@ class QueryServer:
         if self._tcp is not None:
             raise RuntimeError("server already started")
         for i in range(self.config.workers):
-            thread = threading.Thread(
-                target=self._worker_loop, name=f"serve-query-{i}", daemon=True
-            )
+            thread = threading.Thread(target=self._worker_loop, name=f"serve-query-{i}",
+                                      daemon=True)
             thread.start()
             self._workers.append(thread)
         self._tcp = _TCPServer((self.config.host, self.config.port), _Handler, self)
-        self._serving.set()
         return self._tcp.server_address[0], self._tcp.server_address[1]
 
     def serve_forever(self) -> None:
@@ -347,7 +375,6 @@ class QueryServer:
         if self._stopped:
             return
         self._stopped = True
-        self._serving.clear()
         if self._tcp is not None:
             self._tcp.shutdown()
             self._tcp.server_close()
@@ -369,68 +396,83 @@ class QueryServer:
         try:
             request = parse_request(line)
         except ValueError as exc:
-            self._count("serve_errors")
-            return canonical_dumps(error_response(None, str(exc))), True
+            return self._error(None, str(exc)), True
         op = request.get("op")
         request_id = request.get("id")
         try:
             if op == "query":
-                return canonical_dumps(self._handle_query(request)), True
+                return self._handle_query(request), True
             if op == "ping":
                 return canonical_dumps(self._handle_ping(request_id)), True
             if op == "stats":
                 return canonical_dumps(self._handle_stats(request_id)), True
             if op == "shutdown":
                 return self._handle_shutdown(request_id)
-            self._count("serve_errors")
-            return (
-                canonical_dumps(error_response(request_id, f"unknown op {op!r}")),
-                True,
-            )
+            return self._error(request_id, f"unknown op {op!r}"), True
         except Exception as exc:  # noqa: BLE001 - a request must never kill the server
-            self._count("serve_errors")
-            return (
-                canonical_dumps(
-                    error_response(request_id, f"{type(exc).__name__}: {exc}")
-                ),
-                True,
-            )
+            return self._error(request_id, f"{type(exc).__name__}: {exc}"), True
 
-    def _handle_query(self, request: dict) -> dict:
+    def _error(self, request_id: Any, message: str) -> str:
+        """A counted ``error`` response line."""
+        self._count("serve_errors")
+        return canonical_dumps(error_response(request_id, message))
+
+    def _handle_query(self, request: dict) -> str:
+        """Admit, then answer a cache hit right here on the handler thread;
+        only a miss is queued for a worker."""
         tenant = str(request.get("tenant", "default"))
-        request_id = request.get("id")
         self._count("serve_requests")
         self._count(f"serve_requests[{tenant}]")
         try:
             spatial, temporal = parse_query_range(request)
         except ValueError as exc:
-            self._count("serve_errors")
-            return error_response(request_id, str(exc))
+            return self._error(request.get("id"), str(exc))
         pending = _Pending(request, tenant, spatial, temporal)
         reason = self.admission.admit(tenant)
         if reason is not None:
             return self._shed(pending, reason)
-        priority = request.get("priority", DEFAULT_PRIORITY)
+        queued = False
         try:
-            priority = int(priority)
-        except (TypeError, ValueError):
-            priority = DEFAULT_PRIORITY
-        if not self.queue.offer(pending, priority):
-            self.admission.release(tenant)
+            hit = self._cached(pending)
+            if hit is None:
+                queued = self.queue.offer(pending, _priority(request))
+        finally:
+            if not queued:  # answered here, refused by the queue, or failed
+                self.admission.release(tenant)
+        if hit is not None:
+            return hit
+        if not queued:
             return self._shed(pending, REASON_QUEUE_FULL)
         if not pending.event.wait(self.config.request_timeout):
             # The worker will still complete (and release admission); the
             # client just stops waiting.
             self._count("serve_timeouts")
-            return error_response(request_id, "request timed out server-side")
+            return canonical_dumps(
+                error_response(request.get("id"), "request timed out server-side")
+            )
         return pending.response
 
-    def _shed(self, pending: _Pending, reason: str) -> dict:
+    def _cached(self, pending: _Pending) -> str | None:
+        """The response line of a result-cache hit, or ``None`` on a miss."""
+        started = time.monotonic()
+        if self.state.refresh():
+            self._count("serve_invalidations")
+            self.result_cache.drop_stale_generations(self.state.generation)
+        key = query_cache_key(pending.spatial, pending.temporal, self.state.generation)
+        cached = self.result_cache.get(key)
+        if cached is None:
+            self._count("serve_cache_misses")
+            return None
+        self._count("serve_cache_hits")
+        self._trace_request(pending, STATUS_OK, 0.0, cache_hit=True, records=cached.count)
+        return self._ok(pending, cached, 0.0, started, True)
+
+    def _shed(self, pending: _Pending, reason: str) -> str:
         self._count("serve_shed")
         self._count(f"serve_shed_{reason}")
         self._count(f"serve_shed[{pending.tenant}]")
         self._trace_request(pending, "SHED", 0.0, reason=reason)
-        return shed_response(pending.request.get("id"), reason, pending.tenant)
+        return canonical_dumps(shed_response(pending.request.get("id"), reason, pending.tenant))
 
     # -- query execution (worker threads) -------------------------------------------
 
@@ -444,72 +486,40 @@ class QueryServer:
             try:
                 pending.response = self._execute(pending)
             except Exception as exc:  # noqa: BLE001 - answer, don't die
-                self._count("serve_errors")
-                pending.response = error_response(
+                pending.response = self._error(
                     pending.request.get("id"), f"{type(exc).__name__}: {exc}"
                 )
             finally:
                 self.admission.release(pending.tenant)
                 pending.event.set()
 
-    def _execute(self, pending: _Pending) -> dict:
+    def _execute(self, pending: _Pending) -> str:
+        """Answer a miss from the resident fragments and cache the answer."""
         queue_wait = time.monotonic() - pending.enqueued
         self._count("serve_queue_wait_seconds", round(queue_wait, 6))
         started = time.monotonic()
-        if self.state.refresh():
-            self._count("serve_invalidations")
-            self.result_cache.drop_stale_generations(self.state.generation)
-        generation = self.state.generation
-        key = query_cache_key(pending.spatial, pending.temporal, generation)
-        cached = self.result_cache.get(key)
-        if cached is not None:
-            self._count("serve_cache_hits")
-            self._trace_request(
-                pending, STATUS_OK, queue_wait, cache_hit=True, records=cached.count
-            )
-            return self._ok(pending, cached, generation, queue_wait, started, True)
-        self._count("serve_cache_misses")
-        instances, scanned, total = self.state.select(pending.spatial, pending.temporal)
+        entry, scanned, total = self.state.select(pending.spatial, pending.temporal)
         self._count("serve_partitions_scanned", scanned)
         self._count("serve_partitions_pruned", total - scanned)
-        records = encode_records(instances)
-        entry = CachedResult(
-            records=records,
-            count=len(records),
-            nbytes=len(canonical_dumps(records)),
-            generation=generation,
-        )
+        key = query_cache_key(pending.spatial, pending.temporal, entry.generation)
         self.result_cache.put(key, entry)
-        self._trace_request(
-            pending,
-            STATUS_OK,
-            queue_wait,
-            cache_hit=False,
-            records=entry.count,
-            partitions_scanned=scanned,
-        )
-        return self._ok(pending, entry, generation, queue_wait, started, False)
+        self._trace_request(pending, STATUS_OK, queue_wait, cache_hit=False,
+                            records=entry.count, partitions_scanned=scanned)
+        return self._ok(pending, entry, queue_wait, started, False)
 
-    def _ok(
-        self,
-        pending: _Pending,
-        entry: CachedResult,
-        generation: int,
-        queue_wait: float,
-        started: float,
-        cached: bool,
-    ) -> dict:
-        return {
+    def _ok(self, pending: _Pending, entry: CachedResult, queue_wait: float,
+            started: float, cached: bool) -> str:
+        header = {
             "id": pending.request.get("id"),
             "status": STATUS_OK,
             "tenant": pending.tenant,
             "count": entry.count,
-            "records": entry.records,
             "cached": cached,
-            "generation": generation,
+            "generation": entry.generation,
             "queue_ms": round(queue_wait * 1e3, 3),
             "exec_ms": round((time.monotonic() - started) * 1e3, 3),
         }
+        return spliced_dumps(header, "records", entry.records)
 
     # -- control ops ----------------------------------------------------------------
 
@@ -525,9 +535,7 @@ class QueryServer:
 
     def _handle_stats(self, request_id: Any) -> dict:
         with self._counters_lock:
-            counters = {
-                k: v for k, v in self.counters.items() if "[" not in k
-            }
+            counters = {k: v for k, v in self.counters.items() if "[" not in k}
         return {
             "id": request_id,
             "status": STATUS_OK,
@@ -555,13 +563,7 @@ class QueryServer:
 
     def _handle_shutdown(self, request_id: Any) -> tuple[str, bool]:
         if not self.config.allow_shutdown:
-            self._count("serve_errors")
-            return (
-                canonical_dumps(
-                    error_response(request_id, "shutdown disabled on this server")
-                ),
-                True,
-            )
+            return self._error(request_id, "shutdown disabled on this server"), True
         # Acknowledge first; the handler flushes the line before the
         # transport goes down (stop() runs from a helper thread because
         # TCPServer.shutdown blocks until serve_forever exits).
@@ -595,9 +597,8 @@ class _Handler(socketserver.StreamRequestHandler):
             if not raw:
                 return
             if len(raw) > MAX_REQUEST_LINE_BYTES:
-                server._count("serve_errors")
                 message = f"request line longer than {MAX_REQUEST_LINE_BYTES} bytes"
-                response_line, keep_open = canonical_dumps(error_response(None, message)), False
+                response_line, keep_open = server._error(None, message), False
             else:
                 line = raw.decode("utf-8", errors="replace").strip()
                 if not line:

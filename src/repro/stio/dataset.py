@@ -633,8 +633,7 @@ class StDataset:
     ) -> tuple[V2Block | None, list]:
         """Eagerly open one partition's block file and decode every row.
 
-        The resident-block path of the ``repro serve`` daemon: unlike
-        :meth:`read` (a lazy RDD that re-reads and re-decodes per
+        Unlike :meth:`read` (a lazy RDD that re-reads and re-decodes per
         evaluation), this returns ``(block, records)`` — the mmapped
         :class:`~repro.stio.blockv2.V2Block` whose extent columns a query
         masks, and the rows it indexes — for the caller to keep.  ``codec``

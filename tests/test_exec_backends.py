@@ -298,6 +298,51 @@ class TestProcessBackendSpecifics:
         assert snap["stages"] == expected["stages"]
         assert snap["tasks"] == expected["tasks"]
 
+    def test_fresh_pool_forks_clear_of_a_dropped_pool(self):
+        """A pool ``stop()`` dropped can linger as cyclic garbage while its
+        manager thread, still draining a straggler, holds the pool's
+        shutdown lock.  A worker forked then inherits that lock held; if
+        it also inherited the dead pool, its own GC would run the pool's
+        weakref callback, which takes the lock, and hang the worker (and
+        whoever joins it) forever."""
+        import gc
+        import threading
+
+        old = ProcessBackend(max_workers=1, warmup=False)
+        dropped = old._ensure_pool()
+        dropped.submit(time.sleep, 1.0)  # keeps its manager thread alive
+        cycle = [dropped]
+        cycle.append(cycle)
+        lock = dropped._shutdown_lock
+        old.stop()
+        del dropped
+        held, release = threading.Event(), threading.Event()
+
+        def hold_lock():  # as the draining manager thread does
+            with lock:
+                held.set()
+                release.wait(5.0)
+
+        holder = threading.Thread(target=hold_lock)
+        was_enabled = gc.isenabled()
+        gc.disable()
+        new = ProcessBackend(max_workers=1, warmup=False)
+        try:
+            del cycle
+            holder.start()
+            held.wait(5.0)
+            threading.Timer(0.3, release.set).start()
+            pool = new._ensure_pool()
+            assert pool.submit(gc.collect).result(timeout=10) >= 0
+        finally:
+            release.set()
+            holder.join()
+            if was_enabled:
+                gc.enable()
+            for process in list((getattr(new._pool, "_processes", None) or {}).values()):
+                process.kill()  # a hung worker must not outlive the test
+            new.stop()
+
 
 class TestBackendSelectionPlumbing:
     def test_resolve_by_name_and_instance(self):

@@ -4,8 +4,10 @@ from __future__ import annotations
 
 import json
 import os
+import pickle
 import socket
 import statistics
+import sys
 import tempfile
 import threading
 import time
@@ -20,8 +22,8 @@ from hypothesis import strategies as st
 from repro.cli import main as cli_main
 from repro.core import Selector
 from repro.engine import EngineContext
-from repro.geometry import Envelope
-from repro.instances import Event, Trajectory
+from repro.geometry import Envelope, Point, Polygon
+from repro.instances import Entry, Event, Trajectory
 from repro.partitioners import TSTRPartitioner
 from repro.serve import (
     AdmissionController,
@@ -37,14 +39,18 @@ from repro.serve import (
     wait_until_ready,
 )
 from repro.serve.protocol import (
+    canonical_dumps,
     parse_query_range,
     parse_request,
     query_cache_key,
     records_document,
+    records_fragment,
     result_document,
+    spliced_dumps,
 )
-from repro.serve.server import MAX_REQUEST_LINE_BYTES
+from repro.serve.server import MAX_REQUEST_LINE_BYTES, BlockMovedError
 from repro.stio import StDataset
+from repro.stio.formats import decode_record, encode_record
 from repro.stio.metadata import DatasetMetadata
 from repro.temporal import Duration
 from tests import reference
@@ -185,7 +191,7 @@ class TestBoundedPriorityQueue:
 
 
 def _entry(nbytes, generation=0):
-    return CachedResult(records=[], count=0, nbytes=nbytes, generation=generation)
+    return CachedResult(records="x" * nbytes, count=0, generation=generation)
 
 
 class TestResultCache:
@@ -415,30 +421,48 @@ class TestServeDaemon:
             assert shed["status"] == "SHED" and shed["reason"] == "max_inflight"
 
     def test_concurrent_tenants_all_correct(self, tmp_path):
+        """Eight connections on four workers, hits answered on the handler
+        threads, under a shortened switch interval: every answer right and
+        every admission released."""
         write_dataset(tmp_path / "ds")
         expected = {bbox: one_shot_document(tmp_path / "ds", bbox) for bbox in BBOXES}
-        with running_server(tmp_path / "ds", workers=4) as (_, host, port):
-            failures = []
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            with running_server(tmp_path / "ds", workers=4) as (server, host, port):
+                self._hammer(host, port, expected)
+                tenants = server.admission.snapshot()
+        finally:
+            sys.setswitchinterval(interval)
+        assert {t: (s["inflight"], s["admitted"]) for t, s in tenants.items()} == {
+            "tenant-0": (0, 16), "tenant-1": (0, 16)
+        }
+        assert all(s["completed"] == s["admitted"] for s in tenants.values())
 
-            def hammer(tenant, rounds=4):
-                with ServeClient(host, port, tenant=tenant) as client:
-                    for i in range(rounds):
-                        bbox = BBOXES[i % len(BBOXES)]
-                        response = client.query(bbox=bbox, time_range=WINDOW)
-                        if response["status"] != "ok":
-                            failures.append((tenant, response))
-                        elif result_document(response) != expected[bbox]:
-                            failures.append((tenant, "mismatch", bbox))
+    @staticmethod
+    def _hammer(host, port, expected):
+        failures = []
 
-            threads = [
-                threading.Thread(target=hammer, args=(f"tenant-{i % 2}",))
-                for i in range(8)
-            ]
-            for t in threads:
-                t.start()
-            for t in threads:
-                t.join(timeout=30)
-            assert not failures
+        def hammer(tenant, rounds=4):
+            with ServeClient(host, port, tenant=tenant) as client:
+                for i in range(rounds):
+                    bbox = BBOXES[i % len(BBOXES)]
+                    response = client.query(bbox=bbox, time_range=WINDOW)
+                    if response["status"] != "ok":
+                        failures.append((tenant, response))
+                    elif result_document(response) != expected[bbox]:
+                        failures.append((tenant, "mismatch", bbox))
+
+        threads = [
+            threading.Thread(target=hammer, args=(f"tenant-{i % 2}",))
+            for i in range(8)
+        ]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=30)
+        assert not any(t.is_alive() for t in threads)
+        assert not failures
 
 
 # ---------------------------------------------------------------------------
@@ -489,8 +513,8 @@ class TestInvalidation:
         got, scanned, total = state.select(*old)
         assert (state.blocks_loaded, scanned, total) == (loaded, 4, 6)
         ctx = EngineContext(default_parallelism=2)
-        expected = Selector(*old).select(ctx, directory).collect()
-        assert _identity_list(got) == _identity_list(expected)
+        expected = records_document(Selector(*old).select(ctx, directory).collect())
+        assert spliced_dumps({"count": got.count}, "records", got.records) == expected
 
     def test_rewrite_in_place_bumps_generation(self, tmp_path):
         events = write_dataset(tmp_path / "ds", n=300, partitions=3)
@@ -658,23 +682,40 @@ def test_trajectory_parity_with_selector(tmp_path):
 #: so boxes touch records' faces exactly.
 lattice = st.integers(0, 12).map(lambda k: k / 2)
 steps = st.integers(0, 4).map(lambda k: k / 2)
+sides = st.integers(1, 4).map(lambda k: k / 2)
 
 
 @st.composite
 def lattice_record(draw):
     """``data → record``: one record on the lattice, its payload left open."""
     x, y, t = draw(lattice), draw(lattice), draw(lattice)
-    kind = draw(st.sampled_from(["point", "envelope", "trajectory"]))
+    kind = draw(st.sampled_from(["point", "envelope", "polygon", "trajectory", "interval"]))
     if kind == "point":
         return lambda i: Event.of_point(x, y, t, data=i)
     if kind == "envelope":
         dx, dy, dt = draw(steps), draw(steps), draw(steps)
         return lambda i: Event(Envelope(x, y, x + dx, y + dy), Duration(t, t + dt), data=i)
-    points = [(x, y, t)]
-    for _ in range(draw(st.integers(1, 3))):
-        x, y, t = draw(lattice), draw(lattice), t + 0.5 + draw(steps)
-        points.append((x, y, t))
-    return lambda i: Trajectory.of_points(points, data=i)
+    if kind == "polygon":
+        ring = [(x, y), (x + draw(sides), y), (x, y + draw(sides))]
+        dt, value = draw(steps), draw(lattice)
+        return lambda i: Event(Polygon(ring), Duration(t, t + dt), value, data=i)
+    entries = []
+    for _ in range(draw(st.integers(2, 4))):
+        end = t + (draw(steps) if kind == "interval" else 0.0)
+        entries.append(Entry(Point(x, y), Duration(t, end), draw(st.none() | lattice)))
+        x, y, t = draw(lattice), draw(lattice), end + 0.5 + draw(steps)
+    return lambda i: Trajectory(entries, data=i)
+
+
+#: ``data`` payloads: anything JSON writes, tuples included, and the
+#: non-finite floats it refuses.
+payloads = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(),
+    lambda inner: st.lists(inner, max_size=3).map(tuple)
+    | st.lists(inner, max_size=3)
+    | st.dictionaries(st.text(max_size=4), inner, max_size=3),
+    max_leaves=6,
+)
 
 
 @st.composite
@@ -690,13 +731,56 @@ def query_range(draw):
     return spatial, temporal
 
 
-def _identity_list(records) -> list:
-    return [r.identity() for r in records]
+def served_document(state, spatial, temporal) -> str:
+    """The result document of ``state.select``, spliced as the daemon does."""
+    answer, _, _ = state.select(spatial, temporal)
+    return spliced_dumps({"count": answer.count}, "records", answer.records)
+
+
+class TestByteContract:
+    """The daemon never encodes a record per query: it renders stored rows
+    once and splices documents from the fragments.  Both must give the
+    bytes ``canonical_dumps`` of the whole object gives."""
+
+    @staticmethod
+    def _render(obj):
+        try:
+            return canonical_dumps(obj)
+        except ValueError as exc:
+            return repr(exc)
+
+    @given(lattice_record(), payloads)
+    @settings(max_examples=200, deadline=None)
+    def test_stored_tuple_renders_as_its_instance(self, make, payload):
+        """Byte for byte, or the same error (a non-finite float)."""
+        stored = pickle.loads(pickle.dumps(encode_record(make(payload))))
+        assert self._render(stored) == self._render(encode_record(decode_record(stored)))
+
+    @given(
+        st.none() | st.integers() | st.text() | st.text(alphabet="äö→€😀\"\\", min_size=1),
+        st.text(),
+        st.lists(lattice_record(), max_size=4),
+        st.booleans(),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_spliced_response_is_its_canonical_dump(self, request_id, tenant, makers, cached):
+        records = [encode_record(make(i)) for i, make in enumerate(makers)]
+        header = {
+            "id": request_id, "status": "ok", "tenant": tenant, "count": len(records),
+            "cached": cached, "generation": 3, "queue_ms": 0.0, "exec_ms": 0.125,
+        }
+        fragment = records_fragment([canonical_dumps(r) for r in records])
+        assert fragment == canonical_dumps(records)
+        line = spliced_dumps(header, "records", fragment)
+        assert line == canonical_dumps({**header, "records": records})
+        assert spliced_dumps({"count": len(records)}, "records", fragment) == records_document(
+            [make(i) for i, make in enumerate(makers)]
+        )
 
 
 class TestResidentSelection:
     """``DatasetState.select`` — the daemon's whole selection, no socket —
-    against ``tests/reference.select``, record for record and in order."""
+    against ``tests/reference.select``: the same document bytes."""
 
     @given(
         st.lists(lattice_record(), min_size=1, max_size=24),
@@ -716,10 +800,9 @@ class TestResidentSelection:
             state = DatasetState(directory)
             in_block_order = [r for block in blocks for r in block]
             for spatial, temporal in queries:
-                expected = _identity_list(reference.select(in_block_order, spatial, temporal))
+                expected = records_document(reference.select(in_block_order, spatial, temporal))
                 for _ in ("cold", "resident"):
-                    got, _, _ = state.select(spatial, temporal)
-                    assert _identity_list(got) == expected
+                    assert served_document(state, spatial, temporal) == expected
             # One block unreadable: a new file under its name (the first
             # state's map keeps the old inode), answered without it.
             path = directory / state.meta.partitions[lost].filename
@@ -728,7 +811,130 @@ class TestResidentSelection:
             survivors = [r for j, block in enumerate(blocks) if j != lost for r in block]
             quarantining = DatasetState(directory, on_corrupt="quarantine")
             for spatial, temporal in queries:
-                expected = _identity_list(reference.select(survivors, spatial, temporal))
+                expected = records_document(reference.select(survivors, spatial, temporal))
                 for _ in ("cold", "resident"):
-                    got, _, _ = quarantining.select(spatial, temporal)
-                    assert _identity_list(got) == expected
+                    assert served_document(quarantining, spatial, temporal) == expected
+
+
+def _three_ingests(directory) -> list:
+    events = make_events(1_500, t_extent=3_000.0)
+    events.sort(key=lambda e: e.temporal.start)
+    ds = StDataset(directory)
+    for i in range(3):
+        ds.ingest(events[i * 500 : (i + 1) * 500], TSTRPartitioner(2, 2), instance_type="event")
+    return events
+
+
+class TestCommitRace:
+    """A commit that unlinks blocks between the daemon's ``refresh()`` and
+    its read of them is not corruption: the query refreshes and selects
+    once more."""
+
+    @pytest.mark.parametrize("on_corrupt", ["raise", "quarantine"])
+    def test_compaction_after_refresh_answers_every_row(self, tmp_path, on_corrupt):
+        directory = tmp_path / "ds"
+        events = _three_ingests(directory)
+        state = DatasetState(directory, on_corrupt=on_corrupt)
+        assert state.resident_blocks() == 0
+        StDataset(directory).compact()
+        everything = (Envelope(0.0, 0.0, 10.0, 10.0), None)
+        document = served_document(state, *everything)
+        assert json.loads(document)["count"] == len(events)
+        ctx = EngineContext(default_parallelism=2)
+        assert document == records_document(Selector(*everything).select(ctx, directory).collect())
+        assert state.blocks_quarantined == 0
+
+    def test_a_second_move_is_an_error(self, tmp_path, monkeypatch):
+        directory = tmp_path / "ds"
+        _three_ingests(directory)
+        state = DatasetState(directory, on_corrupt="quarantine")
+        refresh = state.refresh
+
+        def refresh_then_commit():
+            moved = refresh()
+            StDataset(directory).compact()  # moves again before the re-select reads
+            return moved
+
+        StDataset(directory).compact()
+        monkeypatch.setattr(state, "refresh", refresh_then_commit)
+        with pytest.raises(BlockMovedError):
+            state.select(Envelope(0.0, 0.0, 10.0, 10.0), None)
+        assert state.blocks_quarantined == 0
+
+
+class TestRowRenderErrors:
+    """A row that JSON cannot hold (a NaN value) fails only the queries
+    that select it, as ``repro select --format json`` does; its block
+    still loads, and the error is never cached."""
+
+    def test_nan_row_is_its_own_queries_error(self, tmp_path):
+        fine = Event.of_point(1.0, 1.0, 10.0, data="fine")
+        bad = Event.of_point(8.0, 8.0, 10.0, value=float("nan"), data="bad")
+        StDataset.write(tmp_path / "ds", [[fine, bad]], "event")
+        near_fine, near_bad = (0.0, 0.0, 2.0, 2.0), (7.0, 7.0, 9.0, 9.0)
+        with running_server(tmp_path / "ds", workers=1, on_corrupt="quarantine") as (
+            server, host, port,
+        ):
+            with ServeClient(host, port) as client:
+                for _ in ("cold", "resident"):
+                    failed = client.query(bbox=near_bad)
+                    assert failed["status"] == "error"
+                    assert failed["error"].startswith(
+                        "ValueError: Out of range float values are not JSON compliant"
+                    )
+                    answered = client.query(bbox=near_fine)
+                    assert answered["status"] == "ok"
+                    assert result_document(answered) == records_document([fine])
+                assert client.query(bbox=near_bad)["status"] == "error"
+            assert server.state.blocks_loaded == 1
+            assert server.state.blocks_quarantined == 0
+            assert len(server.result_cache) == 1  # only the fine answer
+
+
+class TestProtocolFuzz:
+    """Hostile lines and connections against a cached and an uncached
+    range: admission is released on every exit path."""
+
+    QUERY = '{{"op":"query","id":{id},"tenant":"fuzz","bbox":{bbox}}}'
+
+    def _send(self, host, port, payload: bytes, half_close=False, read=True):
+        with socket.create_connection((host, port), timeout=10) as sock:
+            sock.sendall(payload)
+            if half_close:
+                sock.shutdown(socket.SHUT_WR)
+            if read:
+                return sock.makefile("rb").readline()
+        return None
+
+    def test_every_exit_path_releases_admission(self, tmp_path):
+        write_dataset(tmp_path / "ds", n=400, partitions=4)
+        cached_box, uncached_box = list(BBOXES[0]), list(BBOXES[1])
+        with running_server(tmp_path / "ds", workers=2) as (server, host, port):
+            with ServeClient(host, port, tenant="fuzz") as client:
+                assert client.query(bbox=cached_box)["status"] == "ok"
+            for n, bbox in enumerate([cached_box, uncached_box]):
+                query = self.QUERY.format(id=n, bbox=json.dumps(bbox)).encode()
+                for line in (query[:-5], b"[1,2]", b'"query"', b'{"op":"query","id":'):
+                    reply = json.loads(self._send(host, port, line + b"\n"))
+                    assert reply["status"] == "error"
+                invalid_utf8 = query.replace(b'"fuzz"', b'"fu\xffzz"')
+                reply = self._send(host, port, invalid_utf8 + b"\n")
+                assert json.loads(reply)["status"] == "ok"  # decoded with replacement
+                # Half-closed mid-line: a truncated line, then a whole
+                # request with no newline; each is answered, then EOF.
+                reply = self._send(host, port, query[:10], half_close=True)
+                assert json.loads(reply)["status"] == "error"
+                reply = self._send(host, port, query, half_close=True)
+                assert canonical_dumps(json.loads(reply)) == reply.decode().rstrip("\n")
+                # Gone before its answer.
+                self._send(host, port, query + b"\n", read=False)
+            deadline = time.monotonic() + 10
+            with ServeClient(host, port) as client:
+                while True:
+                    tenants = client.stats()["tenants"]
+                    if all(t["inflight"] == 0 for t in tenants.values()):
+                        break
+                    assert time.monotonic() < deadline, tenants
+                    time.sleep(0.02)
+                assert tenants["fuzz"]["admitted"] == tenants["fuzz"]["completed"]
+                assert client.query(bbox=uncached_box)["status"] == "ok"

@@ -583,7 +583,7 @@ class TestZeroCopyShipping:
         events = make_events(200)
         save_dataset(tmp_path / "ds", events, "event", num_partitions=1)
         # The serve daemon's resident block: its columns view the mapped file.
-        [(block, records)], _, _ = DatasetState(tmp_path / "ds").resident(None, None)
+        [(block, _, _)], _, _, _ = DatasetState(tmp_path / "ds").resident(None, None)
         table = block.boxtable()
         assert table is not None
 
@@ -594,7 +594,7 @@ class TestZeroCopyShipping:
         # The six extent columns ride protocol-5 out-of-band buffers
         # instead of being copied into the in-band pickle stream.
         assert buffers
-        assert sum(len(b) for b in buffers) >= 6 * len(records) * 8
+        assert sum(len(b) for b in buffers) >= 6 * block.n * 8
 
 
 # -- serve residency ---------------------------------------------------------------
@@ -609,27 +609,31 @@ class TestServeOverV2:
         return events, DatasetState(tmp_path / "ds", **kwargs)
 
     def test_resident_blocks_answer_without_decoding(self, tmp_path, monkeypatch):
+        from repro.serve.protocol import records_document, spliced_dumps
+
         events, state = self._state(tmp_path)
-        expected = reference.select(events, QUERY_SPATIAL, QUERY_TEMPORAL)
-        records, scanned, _ = state.select(QUERY_SPATIAL, QUERY_TEMPORAL)
-        assert _identities(records) == _identities(expected)
+        expected = records_document(reference.select(events, QUERY_SPATIAL, QUERY_TEMPORAL))
+        answer, scanned, _ = state.select(QUERY_SPATIAL, QUERY_TEMPORAL)
+        assert spliced_dumps({"count": answer.count}, "records", answer.records) == expected
         assert state.resident_blocks() == state.blocks_loaded == scanned
-        blocks, _, _ = state.resident(QUERY_SPATIAL, QUERY_TEMPORAL)
-        for block, rows in blocks:
-            # The unit of residency is the mapped block plus its rows.
-            assert isinstance(block, V2Block) and len(rows) == block.n
+        blocks, _, _, _ = state.resident(QUERY_SPATIAL, QUERY_TEMPORAL)
+        for block, fragments, inexact in blocks:
+            # The unit of residency is the mapped block plus one rendered
+            # fragment per row; point events keep no decoded instance.
+            assert isinstance(block, V2Block) and len(fragments) == block.n
+            assert inexact == {}
             assert not block.xmin.flags.writeable  # a view of the read-only map
-        decoded = []
-        monkeypatch.setattr(V2Block, "decode_rows", lambda *a: decoded.append(a))
+        loaded = []
+        monkeypatch.setattr(V2Block, "load_rows", lambda *a: loaded.append(a))
         again, _, _ = state.select(QUERY_SPATIAL, QUERY_TEMPORAL)
-        assert again == records and not decoded
+        assert again == answer and not loaded
         assert state.blocks_loaded == scanned
 
     def test_quarantined_block_answers_empty_and_is_not_cached(self, tmp_path):
         _, state = self._state(tmp_path, on_corrupt="quarantine")
         target = state.meta.partitions[0]
         (state.dataset.directory / target.filename).write_bytes(b"bad")
-        blocks, scanned, _ = state.resident(None, None)
+        blocks, scanned, _, _ = state.resident(None, None)
         assert len(blocks) == scanned - 1
         assert state.blocks_quarantined == 1
         # Not resident: a repaired file is picked up on the next query.

@@ -12,19 +12,25 @@ dataset:
    explicit ``SHED`` responses while the others keep completing;
 4. **Observability** — the daemon runs under a tracer, and the per-request
    spans/counters are written to ``traces/serve-smoke.*`` for the CI
-   artifact upload.
+   artifact upload;
+5. **Canonical lines** — raw response lines of a miss and of its cached
+   repeat, read off a plain socket, are each exactly ``canonical_dumps``
+   of their own parse: the daemon splices pre-rendered records into its
+   lines, and the splice must still be canonical JSON.
 
 Run::
 
     PYTHONPATH=src python tools/serve_smoke.py
 
-Exit code 0 only when all four hold.
+Exit code 0 only when all five hold.
 """
 
 from __future__ import annotations
 
 import argparse
+import json
 import os
+import socket
 import subprocess
 import sys
 import tempfile
@@ -46,6 +52,7 @@ from repro.serve import (  # noqa: E402
     result_document,
     wait_until_ready,
 )
+from repro.serve.protocol import canonical_dumps  # noqa: E402
 from repro.stio import save_dataset  # noqa: E402
 
 QUERIES = [
@@ -54,6 +61,25 @@ QUERIES = [
     {"bbox": [-73.98, 40.64, -73.90, 40.74], "time": [EPOCH_2013 + 5 * 86_400.0, EPOCH_2013 + 25 * 86_400.0]},
     {"bbox": [-74.03, 40.66, -73.94, 40.76], "time": [EPOCH_2013, EPOCH_2013 + 30 * 86_400.0]},
 ]
+
+
+#: Asked only over the raw socket, so its first answer is a miss.
+RAW_QUERY = {
+    "bbox": [-74.01, 40.62, -73.95, 40.72],
+    "time": [EPOCH_2013, EPOCH_2013 + 7 * 86_400.0],
+}
+
+
+def raw_lines(host: str, port: int, request: dict, n: int) -> list[str]:
+    """``n`` response lines to ``request`` on one plain socket, as sent."""
+    line = canonical_dumps(request).encode("utf-8") + b"\n"
+    with socket.create_connection((host, port), timeout=60) as sock:
+        reader = sock.makefile("rb")
+        answers = []
+        for _ in range(n):
+            sock.sendall(line)
+            answers.append(reader.readline().decode("utf-8").rstrip("\n"))
+    return answers
 
 
 def one_shot_cli(dataset: Path, query: dict) -> str:
@@ -89,6 +115,7 @@ def main(argv: list[str] | None = None) -> int:
         dataset = Path(tmp) / "nyc"
         save_dataset(dataset, events, "event", partitioner=TSTRPartitioner(4, 4))
         expected = {i: one_shot_cli(dataset, q) for i, q in enumerate(QUERIES)}
+        expected_raw = one_shot_cli(dataset, RAW_QUERY)
 
         config = ServeConfig(
             workers=4,
@@ -136,6 +163,18 @@ def main(argv: list[str] | None = None) -> int:
                     f"across 2 tenants: {len(failures)} failures",
                     flush=True,
                 )
+
+                # 5: a miss and its hit, as raw lines off a plain socket.
+                request = {"op": "query", "id": "raw-é", "tenant": "team-0", **RAW_QUERY}
+                for n, line in enumerate(raw_lines(host, port, request, 2)):
+                    response = json.loads(line)
+                    if canonical_dumps(response) != line:
+                        failures.append(f"raw line {n} is not canonical JSON: {line[:200]}")
+                    elif response.get("cached") is not bool(n):
+                        failures.append(f"raw line {n}: cached={response.get('cached')}")
+                    elif result_document(response) != expected_raw:
+                        failures.append(f"raw line {n}: served bytes != one-shot CLI bytes")
+                print("[serve-smoke] raw miss + hit lines checked canonical", flush=True)
 
                 # 3: the starved tenant must shed — others already completed.
                 shed_statuses = []
