@@ -301,11 +301,47 @@ def _cmd_lint(args: argparse.Namespace) -> int:
     return 1 if report.fails_at(threshold) else 0
 
 
-def _cmd_trace(args: argparse.Namespace) -> int:
+def _run_script(script: Path, backend: str, tracer=None, capture: bool = False, **env):
+    """Run ``script`` as ``__main__``, under ``tracer`` when one is given.
+
+    Scripts typically build their own EngineContext; REPRO_DEFAULT_BACKEND
+    (set to ``backend``) steers those constructions without editing the
+    script.  ``env`` sets further variables (``None`` unsets one); all of
+    them are restored afterwards either way.  Returns the script's stdout
+    when ``capture``, else ``None`` (the output passes through).
+    """
+    import contextlib
+    import io
     import os
     import runpy
 
-    from repro.obs import Tracer, installed, text_tree, write_trace_files
+    from repro.obs import installed
+
+    def assign(values: dict) -> None:
+        for name, value in values.items():
+            if value is None:
+                os.environ.pop(name, None)
+            else:
+                os.environ[name] = value
+
+    env = {"REPRO_DEFAULT_BACKEND": backend, **env}
+    saved = {name: os.environ.get(name) for name in env}
+    captured = io.StringIO() if capture else None
+    assign(env)
+    try:
+        with contextlib.ExitStack() as scope:
+            if tracer is not None:
+                scope.enter_context(installed(tracer))
+            if captured is not None:
+                scope.enter_context(contextlib.redirect_stdout(captured))
+            runpy.run_path(str(script), run_name="__main__")
+    finally:
+        assign(saved)
+    return captured.getvalue() if captured is not None else None
+
+
+def _cmd_trace(args: argparse.Namespace) -> int:
+    from repro.obs import Tracer, text_tree, write_trace_files
 
     script = Path(args.script)
     if not script.exists():
@@ -313,18 +349,7 @@ def _cmd_trace(args: argparse.Namespace) -> int:
         return 2
     out = args.out or Path("traces") / script.stem
     tracer = Tracer()
-    # Scripts typically build their own EngineContext; REPRO_DEFAULT_BACKEND
-    # steers those constructions without editing the script.
-    previous_backend = os.environ.get("REPRO_DEFAULT_BACKEND")
-    os.environ["REPRO_DEFAULT_BACKEND"] = args.backend
-    try:
-        with installed(tracer):
-            runpy.run_path(str(script), run_name="__main__")
-    finally:
-        if previous_backend is None:
-            os.environ.pop("REPRO_DEFAULT_BACKEND", None)
-        else:
-            os.environ["REPRO_DEFAULT_BACKEND"] = previous_backend
+    _run_script(script, args.backend, tracer)
     paths = write_trace_files(tracer, out)
     if not args.quiet:
         print(text_tree(tracer))
@@ -336,8 +361,6 @@ def _cmd_trace(args: argparse.Namespace) -> int:
 
 def _cmd_locks(args: argparse.Namespace) -> int:
     import json
-    import os
-    import runpy
 
     from repro.engine import lockwatch
 
@@ -346,17 +369,9 @@ def _cmd_locks(args: argparse.Namespace) -> int:
         print(f"locks: no such script: {script}", file=sys.stderr)
         return 2
     out = args.out or Path("traces") / f"locks-{script.stem}.json"
-    previous_backend = os.environ.get("REPRO_DEFAULT_BACKEND")
-    os.environ["REPRO_DEFAULT_BACKEND"] = args.backend
     watcher = lockwatch.install()
     watcher.reset()
-    try:
-        runpy.run_path(str(script), run_name="__main__")
-    finally:
-        if previous_backend is None:
-            os.environ.pop("REPRO_DEFAULT_BACKEND", None)
-        else:
-            os.environ["REPRO_DEFAULT_BACKEND"] = previous_backend
+    _run_script(script, args.backend)
     snapshot = watcher.snapshot()
     out.parent.mkdir(parents=True, exist_ok=True)
     out.write_text(json.dumps(snapshot, indent=2, sort_keys=True), encoding="utf-8")
@@ -367,48 +382,11 @@ def _cmd_locks(args: argparse.Namespace) -> int:
     return 1 if snapshot["violations"] else 0
 
 
-def _run_script_traced(script: Path, backend: str, fault_env: str | None):
-    """Run ``script`` under a fresh tracer, capturing its stdout.
-
-    ``fault_env`` is the ``REPRO_FAULT_PLAN`` value for the run (``None``
-    runs fault-free); the variable is restored afterwards either way, as
-    is ``REPRO_DEFAULT_BACKEND``.  Returns ``(stdout_text, tracer)``.
-    """
-    import contextlib
-    import io
-    import os
-    import runpy
-
-    from repro.engine.faults import FAULT_PLAN_ENV
-    from repro.obs import Tracer, installed
-
-    tracer = Tracer()
-    saved = {
-        name: os.environ.get(name) for name in ("REPRO_DEFAULT_BACKEND", FAULT_PLAN_ENV)
-    }
-    os.environ["REPRO_DEFAULT_BACKEND"] = backend
-    if fault_env is None:
-        os.environ.pop(FAULT_PLAN_ENV, None)
-    else:
-        os.environ[FAULT_PLAN_ENV] = fault_env
-    captured = io.StringIO()
-    try:
-        with installed(tracer), contextlib.redirect_stdout(captured):
-            runpy.run_path(str(script), run_name="__main__")
-    finally:
-        for name, value in saved.items():
-            if value is None:
-                os.environ.pop(name, None)
-            else:
-                os.environ[name] = value
-    return captured.getvalue(), tracer
-
-
 def _cmd_chaos(args: argparse.Namespace) -> int:
     import re
 
-    from repro.engine.faults import FaultPlan
-    from repro.obs import text_tree, write_trace_files
+    from repro.engine.faults import FAULT_PLAN_ENV, FaultPlan
+    from repro.obs import Tracer, text_tree, write_trace_files
 
     script = Path(args.script)
     if not script.exists():
@@ -438,10 +416,12 @@ def _cmd_chaos(args: argparse.Namespace) -> int:
         )
     out = args.out or Path("traces") / f"chaos-{script.stem}"
 
-    clean_output = None
-    if args.parity:
-        clean_output, _ = _run_script_traced(script, args.backend, None)
-    chaos_output, tracer = _run_script_traced(script, args.backend, plan.to_json())
+    def run(fault_env: str | None, tracer: Tracer) -> str:
+        return _run_script(script, args.backend, tracer, True, **{FAULT_PLAN_ENV: fault_env})
+
+    clean_output = run(None, Tracer()) if args.parity else None
+    tracer = Tracer()
+    chaos_output = run(plan.to_json(), tracer)
 
     if not args.quiet:
         sys.stdout.write(chaos_output)

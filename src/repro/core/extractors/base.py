@@ -188,32 +188,21 @@ class CellAggExtractor(ABC):
         # work (plus any still-lazy upstream lineage) without extra
         # forcing.
         with _phase_span("Extraction", rdd.ctx.tracer) as span:
-            tracer = rdd.ctx.tracer
-            oob_before = (
-                tracer.counters.get("stage_oob_bytes", 0) if tracer is not None else 0
-            )
             stats: dict = {}
             skeleton, partial = rdd.map_partitions(premerge).tree_reduce(
                 pair_merge, depth=self.reduce_depth, stats=stats
             )
             result = self.finalized(partial, skeleton.with_cell_values)
-            if tracer is not None:
-                oob = tracer.counters.get("stage_oob_bytes", 0) - oob_before
+            if span is not None:
+                tracer = rdd.ctx.tracer
                 partials = stats.get("partials", 0)
-                cells = result.n_cells * partials
-                rounds = stats.get("rounds", 0)
-                tracer.counter("extract_cells_aggregated", cells)
+                span.args["columnar"] = isinstance(partial, CellTable)
+                tracer.counter("extract_cells_aggregated", result.n_cells * partials)
                 tracer.counter("extract_partials_merged", partials)
-                tracer.counter("extract_tree_depth", rounds)
-                tracer.counter("extract_reduce_oob_bytes", oob)
-                if span is not None:
-                    span.args.update(
-                        columnar=isinstance(partial, CellTable),
-                        cells_aggregated=cells,
-                        partials_merged=partials,
-                        tree_depth=rounds,
-                        reduce_oob_bytes=oob,
-                    )
+                tracer.counter("extract_tree_depth", stats.get("rounds", 0))
+                tracer.counter(
+                    "extract_reduce_oob_bytes", tracer.totals(span).get("stage_oob_bytes", 0)
+                )
             return result
 
     def extract_values(self, rdd: RDD) -> list:

@@ -285,15 +285,15 @@ class Pipeline:
         """The root ``pipeline`` span of a traced run: the plan's
         :meth:`explain` fields."""
         if ctx.tracer is None:
-            yield None
+            yield
             return
         with ctx.tracer.span("pipeline", "pipeline", default_scope=True) as span:
             span.args.update(plan.explain())
-            yield span
+            yield
 
     # -- executing a plan -----------------------------------------------------------
 
-    def _block_partials(self, ctx: EngineContext, plan: _Plan, root) -> list:
+    def _block_partials(self, ctx: EngineContext, plan: _Plan) -> list:
         """The plan's unfinalized extraction partials on the driver, one per
         selected block, in block order (a fused plan with no block selected:
         its one zero table; a staged one: ``None`` for a block with no row
@@ -301,9 +301,9 @@ class Pipeline:
 
         A fused plan scans them off the block columns, its tasks adding their
         work to the selector's ``LoadStats`` and ``converter.stats``, which
-        the spans read after the stage; a staged one — which must keep the
-        one-partition-per-block layout, so its selector has no shuffle
-        knob — runs the operators up
+        the ``FusedScan`` span counts after the stage; a staged one — which
+        must keep the one-partition-per-block layout, so its selector has no
+        shuffle knob — runs the operators up
         to :meth:`CellAggExtractor.premerged
         <repro.core.extractors.base.CellAggExtractor.premerged>`.
         """
@@ -328,16 +328,12 @@ class Pipeline:
                 with ctx.using_backend(sel.backend) if sel.backend else nullcontext():
                     tables = [p[0] for p in plan.data.scanned(scan)._collect_partitions()]
             if span is not None:
-                work = dict(
-                    blocks=stats.partitions_read, rows_scanned=stats.rows_scanned,
-                    records=stats.records_loaded, rows_decoded=stats.rows_decoded,
-                    nbytes=stats.bytes_read,
-                    **{k: v - before[k] for k, v in allocation.snapshot().items()},
-                    quarantined=tuple(stats.quarantined_files),
-                )
-                sel._record_phase_counters(ctx, span, from_disk=True)
-                span.args.update(work)
-                root.args.update(work)
+                sel._record_phase_counters(tracer, from_disk=True)
+                for name in ("partitions_read", "rows_scanned", "rows_decoded"):
+                    tracer.counter(name, getattr(stats, name))
+                for name, value in allocation.snapshot().items():
+                    tracer.counter(name, value - before[name])
+                span.args["quarantined"] = tuple(stats.quarantined_files)
         return tables
 
     def _reduced(self, ctx: EngineContext, partials: list, depth: int):
@@ -347,10 +343,10 @@ class Pipeline:
         merged = RDD._pairwise_rounds(ctx, merge, partials, depth)[0]
         return self.extractor.finalized(merged, self.converter.structure.instance_of)
 
-    def _execute(self, ctx: EngineContext, plan: _Plan, root, checkpoint_dir=None, resume=True):
+    def _execute(self, ctx: EngineContext, plan: _Plan, checkpoint_dir=None, resume=True):
         """:meth:`run` past the lowering."""
         if plan.path == "fused":
-            tables = self._block_partials(ctx, plan, root)
+            tables = self._block_partials(ctx, plan)
             return self._reduced(ctx, tables, self.extractor.reduce_depth)
         tracer = ctx.tracer
         ckpt = None
@@ -402,7 +398,8 @@ class Pipeline:
         Selector, the collective converters, the cell-aggregating
         extractors) are not double-wrapped, and the explicit phase wrappers
         here cover custom operators that don't.  A fused run has the one
-        ``FusedScan`` phase; its counted work is on the root span too.
+        ``FusedScan`` phase, which carries its counted work
+        (``tracer.totals(root)`` sums it with the reduce's).
 
         ``checkpoint_dir`` enables phase-level checkpoint-and-resume: the
         post-Selection and post-Conversion RDDs are persisted there (via
@@ -414,8 +411,8 @@ class Pipeline:
         ignores existing ones (a forced clean run).
         """
         plan = self._lower(ctx, source, checkpoint_dir, self.selector, **select_kwargs)
-        with self._root_span(ctx, plan) as root:
-            return self._execute(ctx, plan, root, checkpoint_dir, resume)
+        with self._root_span(ctx, plan):
+            return self._execute(ctx, plan, checkpoint_dir, resume)
 
     def run_incremental(
         self,
@@ -468,8 +465,8 @@ class Pipeline:
             selected = plan.stats.partitions_selected
             if not selected:
                 return nothing
-            with self._root_span(ctx, plan) as root:
-                result = self._execute(ctx, plan, root)
+            with self._root_span(ctx, plan):
+                result = self._execute(ctx, plan)
             return IncrementalRun(result, None, selected, selected, plan.stats.records_loaded)
         if not isinstance(self.extractor, CellAggExtractor):
             raise TypeError(
@@ -482,10 +479,10 @@ class Pipeline:
             use_metadata, state.partials,
         )
         stats = plan.stats
-        with self._root_span(ctx, plan) as root:
+        with self._root_span(ctx, plan):
             new = {}
             if stats.partitions_selected:
-                new = dict(zip(plan.data.filenames, self._block_partials(ctx, plan, root)))
+                new = dict(zip(plan.data.filenames, self._block_partials(ctx, plan)))
             state = state.advanced(plan.meta, new)
             banked = state.banked()
             result = self._reduced(ctx, banked, 0) if banked else None

@@ -247,29 +247,18 @@ class Selector:
             elif span is not None:
                 selected = ctx.from_partitions(selected._collect_partitions())
             if span is not None:
-                self._record_phase_counters(ctx, span, from_disk=stats is not None)
+                self._record_phase_counters(ctx.tracer, from_disk=stats is not None)
         return selected
 
-    def _record_phase_counters(self, ctx: EngineContext, span, from_disk: bool) -> None:
-        tracer = ctx.tracer
-        if tracer is None:  # pragma: no cover - span implies a tracer
-            return
-        probes = self.rtree_probes
-        tracer.counter(probes.name, probes.value)
-        span.args[probes.name] = probes.value
+    def _record_phase_counters(self, tracer, from_disk: bool) -> None:
+        """Count the R-tree probes and, for a dataset read, the load's
+        pruning on the open phase span."""
+        tracer.counter(self.rtree_probes.name, self.rtree_probes.value)
         stats = self.last_load_stats if from_disk else None
         if stats is not None:
-            pruned = stats.partitions_total - stats.partitions_selected
             tracer.counter("partitions_scanned", stats.partitions_selected)
-            tracer.counter("partitions_pruned", pruned)
-            span.args.update(
-                partitions_scanned=stats.partitions_selected,
-                partitions_pruned=pruned,
-                records_loaded=stats.records_loaded,
-                bytes_read=stats.bytes_read,
-            )
+            tracer.counter("partitions_pruned", stats.partitions_total - stats.partitions_selected)
+            tracer.counter("records_loaded", stats.records_loaded)
+            tracer.counter("bytes_read", stats.bytes_read)
             if stats.partitions_quarantined:
-                tracer.counter(
-                    "partitions_quarantined", stats.partitions_quarantined
-                )
-                span.args["partitions_quarantined"] = stats.partitions_quarantined
+                tracer.counter("partitions_quarantined", stats.partitions_quarantined)

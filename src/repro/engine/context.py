@@ -340,8 +340,10 @@ class EngineContext:
         backend = self._inline if nested or num_partitions == 1 else self._backend
         # Trace only driver-side top-level stages: nested stages run inline
         # inside an already-spanned task, and which side of a process
-        # boundary they land on is backend-dependent — skipping them keeps
-        # the span tree identical across backends.
+        # boundary they land on is backend-dependent.  The tree still
+        # differs where a backend runs a lineage twice: on the process
+        # backend a staged partitioner's input runs for its sample and
+        # again for its shuffle (``STPartitioner.partition``).
         tracer = self.tracer if not nested else None
         stage_span = None
         if tracer is not None:
@@ -578,7 +580,6 @@ class EngineContext:
         )
         tracer.finish(
             stage_span,
-            records_out=records,
             speculative_launched=stage.speculative_launched,
             speculative_wins=stage.speculative_wins,
             **({"exec_window_seconds": round(exec_window, 6)} if exec_window is not None else {}),

@@ -2,8 +2,9 @@
 
 The Chrome format is the `trace-event`_ JSON that Perfetto and
 ``chrome://tracing`` load directly: one ``"X"`` (complete) event per span
-with microsecond timestamps relative to the trace epoch, one track (tid)
-per worker, and ``"C"`` counter events for the tracer's counters.
+with microsecond timestamps relative to the trace epoch and the span's
+args and counts, one track (tid) per worker, and ``"C"`` counter events
+for the tracer's counter totals.
 
 .. _trace-event:
    https://docs.google.com/document/d/1CvAClvFfyA5R-PhYUmn5OOQtYMH4h6I0nSsKchNAySU
@@ -69,6 +70,7 @@ def chrome_trace(tracer: Tracer) -> dict:
                     "span_id": span.span_id,
                     "parent_id": span.parent_id,
                     **span.args,
+                    **span.counts,
                 },
             }
         )
@@ -94,8 +96,8 @@ def _render_span(span: Span, tracer: Tracer, indent: int, lines: list[str]) -> N
     pad = "  " * indent
     ms = span.duration * 1000.0
     detail = ""
-    if span.args:
-        pairs = ", ".join(f"{k}={v}" for k, v in sorted(span.args.items()))
+    if span.args or span.counts:
+        pairs = ", ".join(f"{k}={v}" for k, v in sorted({**span.args, **span.counts}.items()))
         detail = f"  {{{pairs}}}"
     category = f" [{span.category}]" if span.category else ""
     lines.append(f"{pad}{span.name}{category}  {ms:.1f}ms{detail}")
@@ -120,7 +122,7 @@ def text_tree(tracer: Tracer) -> str:
 
 
 def to_jsonl(tracer: Tracer) -> str:
-    """One JSON object per line: every span, then every counter."""
+    """One JSON object per line: every span with its counts, then every counter total."""
     lines = []
     for span in tracer.spans:
         lines.append(
@@ -136,6 +138,7 @@ def to_jsonl(tracer: Tracer) -> str:
                     "end": span.end,
                     "duration": span.duration,
                     "args": span.args,
+                    "counts": span.counts,
                 },
                 sort_keys=True,
             )

@@ -12,6 +12,8 @@ Driver-side code opens spans with :meth:`Tracer.span`; task spans are
 *reconstructed* driver-side from the per-task outcomes every backend ships
 back (the process backend cannot call into a driver tracer from a worker,
 and wall-clock timestamps are the only cross-process-consistent currency).
+A count (:meth:`Tracer.counter`) is booked once, on the span it ran under;
+:meth:`Tracer.totals` sums a subtree and :attr:`Tracer.counters` the trace.
 
 A tracer is installed either explicitly (``EngineContext(tracer=...)``) or
 globally via :func:`set_tracer` / :func:`installed`; instrumentation sites
@@ -24,6 +26,7 @@ from __future__ import annotations
 import itertools
 import threading
 import time
+from collections import Counter
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 from typing import Any, Callable, Iterator
@@ -53,7 +56,10 @@ class Span:
     end: float | None = None
     parent_id: int | None = None
     track: str = "driver"
+    #: Labels and other values that do not add up (backend, path, ...).
     args: dict = field(default_factory=dict)
+    #: Additive numbers booked while this span was innermost (:meth:`Tracer.counter`).
+    counts: dict = field(default_factory=dict)
 
     @property
     def duration(self) -> float:
@@ -64,7 +70,7 @@ class Span:
 
 
 class Tracer:
-    """Collects spans and counters for one profiled run.
+    """Collects spans, and the counts booked on them, for one profiled run.
 
     Thread-safe: driver threads, pool threads, and the metrics-merging path
     may all emit concurrently.  Span nesting is tracked per thread; spans
@@ -76,11 +82,12 @@ class Tracer:
     def __init__(self, clock: Callable[[], float] = time.time):
         self._clock = clock
         self._lock = threading.Lock()
-        self._spans: list[Span] = []
+        self._spans: dict[int, Span] = {}  # by id, in creation order
         self._ids = itertools.count(1)
         self._local = threading.local()
         self._default_parents: list[int] = []
-        self._counters: dict[str, float] = {}
+        #: Counts booked with no span open (a serve handler thread, a bare ingest).
+        self.counts: dict[str, float] = {}
         #: Trace epoch: exporters emit timestamps relative to this.
         self.t0 = clock()
 
@@ -104,13 +111,8 @@ class Tracer:
     def current_span(self) -> Span | None:
         """The :class:`Span` for :meth:`current_span_id`, if any."""
         sid = self.current_span_id()
-        if sid is None:
-            return None
         with self._lock:
-            for span in self._spans:
-                if span.span_id == sid:
-                    return span
-        return None
+            return self._spans.get(sid)
 
     # -- emitting -----------------------------------------------------------------
 
@@ -135,7 +137,7 @@ class Tracer:
                 track=track,
                 args=dict(args),
             )
-            self._spans.append(span)
+            self._spans[span.span_id] = span
             if default_scope:
                 self._default_parents.append(span.span_id)
         self._stack().append(span.span_id)
@@ -202,21 +204,35 @@ class Tracer:
                 track=track,
                 args=dict(args),
             )
-            self._spans.append(span)
+            self._spans[span.span_id] = span
         return span
 
     # -- counters -----------------------------------------------------------------
 
     def counter(self, name: str, value: float) -> None:
-        """Add ``value`` to a named counter."""
+        """Add ``value`` to ``name`` on the span :meth:`current_span_id`
+        names, or on the trace itself when no span is open."""
+        sid = self.current_span_id()
         with self._lock:
-            self._counters[name] = self._counters.get(name, 0) + value
+            counts = self.counts if sid is None else self._spans[sid].counts
+            counts[name] = counts.get(name, 0) + value
 
     @property
     def counters(self) -> dict[str, float]:
-        """A copy of the counters."""
+        """Every count: those booked with no span open plus every span's."""
+        return self.totals()
+
+    def totals(self, span: Span | None = None) -> dict[str, float]:
+        """The counts of ``span`` and of every span under it (no ``span``:
+        of the whole trace, the counts booked with no span open included)."""
+        inside = {None if span is None else span.span_id}
         with self._lock:
-            return dict(self._counters)
+            total = Counter(self.counts if span is None else span.counts)
+            for s in self._spans.values():  # a parent is created before its children
+                if s.parent_id in inside:
+                    inside.add(s.span_id)
+                    total.update(s.counts)
+        return dict(total)
 
     # -- reading ------------------------------------------------------------------
 
@@ -224,7 +240,7 @@ class Tracer:
     def spans(self) -> list[Span]:
         """All spans in creation order."""
         with self._lock:
-            return list(self._spans)
+            return list(self._spans.values())
 
     def roots(self) -> list[Span]:
         """Spans with no parent."""

@@ -75,7 +75,7 @@ from repro.serve.queueing import BoundedPriorityQueue
 from repro.stio.blockv2 import open_v2_block
 from repro.stio.dataset import StDataset
 from repro.stio.formats import decode_record, encode_record
-from repro.stio.metadata import METADATA_FILENAME, DatasetMetadata
+from repro.stio.metadata import DatasetMetadata
 
 #: Queue-pressure shed reason (admission reasons live in serve.admission).
 REASON_QUEUE_FULL = "queue_full"
@@ -135,11 +135,6 @@ class DatasetState:
         self.blocks_quarantined = 0
         self.invalidations = 0
         self.meta: DatasetMetadata = self.dataset.metadata()
-        self._meta_sig = self._signature()
-
-    def _signature(self) -> tuple[int, int]:
-        stat = (self.dataset.directory / METADATA_FILENAME).stat()
-        return (stat.st_mtime_ns, stat.st_size)
 
     @property
     def generation(self) -> int:
@@ -147,18 +142,18 @@ class DatasetState:
         return self.meta.generation
 
     def refresh(self) -> bool:
-        """Re-stat the metadata file; reload + invalidate if it changed.
+        """Re-validate the metadata (:meth:`StDataset.cached_metadata`);
+        invalidate if it changed.
 
         Returns True when the dataset changed underneath the server.  The
         stat round-trip is a few microseconds — cheap enough to pay per
         query for the guarantee that a stale answer is never served.
         """
         with self._lock:
-            signature = self._signature()
-            if signature == self._meta_sig:
+            meta = self.dataset.cached_metadata()
+            if meta is self.meta:
                 return False
-            self.meta = self.dataset.metadata()
-            self._meta_sig = signature
+            self.meta = meta
             live = {p.filename for p in self.meta.partitions}
             for filename in [f for f in self._blocks if f not in live]:
                 del self._blocks[filename]

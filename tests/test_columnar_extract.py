@@ -14,6 +14,8 @@ backends.
 
 from __future__ import annotations
 
+import threading
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -428,7 +430,7 @@ class TestObsCounters:
         assert counters["extract_cells_aggregated"] == 4 * sm.n_cells
         assert counters["extract_tree_depth"] == 2  # 4 -> 2 -> 1
         span = next(s for s in tracer.spans if s.name == "Extraction")
-        assert span.args["partials_merged"] == 4
+        assert tracer.totals(span)["extract_partials_merged"] == 4
 
     def test_process_backend_reports_oob_bytes(self):
         # ``stage_oob_bytes`` is metered against the *installed* tracer
@@ -444,9 +446,51 @@ class TestObsCounters:
                     ctx.from_partitions(converted._collect_partitions())
                 )
             span = next(s for s in tracer.spans if s.name == "Extraction")
-            assert span.args["reduce_oob_bytes"] > 0
+            counts = tracer.totals(span)
+            assert counts["stage_oob_bytes"] == counts["extract_reduce_oob_bytes"] > 0
         finally:
             ctx.backend.stop()
+
+    @pytest.mark.parametrize("backend", ["sequential", "thread", "process"])
+    def test_reduce_oob_bytes_are_the_extraction_subtrees_only(self, backend):
+        # Only the process backend pickles stages, so only it moves bytes;
+        # another thread's stages, booked meanwhile, stay out of the count.
+        events = make_events(200)
+        sm, _, _ = _structures()
+        tracer = Tracer()
+        ctx = EngineContext(default_parallelism=4, backend=backend)
+        extractor = SmFlowExtractor()
+        finalized = extractor.finalized
+        opened, go = threading.Event(), threading.Event()
+
+        def other_job():  # another driver thread, under its own span
+            with tracer.span("other-job"):
+                opened.set()
+                go.wait()
+                tracer.counter("stage_oob_bytes", 10**6)
+
+        def finalized_while_another_job_books(*args):
+            go.set()  # ... mid-extraction: it must not leak into this count
+            thread.join()
+            return finalized(*args)
+
+        extractor.finalized = finalized_while_another_job_books
+        thread = threading.Thread(target=other_job)
+        thread.start()
+        opened.wait()
+        try:
+            with installed(tracer):
+                converted = Event2SmConverter(sm).convert(ctx.parallelize(events, 4))
+                extractor.extract(ctx.from_partitions(converted._collect_partitions()))
+            span = next(s for s in tracer.spans if s.name == "Extraction")
+            counts = tracer.totals(span)
+            assert counts.get("stage_oob_bytes", 0) == counts["extract_reduce_oob_bytes"]
+            assert (counts["extract_reduce_oob_bytes"] > 0) == (backend == "process")
+            assert counts["extract_reduce_oob_bytes"] < 10**6
+            assert tracer.counters["stage_oob_bytes"] >= 10**6
+        finally:
+            go.set()
+            ctx.stop()
 
 
 class TestCellTable:

@@ -71,6 +71,26 @@ class TestTracerCore:
         tracer.counter("x", 3)
         assert tracer.counters == {"x": 5}
 
+    def test_counts_land_on_the_booking_threads_span(self):
+        tracer = Tracer()
+
+        def book(name):
+            thread = threading.Thread(target=tracer.counter, args=(name, 2))
+            thread.start()
+            thread.join()
+
+        book("bare")  # no span open anywhere: the trace's own counts
+        with tracer.span("driver-only") as own:
+            book("other-thread")  # a plain span is not another thread's scope
+            tracer.counter("mine", 1)
+            with tracer.span("phase", "phase", default_scope=True) as scope:
+                book("pooled")  # an empty stack falls back to the default scope
+        assert tracer.counts == {"bare": 2, "other-thread": 2}
+        assert own.counts == {"mine": 1}
+        assert scope.counts == {"pooled": 2}
+        assert tracer.totals(own) == {"mine": 1, "pooled": 2}
+        assert tracer.counters == {"bare": 2, "other-thread": 2, "mine": 1, "pooled": 2}
+
     def test_phase_idempotent_reuse(self):
         tracer = Tracer()
         with phase("Selection", tracer) as outer:
@@ -200,13 +220,11 @@ class TestPipelineTracing:
         selector.select(ctx, tmp_path / "d")
         (selection,) = tracer.find("Selection", "phase")
         stats = selector.last_load_stats
-        assert selection.args["partitions_scanned"] == stats.partitions_selected
-        assert (
-            selection.args["partitions_pruned"]
-            == stats.partitions_total - stats.partitions_selected
-        )
-        assert selection.args["partitions_pruned"] > 0
-        assert selection.args["rtree_probes"] > 0
+        counts = tracer.totals(selection)
+        assert counts["partitions_scanned"] == stats.partitions_selected
+        assert counts["partitions_pruned"] == stats.partitions_total - stats.partitions_selected
+        assert counts["partitions_pruned"] > 0
+        assert counts["rtree_probes"] > 0
         assert tracer.counters["partitions_scanned"] == stats.partitions_selected
 
     def test_untraced_run_emits_nothing(self):
@@ -214,6 +232,29 @@ class TestPipelineTracing:
         assert ctx.tracer is None
         _run_pipeline(ctx)  # must not raise, and no tracer state leaks
         assert current_tracer() is None
+
+
+@pytest.mark.parametrize("backend", BACKENDS)
+def test_counters_are_trace_counts_plus_every_roots_totals(backend):
+    tracer = Tracer()
+    ctx = EngineContext(default_parallelism=2, backend=backend, tracer=tracer)
+    try:
+        with installed(tracer):  # the process backend meters stage_oob_bytes here
+            _run_pipeline(ctx)
+            thread = threading.Thread(target=tracer.counter, args=("unscoped", 1))
+            thread.start()
+            thread.join()
+    finally:
+        ctx.stop()
+    summed = dict(tracer.counts)
+    for root in tracer.roots():
+        for name, value in tracer.totals(root).items():
+            summed[name] = summed.get(name, 0) + value
+    # (A lock watcher left installed by strict mode elsewhere in the suite
+    # also books here, floats among them: their sum order may differ.)
+    assert tracer.counts["unscoped"] == 1
+    assert tracer.counters == pytest.approx(summed)
+    assert summed["stages"] > 0 and summed["extract_partials_merged"] > 0
 
 
 class TestExporters:
@@ -254,6 +295,8 @@ class TestExporters:
         tree = text_tree(tracer)
         for needle in ("pipeline", "Selection", "Conversion", "Extraction", "counters:"):
             assert needle in tree
+        (line,) = [ln for ln in tree.splitlines() if "Extraction [phase]" in ln]
+        assert "extract_partials_merged=" in line  # a span's counts render on its line
 
     def test_jsonl_lines_all_parse(self):
         tracer = self._traced()
@@ -261,6 +304,8 @@ class TestExporters:
         parsed = [json.loads(line) for line in lines]
         kinds = {p["type"] for p in parsed}
         assert kinds == {"span", "counter"}
+        spans = [p for p in parsed if p["type"] == "span"]
+        assert [p["counts"] for p in spans] == [s.counts for s in tracer.spans]
 
     def test_write_trace_files(self, tmp_path):
         tracer = self._traced()

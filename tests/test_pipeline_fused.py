@@ -521,12 +521,45 @@ class TestTracedFusedRun:
         assert phases == ["FusedScan"]
         assert root.args["path"] == "fused"
         assert (root.args["blocks_total"], root.args["blocks_selected"]) == (2, 2)
-        assert root.args["rows_scanned"] == len(events)
-        assert root.args["rows_decoded"] == 0
+        work = tracer.totals(root)
+        assert work["rows_scanned"] == len(events)
+        assert work["rows_decoded"] == 0
         snapshot = pipe.converter.stats.snapshot()
-        assert root.args["candidate_tests"] == snapshot["candidate_tests"]
-        assert root.args["allocations"] == snapshot["allocations"] == sum(oracle(pipe, events))
+        assert work["candidate_tests"] == snapshot["candidate_tests"]
+        assert work["allocations"] == snapshot["allocations"] == sum(oracle(pipe, events))
         assert tracer.counters["partitions_scanned"] == 2
+
+    @pytest.mark.parametrize("backend", ALL_BACKENDS)
+    def test_fused_scan_totals_are_the_runs_load_and_allocation_work(self, tmp_path, backend):
+        # The event_flow workload's shape: events off a blocked dataset
+        # into a raster flow.  The FusedScan subtree counts exactly what
+        # the run's LoadStats and converter.stats deltas say it did.
+        events = [lattice_event(x, y, t) for x in range(17) for y in range(17) for t in (5, 9)]
+        path = write_blocks(tmp_path / "ds", [events[b::4] for b in range(4)])
+        tracer = Tracer()
+        ctx = make_ctx(backend, tracer=tracer)
+        pipe = pipeline("raster")
+        before = pipe.converter.stats.snapshot()
+        try:
+            pipe.run(ctx, path)
+        finally:
+            ctx.stop()
+        load, after = pipe.selector.last_load_stats, pipe.converter.stats.snapshot()
+        expected = {
+            "partitions_read": load.partitions_read,
+            "partitions_scanned": load.partitions_selected,
+            "partitions_pruned": load.partitions_total - load.partitions_selected,
+            "records_loaded": load.records_loaded,
+            "rows_scanned": load.rows_scanned,
+            "rows_decoded": load.rows_decoded,
+            "bytes_read": load.bytes_read,
+            **{name: after[name] - before[name] for name in after},
+        }
+        (scan,) = tracer.find("FusedScan")
+        totals = tracer.totals(scan)
+        assert {name: totals[name] for name in expected} == expected
+        assert totals["partitions_read"] == 4 and totals["rows_scanned"] == len(events)
+        assert totals["allocations"] == sum(oracle(pipe, events)) > 0
 
     def test_stats_are_exact_on_the_process_backend(self, tmp_path):
         # ... and on the thread backend, fused or staged: every counter a
