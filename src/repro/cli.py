@@ -20,9 +20,6 @@ surface a data engineer needs without writing code:
 * ``query``    — thin client for a running daemon (also ``--stats`` /
   ``--ping`` / ``--shutdown``);
 * ``info``     — print a dataset's metadata summary;
-* ``lint``     — static distributed-correctness checks: stage-closure
-  rules (REPRO1xx) and lock-discipline rules (REPRO2xx); see
-  :mod:`repro.analysis`;
 * ``trace``    — run a pipeline script under the tracer and export its
   span tree (Chrome trace JSON / text summary / JSONL);
 * ``locks``    — run a pipeline script under the runtime lock-order
@@ -45,7 +42,6 @@ Usage::
     python -m repro.cli --profile traces/select select data/nyc --bbox ...
     python -m repro.cli serve data/nyc --port 7071 --tenant ml-team:100:40:16
     python -m repro.cli query --port 7071 --bbox -74.0 40.6 -73.9 40.8 --format json
-    python -m repro.cli lint src/ tests/ --format github
     python -m repro.cli --backend process trace examples/quickstart.py
     python -m repro.cli --backend process chaos examples/quickstart.py --parity
 """
@@ -80,11 +76,6 @@ _GENERATORS = {
     ),
     "osm": ("event", lambda n, seed: generate_osm_pois(n, seed=seed)),
 }
-
-
-def _rule_ids(value: str) -> list[str]:
-    """argparse type for comma-separated rule-id lists."""
-    return [v.strip() for v in value.split(",") if v.strip()]
 
 
 def _make_ctx(args: argparse.Namespace) -> EngineContext:
@@ -266,39 +257,6 @@ def _cmd_query(args: argparse.Namespace) -> int:
         f"exec={response['exec_ms']}ms)"
     )
     return 0
-
-
-def _cmd_lint(args: argparse.Namespace) -> int:
-    from repro.analysis import LintOptions, lint_paths, render, rules_by_id
-
-    if args.list_rules:
-        for rule_id, rule in sorted(rules_by_id().items()):
-            summary = rule.description.split(". ")[0].rstrip(".")
-            print(f"{rule_id}  {rule.name:<28} {summary}")
-        return 0
-    if not args.paths:
-        print("lint needs at least one path (or --list-rules)", file=sys.stderr)
-        return 2
-    options = LintOptions(
-        assume_cloudpickle=False if args.no_cloudpickle else None
-    )
-    try:
-        report = lint_paths(
-            args.paths,
-            select=args.select,
-            ignore=args.ignore,
-            options=options,
-        )
-    except ValueError as exc:  # unknown rule id in --select/--ignore
-        print(f"lint: {exc}", file=sys.stderr)
-        return 2
-    output = render(report, args.format)
-    if output:
-        print(output)
-    from repro.analysis import Severity
-
-    threshold = Severity[args.fail_on.upper()]
-    return 1 if report.fails_at(threshold) else 0
 
 
 def _run_script(script: Path, backend: str, tracer=None, capture: bool = False, **env):
@@ -712,55 +670,6 @@ def build_parser() -> argparse.ArgumentParser:
     info = sub.add_parser("info", help="print dataset metadata")
     info.add_argument("path", type=Path)
     info.set_defaults(func=_cmd_info)
-
-    from repro.analysis import FORMATS
-
-    lint = sub.add_parser(
-        "lint",
-        help="static distributed-correctness and lock-discipline checks",
-        description="AST-based lint: the REPRO1xx family checks code that "
-        "ships closures into engine stages (capture safety, picklability, "
-        "determinism, broadcast immutability, partitioner contracts); the "
-        "REPRO2xx family checks lock discipline (guarded mutation, "
-        "balanced acquire/release, blocking calls under locks, global "
-        "lock order, condition predicates, locks in stage closures).",
-    )
-    lint.add_argument("paths", nargs="*", type=Path)
-    lint.add_argument("--format", choices=FORMATS, default="text")
-    lint.add_argument(
-        "--select",
-        type=_rule_ids,
-        action="extend",
-        default=None,
-        metavar="RULES",
-        help="comma-separated rule ids to run (default: all)",
-    )
-    lint.add_argument(
-        "--ignore",
-        type=_rule_ids,
-        action="extend",
-        default=None,
-        metavar="RULES",
-        help="comma-separated rule ids to skip",
-    )
-    lint.add_argument(
-        "--no-cloudpickle",
-        action="store_true",
-        help="lint as if cloudpickle were unavailable (stdlib pickle "
-        "only), enabling the stricter REPRO105 closure checks",
-    )
-    lint.add_argument(
-        "--list-rules", action="store_true", help="print the rule catalogue"
-    )
-    lint.add_argument(
-        "--fail-on",
-        choices=("warning", "error"),
-        default="warning",
-        help="minimum finding severity that makes the exit code 1 "
-        "(default: warning; 'error' still prints warnings but lets CI "
-        "gate on errors only)",
-    )
-    lint.set_defaults(func=_cmd_lint)
 
     trace = sub.add_parser(
         "trace",

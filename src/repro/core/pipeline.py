@@ -287,7 +287,7 @@ class Pipeline:
         if ctx.tracer is None:
             yield
             return
-        with ctx.tracer.span("pipeline", "pipeline", default_scope=True) as span:
+        with ctx.tracer.span("pipeline", "pipeline") as span:
             span.args.update(plan.explain())
             yield
 

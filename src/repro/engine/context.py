@@ -66,10 +66,9 @@ class EngineContext:
         before/after execution, so unpicklable captures, task-side
         mutation of captured state, and broadcast mutation raise
         :class:`~repro.engine.errors.StrictModeViolation` on *any*
-        backend — the dynamic backstop of ``repro lint``.  Also installs
-        the lock-order sanitizer (:mod:`repro.engine.lockwatch`) in
-        record mode, the dynamic backstop of the REPRO2xx rules.  Costs
-        one serialization pass per stage; meant for tests and debugging.
+        backend.  Also installs the lock-order sanitizer
+        (:mod:`repro.engine.lockwatch`) in record mode.  Costs one
+        serialization pass per stage; meant for tests and debugging.
     fault_plan:
         A :class:`~repro.engine.faults.FaultPlan` (or dict / JSON string /
         path to one) injecting deterministic faults into every stage.
@@ -353,6 +352,9 @@ class EngineContext:
                 backend=backend.name,
                 partitions=num_partitions,
             )
+            if not backend.requires_serializable_tasks:
+                # Pool threads begin with an empty span stack.
+                spec = _spec_replace(spec, task=tracer.under(stage_span, spec.task))
         # Strict mode inspects only driver-side top-level stages — nested
         # stages run inside a task whose closure was already vetted.
         snapshot = None
@@ -569,6 +571,8 @@ class EngineContext:
         tracer.counter("stages", 1)
         tracer.counter("tasks", len(outcomes))
         tracer.counter("records_out", records)
+        if stage.oob_bytes:
+            tracer.counter("stage_oob_bytes", stage.oob_bytes)
         if injected:
             tracer.counter("faults_injected", injected)
         if injected_delay:

@@ -75,8 +75,7 @@ class StrictModeViolation(EngineError):
     an unpicklable capture, a failed pickle round-trip, task-side mutation
     of captured state, a mutated broadcast value, or a partitioner
     breaking the assign contract.  The message names the offending
-    function and capture; the static analog is the ``repro lint`` rule
-    cited in it.
+    function and capture; ``rule`` names the check that failed.
     """
 
     def __init__(self, message: str, rule: str | None = None):

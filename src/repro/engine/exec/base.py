@@ -109,6 +109,8 @@ class StageResult:
     window (dispatch through last gather) in epoch seconds; the engine's
     tracer subtracts this from its stage span to expose scheduling and
     serialization overhead.  0.0 means the backend did not stamp them.
+    ``oob_bytes`` is what the stage closure shipped out of band (the
+    process backend's pickle-5 buffers), booked as ``stage_oob_bytes``.
     """
 
     outcomes: list[TaskOutcome] = field(default_factory=list)
@@ -116,6 +118,7 @@ class StageResult:
     speculative_wins: int = 0
     started_wall: float = 0.0
     ended_wall: float = 0.0
+    oob_bytes: int = 0
 
 
 def run_task_attempts(

@@ -338,13 +338,6 @@ class ProcessBackend(Backend):
 
         started_wall = time.time()
         payload, buffers = _serialize_stage(spec)
-        oob_bytes = sum(len(b) for b in buffers)
-        if oob_bytes:
-            from repro.obs.tracer import current_tracer
-
-            tracer = current_tracer()
-            if tracer is not None:
-                tracer.counter("stage_oob_bytes", oob_bytes)
         token = next(_stage_tokens)
 
         partitions = spec.partition_ids()
@@ -411,7 +404,7 @@ class ProcessBackend(Backend):
         chunks: list[_ChunkState],
         pending: dict[Future, _ChunkState],
     ) -> StageResult:
-        result = StageResult()
+        result = StageResult(oob_bytes=sum(len(b) for b in buffers))
         outcomes: dict[int, TaskOutcome] = {}
         finished_elapsed: list[float] = []
         speculative_budget = max(1, int(len(chunks) * self.speculative_fraction)) if (

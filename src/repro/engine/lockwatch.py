@@ -1,9 +1,8 @@
-"""Runtime lock-order sanitizer — the dynamic half of the concurrency layer.
+"""Runtime lock-order sanitizer: the one guard against lock-order hazards.
 
-The REPRO2xx lint rules (:mod:`repro.analysis.concurrency`) reason about
-lock discipline statically; this module watches what *actually* happens.
-When installed it wraps ``threading.Lock`` / ``threading.RLock`` creation
-for callers inside ``repro.*`` modules and, per acquisition:
+It watches what *actually* happens.  When installed it wraps
+``threading.Lock`` / ``threading.RLock`` creation for callers inside
+``repro.*`` modules and, per acquisition:
 
 * records the per-thread stack of held locks (by creation site);
 * adds ``held -> acquired`` edges to a global lock-order graph;
@@ -32,8 +31,8 @@ Enablement:
   notebooks scoped, explicit control.
 
 ``REPRO_LOCK_GRAPH_OUT=<path>`` dumps the order graph, per-site stats,
-and violations as JSON at interpreter exit.  ``REPRO_LOCK_HOLD_SECONDS``
-tunes the long-hold span threshold (default 0.05s).
+and violations as JSON at interpreter exit.  A hold of at least
+``HOLD_SPAN_SECONDS`` is exported as a span.
 """
 
 from __future__ import annotations
@@ -62,12 +61,8 @@ def env_enabled() -> bool:
     return os.environ.get("REPRO_LOCK_SANITIZER", "").strip().lower() in _TRUTHY
 
 
-def _hold_threshold() -> float:
-    raw = os.environ.get("REPRO_LOCK_HOLD_SECONDS", "")
-    try:
-        return float(raw) if raw else 0.05
-    except ValueError:
-        return 0.05
+#: Holds at least this long are exported as ``lock-hold`` spans.
+HOLD_SPAN_SECONDS = 0.05
 
 
 @dataclass
@@ -137,7 +132,7 @@ class LockWatcher:
         self.violations: list[Violation] = []
         self._seen_cycles: set[frozenset[str]] = set()
         self.raise_on_cycle = False
-        self.hold_threshold = _hold_threshold()
+        self.hold_threshold = HOLD_SPAN_SECONDS
 
     # -- per-thread state ------------------------------------------------
 
@@ -313,7 +308,8 @@ class _WatchedLock:
     Transparent enough for ``threading.Condition``: attribute access
     falls through to the inner lock, and non-blocking acquires behave
     identically.  Deliberately *not* picklable — raw locks aren't, and
-    the REPRO103/REPRO206 contract depends on that failing loudly.
+    strict mode's pickle round-trip relies on a captured lock failing
+    loudly.
     """
 
     __slots__ = ("_inner", "_site", "_reentrant", "_watcher")

@@ -981,7 +981,7 @@ class _ShuffledRDD(RDD):
 
             # The captured self is safe despite owning _lock: __getstate__
             # nulls it for the worker copy, and workers only read lineage.
-            def map_task(split: int) -> list:  # repro: noqa[REPRO206]
+            def map_task(split: int) -> list:
                 items = self._parent._partition(split)
                 out: list[tuple[int, Any]] = []
                 if self._combine:

@@ -1,9 +1,9 @@
 """Runtime sanitizer behind ``EngineContext(strict=True)``.
 
-The static rules in :mod:`repro.analysis` catch distributed-correctness
-hazards they can see in the AST; this module is their dynamic backstop.
-In strict mode the context, driver-side and before dispatch, asserts that
-every top-level stage would survive the process backend:
+This module is the one guard against stage-closure hazards: it checks
+the closures that actually execute.  In strict mode the context,
+driver-side and before dispatch, asserts that every top-level stage would
+survive the process backend:
 
 1. **Picklability + round-trip.**  The stage's task closure is serialized
    with the same serializer the process backend uses (cloudpickle when

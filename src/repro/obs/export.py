@@ -92,7 +92,9 @@ def chrome_trace(tracer: Tracer) -> dict:
     }
 
 
-def _render_span(span: Span, tracer: Tracer, indent: int, lines: list[str]) -> None:
+def _render_span(
+    span: Span, children: dict[int | None, list[Span]], indent: int, lines: list[str]
+) -> None:
     pad = "  " * indent
     ms = span.duration * 1000.0
     detail = ""
@@ -101,15 +103,18 @@ def _render_span(span: Span, tracer: Tracer, indent: int, lines: list[str]) -> N
         detail = f"  {{{pairs}}}"
     category = f" [{span.category}]" if span.category else ""
     lines.append(f"{pad}{span.name}{category}  {ms:.1f}ms{detail}")
-    for child in tracer.children(span):
-        _render_span(child, tracer, indent + 1, lines)
+    for child in children.get(span.span_id, ()):
+        _render_span(child, children, indent + 1, lines)
 
 
 def text_tree(tracer: Tracer) -> str:
     """Human-readable span tree + counter table."""
+    children: dict[int | None, list[Span]] = {}
+    for span in tracer.spans:  # creation order, so children stay in order
+        children.setdefault(span.parent_id, []).append(span)
     lines: list[str] = []
-    for root in tracer.roots():
-        _render_span(root, tracer, 0, lines)
+    for root in children.get(None, ()):
+        _render_span(root, children, 0, lines)
     counters = tracer.counters
     if counters:
         lines.append("")

@@ -73,10 +73,9 @@ class Tracer:
     """Collects spans, and the counts booked on them, for one profiled run.
 
     Thread-safe: driver threads, pool threads, and the metrics-merging path
-    may all emit concurrently.  Span nesting is tracked per thread; spans
-    opened with ``default_scope=True`` (the pipeline/phase spans) also act
-    as the fallback parent for threads with an empty local stack, so stages
-    triggered from pool threads still nest under the right phase.
+    may all emit concurrently.  Span nesting is tracked per thread: a span
+    begun, or a count booked, on a thread with no open span of its own is a
+    root (or the trace's own count), never another thread's child.
     """
 
     def __init__(self, clock: Callable[[], float] = time.time):
@@ -85,7 +84,6 @@ class Tracer:
         self._spans: dict[int, Span] = {}  # by id, in creation order
         self._ids = itertools.count(1)
         self._local = threading.local()
-        self._default_parents: list[int] = []
         #: Counts booked with no span open (a serve handler thread, a bare ingest).
         self.counts: dict[str, float] = {}
         #: Trace epoch: exporters emit timestamps relative to this.
@@ -101,18 +99,33 @@ class Tracer:
         return stack
 
     def current_span_id(self) -> int | None:
-        """Innermost open span on this thread (or the default-scope span)."""
+        """Innermost open span on this thread."""
         stack = self._stack()
-        if stack:
-            return stack[-1]
-        with self._lock:
-            return self._default_parents[-1] if self._default_parents else None
+        return stack[-1] if stack else None
 
     def current_span(self) -> Span | None:
         """The :class:`Span` for :meth:`current_span_id`, if any."""
         sid = self.current_span_id()
         with self._lock:
             return self._spans.get(sid)
+
+    def under(self, parent: Span, fn: Callable[..., Any]) -> Callable[..., Any]:
+        """``fn``, run as a child of ``parent`` on whichever thread calls it.
+
+        How a pool thread, whose own stack is empty, books its counts and
+        spans under the stage that dispatched it.
+        """
+
+        def run(*args: Any) -> Any:
+            stack = self._stack()
+            depth = len(stack)
+            stack.append(parent.span_id)
+            try:
+                return fn(*args)
+            finally:
+                del stack[depth:]
+
+        return run
 
     # -- emitting -----------------------------------------------------------------
 
@@ -122,7 +135,6 @@ class Tracer:
         category: str = "",
         *,
         track: str = "driver",
-        default_scope: bool = False,
         **args: Any,
     ) -> Span:
         """Open a span as a child of the thread's current span."""
@@ -138,8 +150,6 @@ class Tracer:
                 args=dict(args),
             )
             self._spans[span.span_id] = span
-            if default_scope:
-                self._default_parents.append(span.span_id)
         self._stack().append(span.span_id)
         return span
 
@@ -151,9 +161,6 @@ class Tracer:
         stack = self._stack()
         if span.span_id in stack:
             stack.remove(span.span_id)
-        with self._lock:
-            if span.span_id in self._default_parents:
-                self._default_parents.remove(span.span_id)
         return span
 
     @contextmanager
@@ -163,13 +170,10 @@ class Tracer:
         category: str = "",
         *,
         track: str = "driver",
-        default_scope: bool = False,
         **args: Any,
     ) -> Iterator[Span]:
         """Context-managed :meth:`begin`/:meth:`finish` pair."""
-        span = self.begin(
-            name, category, track=track, default_scope=default_scope, **args
-        )
+        span = self.begin(name, category, track=track, **args)
         try:
             yield span
         finally:
@@ -318,5 +322,5 @@ def phase(name: str, tracer: Tracer | None = None) -> Iterator[Span | None]:
     if current is not None and current.category == "phase" and current.name == name:
         yield current
         return
-    with tracer.span(name, "phase", default_scope=True) as span:
+    with tracer.span(name, "phase") as span:
         yield span

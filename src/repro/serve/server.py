@@ -195,8 +195,8 @@ class DatasetState:
 
         ``scanned`` counts the surviving partitions — the shortlist a
         one-shot :meth:`StDataset.read` would open — and ``total`` all of
-        them.  Loads happen *outside* the lock (REPRO203: one can take tens
-        of milliseconds); of two concurrent loads of a block the first
+        them.  Loads happen *outside* the lock (one can take tens of
+        milliseconds); of two concurrent loads of a block the first
         store wins, so callers share one entry per filename.  Under
         ``on_corrupt="quarantine"`` an undecodable block is left out
         (counted, never cached, so a repaired file is picked up later).

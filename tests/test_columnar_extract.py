@@ -14,6 +14,7 @@ backends.
 
 from __future__ import annotations
 
+import contextlib
 import threading
 
 import pytest
@@ -433,23 +434,29 @@ class TestObsCounters:
         assert tracer.totals(span)["extract_partials_merged"] == 4
 
     def test_process_backend_reports_oob_bytes(self):
-        # ``stage_oob_bytes`` is metered against the *installed* tracer
-        # (the stage serializer has no context handle), so install one.
+        # The bytes are booked on the context's tracer, so a tracer given
+        # only to the context reads what an installed one reads.
         events = make_events(200)
         sm, _, _ = _structures()
-        tracer = Tracer()
-        ctx = EngineContext(default_parallelism=4, backend="process")
-        try:
-            with installed(tracer):
-                converted = Event2SmConverter(sm).convert(ctx.parallelize(events, 4))
-                SmFlowExtractor().extract(
-                    ctx.from_partitions(converted._collect_partitions())
-                )
+        seen = []
+        for install in (True, False):
+            tracer = Tracer()
+            ctx = EngineContext(
+                default_parallelism=4, backend="process", tracer=None if install else tracer
+            )
+            try:
+                with installed(tracer) if install else contextlib.nullcontext():
+                    converted = Event2SmConverter(sm).convert(ctx.parallelize(events, 4))
+                    SmFlowExtractor().extract(
+                        ctx.from_partitions(converted._collect_partitions())
+                    )
+            finally:
+                ctx.backend.stop()
             span = next(s for s in tracer.spans if s.name == "Extraction")
             counts = tracer.totals(span)
-            assert counts["stage_oob_bytes"] == counts["extract_reduce_oob_bytes"] > 0
-        finally:
-            ctx.backend.stop()
+            seen.append((counts.get("stage_oob_bytes"), counts["extract_reduce_oob_bytes"]))
+        assert seen[0] == seen[1]
+        assert seen[0][0] == seen[0][1] > 0
 
     @pytest.mark.parametrize("backend", ["sequential", "thread", "process"])
     def test_reduce_oob_bytes_are_the_extraction_subtrees_only(self, backend):

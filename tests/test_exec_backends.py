@@ -278,7 +278,7 @@ class TestProcessBackendSpecifics:
         lock = threading.Lock()
 
         # The lock capture is the point of the test.
-        def unshippable(partition: int) -> list:  # repro: noqa[REPRO206]
+        def unshippable(partition: int) -> list:
             with lock:  # closure over a lock: not picklable, even by cloudpickle
                 return [partition]
 

@@ -81,15 +81,18 @@ class TestTracerCore:
 
         book("bare")  # no span open anywhere: the trace's own counts
         with tracer.span("driver-only") as own:
-            book("other-thread")  # a plain span is not another thread's scope
+            book("other-thread")  # an open span is not another thread's scope
             tracer.counter("mine", 1)
-            with tracer.span("phase", "phase", default_scope=True) as scope:
-                book("pooled")  # an empty stack falls back to the default scope
-        assert tracer.counts == {"bare": 2, "other-thread": 2}
+            with tracer.span("Selection", "phase") as scope:
+                book("pooled")  # nor is an open phase
+                tracer.counter("inner", 1)
+        assert tracer.counts == {"bare": 2, "other-thread": 2, "pooled": 2}
         assert own.counts == {"mine": 1}
-        assert scope.counts == {"pooled": 2}
-        assert tracer.totals(own) == {"mine": 1, "pooled": 2}
-        assert tracer.counters == {"bare": 2, "other-thread": 2, "mine": 1, "pooled": 2}
+        assert scope.counts == {"inner": 1}
+        assert tracer.totals(own) == {"mine": 1, "inner": 1}
+        assert tracer.counters == {
+            "bare": 2, "other-thread": 2, "pooled": 2, "mine": 1, "inner": 1
+        }
 
     def test_phase_idempotent_reuse(self):
         tracer = Tracer()
@@ -105,19 +108,26 @@ class TestTracerCore:
         with phase("Selection") as span:
             assert span is None
 
-    def test_default_scope_parents_other_threads(self):
+    def test_other_threads_job_stays_out_of_an_open_phase(self):
+        """A second job started on another thread while a phase is open is
+        its own root: neither its spans nor its counts nest under the phase."""
         tracer = Tracer()
-        seen: dict[str, int | None] = {}
+        seen = {}
 
-        def from_pool_thread():
-            with tracer.span("stage", "stage") as s:
-                seen["parent"] = s.parent_id
+        def other_job():
+            with tracer.span("other-job") as job:
+                tracer.counter("records_out", 7)
+                seen["job"] = job
 
-        with tracer.span("Selection", "phase", default_scope=True) as ph:
-            t = threading.Thread(target=from_pool_thread)
+        with phase("Extraction", tracer) as extraction:
+            tracer.counter("extract_cells_aggregated", 3)
+            t = threading.Thread(target=other_job)
             t.start()
             t.join()
-        assert seen["parent"] == ph.span_id
+        assert seen["job"].parent_id is None
+        assert tracer.children(extraction) == []
+        assert tracer.totals(extraction) == {"extract_cells_aggregated": 3}
+        assert tracer.totals(seen["job"]) == {"records_out": 7}
 
     def test_installed_restores_previous(self):
         a, b = Tracer(), Tracer()
@@ -182,23 +192,31 @@ class TestPipelineTracing:
     def test_shuffle_counters_match_metrics(self):
         from repro.partitioners import TSTRPartitioner
 
-        tracer = Tracer()
-        ctx = EngineContext(default_parallelism=2, tracer=tracer)
         events = make_events(150, t_extent=T_EXTENT)
-        selector = Selector(
-            Envelope(0.0, 0.0, 10.0, 10.0),
-            Duration(0.0, T_EXTENT),
-            partitioner=TSTRPartitioner(2, 2),
-        )
-        selector.select(ctx, events).count()
-        counters = tracer.counters
-        metrics = ctx.metrics.snapshot()
-        assert counters["shuffles"] == metrics["shuffles"] > 0
-        assert counters["shuffle_records"] == metrics["shuffle_records"] > 0
-        # Nested (shuffle map-side) stages are deliberately untraced, so
-        # traced stage/task counts are a subset of the engine totals.
-        assert 0 < counters["stages"] <= metrics["stages"]
-        assert 0 < counters["tasks"] <= metrics["tasks"]
+        for backend in BACKENDS:
+            tracer = Tracer()
+            ctx = EngineContext(default_parallelism=2, backend=backend, tracer=tracer)
+            selector = Selector(
+                Envelope(0.0, 0.0, 10.0, 10.0),
+                Duration(0.0, T_EXTENT),
+                partitioner=TSTRPartitioner(2, 2),
+            )
+            try:
+                selector.select(ctx, events).count()
+            finally:
+                ctx.stop()
+            counters = tracer.counters
+            metrics = ctx.metrics.snapshot()
+            assert counters["shuffles"] == metrics["shuffles"] > 0
+            assert counters["shuffle_records"] == metrics["shuffle_records"] > 0
+            # The thread backend shuffles inside a pool-thread task, which
+            # runs under its stage span: the counts still reach the phase.
+            (selection,) = tracer.find("Selection", "phase")
+            assert tracer.totals(selection)["shuffle_records"] == metrics["shuffle_records"]
+            # Nested (shuffle map-side) stages are deliberately untraced, so
+            # traced stage/task counts are a subset of the engine totals.
+            assert 0 < counters["stages"] <= metrics["stages"]
+            assert 0 < counters["tasks"] <= metrics["tasks"]
 
     def test_selection_phase_counters(self, tmp_path):
         from repro.partitioners import TSTRPartitioner
@@ -239,7 +257,7 @@ def test_counters_are_trace_counts_plus_every_roots_totals(backend):
     tracer = Tracer()
     ctx = EngineContext(default_parallelism=2, backend=backend, tracer=tracer)
     try:
-        with installed(tracer):  # the process backend meters stage_oob_bytes here
+        with installed(tracer):
             _run_pipeline(ctx)
             thread = threading.Thread(target=tracer.counter, args=("unscoped", 1))
             thread.start()
@@ -297,6 +315,23 @@ class TestExporters:
             assert needle in tree
         (line,) = [ln for ln in tree.splitlines() if "Extraction [phase]" in ln]
         assert "extract_partials_merged=" in line  # a span's counts render on its line
+
+    def test_text_tree_reads_the_spans_once(self, monkeypatch):
+        """Rendering is linear in spans: one read of the span list, no
+        per-span scan for children."""
+        tracer = Tracer()
+        with tracer.span("root"):
+            for i in range(50):
+                with tracer.span(f"stage-{i}"):
+                    tracer.add_span(f"task-{i}", "task", 0.0, 0.0, parent=tracer.current_span())
+        reads = []
+        spans = Tracer.spans.fget
+        monkeypatch.setattr(Tracer, "spans", property(lambda t: reads.append(1) or spans(t)))
+        monkeypatch.setattr(Tracer, "children", lambda *a: pytest.fail("per-span scan"))
+        lines = text_tree(tracer).splitlines()
+        assert len(reads) == 1
+        assert [ln.split()[0] for ln in lines[:4]] == ["root", "stage-0", "task-0", "stage-1"]
+        assert len(lines) == 101
 
     def test_jsonl_lines_all_parse(self):
         tracer = self._traced()

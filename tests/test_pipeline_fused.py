@@ -241,6 +241,10 @@ class TestParity:
             for method in ("auto", "rtree", "naive"):
                 pipe = pipeline("raster", method=method)
                 assert pipe.run(ctx, path).cell_values() == oracle(pipe, events)
+            # The staged selector / partitioner / converter / extractor
+            # stage closures pass the same checks.
+            staged = pipeline("raster", partitioner=TSTRPartitioner(2, 2))
+            assert staged_chain(staged, ctx, path) == oracle(staged, events)
         finally:
             ctx.stop()
 

@@ -327,26 +327,51 @@ class TestServeDaemon:
         assert result_document(response) == cli_doc
 
     def test_warm_round_hits_cache_and_is_faster(self, tmp_path):
+        # A hit costs the server ~0.1 ms of a ~3 ms client round trip: the
+        # rest is the client's JSON parse and thread handoffs inside this
+        # one process, where a single wait for the GIL (5 ms switch
+        # interval) or a preempted time slice outweighs the hit.  So every
+        # warm round is counted exactly; the timing is taken at the wire
+        # (request out to response line in, unparsed) and compares medians
+        # over many rounds, each warm round right after its cold one so a
+        # load spike hits both.
+        repeats = 20
         write_dataset(tmp_path / "ds", n=4000)
-        with running_server(tmp_path / "ds", workers=2) as (server, host, port):
-            with ServeClient(host, port) as client:
+        unlimited = TenantPolicy(rate=1e6, burst=1e6)  # no request may be shed
+        with running_server(tmp_path / "ds", workers=2, default_tenant=unlimited) as (
+            server,
+            host,
+            port,
+        ):
+            with socket.create_connection((host, port), timeout=10) as sock:
+                reader = sock.makefile("rb")
 
-                def round_trip():
-                    latencies = []
-                    for bbox in BBOXES:
+                def round_trip(r):
+                    # Each repeat shifts the boxes: a fresh cache key per cold round.
+                    latencies, lines = [], []
+                    for x0, y0, x1, y1 in BBOXES:
+                        request = {"op": "query", "bbox": [x0 + r / 1000, y0, x1, y1],
+                                   "time": list(WINDOW)}
                         start = time.perf_counter()
-                        response = client.query(bbox=bbox, time_range=WINDOW)
+                        sock.sendall(canonical_dumps(request).encode() + b"\n")
+                        lines.append(reader.readline())
                         latencies.append(time.perf_counter() - start)
-                        assert response["status"] == "ok"
+                    assert [json.loads(line)["status"] for line in lines] == ["ok"] * len(BBOXES)
                     return latencies
 
-                cold = round_trip()
-                warm = round_trip()
-            snap = server.result_cache.snapshot()
-            assert snap["hits"] >= len(BBOXES)
+                cold, warm = [], []
+                for r in range(repeats):
+                    cold += round_trip(r)
+                    before = server.result_cache.snapshot()
+                    loaded = server.state.blocks_loaded
+                    warm += round_trip(r)
+                    after = server.result_cache.snapshot()
+                    assert after["hits"] == before["hits"] + len(BBOXES)
+                    assert after["misses"] == before["misses"]
+                    assert server.state.blocks_loaded == loaded
             assert statistics.median(warm) < statistics.median(cold)
             # Warm responses say so.
-            assert server.counters["serve_cache_hits"] >= len(BBOXES)
+            assert server.counters["serve_cache_hits"] == repeats * len(BBOXES)
 
     def test_overloaded_tenant_sheds_others_unaffected(self, tmp_path):
         write_dataset(tmp_path / "ds")
